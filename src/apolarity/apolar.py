@@ -95,37 +95,14 @@ class FilteredSpace:
     # -- public views ----------------------------------------------------
 
     @property
-    def monomials(self) -> tuple:
-        """All monomials spanning the basis rows, grlex descending."""
-        seen = set()
-        for row in self._rows:
-            seen.update(row)
-        return tuple(sorted(seen, key=grlex_key, reverse=True))
-
-    @property
     def rows(self) -> tuple:
         """Basis partials as polynomials, pivot-descending (RREF order)."""
         return tuple(Polynomial(self.nvars, row, PRIMAL) for row in self._rows)
-
-    def matrix(self):
-        """Coefficient rows aligned with `monomials` (one row per partial)."""
-        cols = {m: i for i, m in enumerate(self.monomials)}
-        out = []
-        for row in self._rows:
-            vec = [0] * len(cols)
-            for m, c in row.items():
-                vec[cols[m]] = c
-            out.append(vec)
-        return out
 
     def contains(self, g: Polynomial) -> bool:
         if g.nvars != self.nvars or g.side != PRIMAL:
             return False
         return self._span.contains(dict(g.terms))
-
-    def degree_dimension(self, i: int) -> int:
-        """dim Diff(f)_i, the partials of degree at most i."""
-        return sum(1 for d in self.degrees if d <= i)
 
     def hilbert_values(self) -> tuple:
         values = [0] * (self.socle_degree + 1)
@@ -161,15 +138,6 @@ class FilteredSpace:
         if span.dim != self.dim:
             raise AssertionError("order filtration does not exhaust Diff(f)")
         self._levels = levels
-
-    def order_dimension(self, j: int) -> int:
-        """dim O_j, the partials of order at least j."""
-        if j <= 0:
-            return self.dim
-        if j > self.socle_degree:
-            return 0
-        self._ensure_levels()
-        return len(self._levels[j]["lead_degrees"])
 
     def m_table(self, i: int, j: int) -> int:
         """dim (Diff(f)_i  ∩ O_j) for the degree/order double filtration."""
@@ -309,17 +277,16 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
 
 
 def is_apolar(generators, F: Polynomial) -> bool:
-    """Whether every generator, and its ideal multiples up to deg F, kills F.
+    """Whether every generator, and so the ideal it generates, kills F.
 
-    Generators must be homogeneous dual polynomials.  Ideal membership
-    above deg F is automatic, so multiplying by dual monomials of degree up
-    to deg F - deg g suffices.
+    Generators must be homogeneous dual polynomials.  Contraction is a
+    module action, (m*g)(F) = m(g(F)), so g(F) = 0 already means every
+    multiple of g kills F; checking the generators suffices.
     """
     if F.side != PRIMAL:
         raise ValueError("is_apolar expects a primal form")
     if F.is_zero():
         return True
-    d = int(F.degree())
     for g in generators:
         if g.side != DUAL:
             raise ValueError("generators must be dual polynomials")
@@ -331,13 +298,6 @@ def is_apolar(generators, F: Polynomial) -> bool:
             continue
         if not contract(g, F).is_zero():
             return False
-        budget = d - int(g.degree())
-        for m in monomials_up_to(F.nvars, max(budget, 0)):
-            if sum(m) == 0:
-                continue
-            product = Polynomial.monomial(m, _unit_like(g), DUAL) * g
-            if not contract(product, F).is_zero():
-                return False
     return True
 
 

@@ -230,7 +230,7 @@ def _conjectured_h(length: int) -> tuple:
     return (1, k, k, 1, 1)
 
 
-def verify_theorem(n: int, nonsmoothable_only: bool = True, threads: int = 1) -> TheoremReport:
+def verify_theorem(n: int, nonsmoothable_only: bool = True) -> TheoremReport:
     """Check v < C(n+3,3) - n - (n+1)(l - r) over all candidate lengths.
 
     Candidates of length r, 14 <= r <= c(n)-1, come from the enumerator
@@ -243,10 +243,7 @@ def verify_theorem(n: int, nonsmoothable_only: bool = True, threads: int = 1) ->
     max_v: dict = {}
     passed = True
     for r in range(14, c):
-        candidates = admissible_decompositions(
-            r, n, nonsmoothable_only=nonsmoothable_only, threads=threads
-        )
-        for candidate in candidates:
+        for candidate in admissible_decompositions(r, n, nonsmoothable_only=nonsmoothable_only):
             report = v_bound(candidate.decomposition, n)
             if r not in max_v or report.v > max_v[r][1]:
                 max_v[r] = (tuple(candidate.hilbert), report.v)

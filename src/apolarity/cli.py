@@ -1,6 +1,7 @@
 """Command-line interface binding the library modules.
 
-Exit status: 0 on success, 1 when a verification fails, 2 on usage errors.
+Exit status: 0 on success, 1 when a verification fails, 2 on usage errors,
+3 on an internal error (an unexpected exception inside a command).
 Every subcommand accepts --json for machine output and --out to write the
 report to a file; outputs are deterministic for fixed inputs and seeds.
 """
@@ -16,7 +17,7 @@ from . import bounds as bounds_mod
 from .apolar import annihilator_generators, annihilator_stabilized, diff_space, local_scheme
 from .enumeration import admissible_decompositions
 from .hilbert import embedding_dims, hilbert_function, symmetric_decomposition
-from .poly import DUAL, PRIMAL, ParseError, Polynomial, parse, poly_str
+from .poly import DUAL, PRIMAL, ParseError, parse, poly_str
 from .selftest import run_selftest
 from .witness import LENGTH_NOTE, cusp_witness, exotic_extend, random_general_cubic
 
@@ -77,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nonsmoothable-only", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p, 1)
 
     p = commands.add_parser("bounds", help="dimension bound v(3, Delta, n) per candidate")
@@ -86,14 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help="or: evaluate the decomposition of this polynomial")
     p.add_argument("--nvars", type=int, help="variable count for --f")
     p.add_argument("--nonsmoothable-only", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p, 1)
 
     p = commands.add_parser("verify-theorem", help="generic-cubic cactus rank verification")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--no-filter", action="store_true",
                    help="include smoothable candidates (informational)")
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p, 1)
 
     p = commands.add_parser("exotic-extend", help="hidden-variable extension of f")
@@ -129,12 +127,8 @@ def _emit(args, text_lines, payload) -> None:
         sys.stdout.write(output)
 
 
-def _parse_poly(text: str, nvars: int, side: str, base: int) -> Polynomial:
-    return parse(text, nvars, side=side, base=base)
-
-
 def _cmd_diff(args) -> int:
-    f = _parse_poly(args.f, args.nvars, PRIMAL, args.base)
+    f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     space = diff_space(f)
     lines = [
         f"dim_Diff = {space.dim}",
@@ -156,7 +150,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    f = _parse_poly(args.f, args.nvars, PRIMAL, args.base)
+    f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     decomposition = symmetric_decomposition(f)
     dims = embedding_dims(decomposition)
     lines = [
@@ -174,7 +168,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_annihilator(args) -> int:
-    f = _parse_poly(args.f, args.nvars, PRIMAL, args.base)
+    f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     max_degree = args.max_degree if args.max_degree is not None else int(f.degree()) + 1
     generators = annihilator_generators(f, max_degree)
     stabilized = annihilator_stabilized(f, max_degree, generators)
@@ -191,8 +185,8 @@ def _cmd_annihilator(args) -> int:
 
 
 def _cmd_local_length(args) -> int:
-    F = _parse_poly(args.f, args.nvars, PRIMAL, args.base)
-    support = _parse_poly(args.at, args.nvars, PRIMAL, args.base)
+    F = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
+    support = parse(args.at, args.nvars, side=PRIMAL, base=args.base)
     scheme = local_scheme(F, support)
     lines = [
         f"length = {scheme.length}",
@@ -210,7 +204,6 @@ def _cmd_enumerate(args) -> int:
     candidates = admissible_decompositions(
         args.length, args.n,
         nonsmoothable_only=args.nonsmoothable_only,
-        threads=args.threads,
     )
     lines = [c.decomposition.arrow_str() for c in candidates]
     lines.append(f"total = {len(candidates)}")
@@ -231,13 +224,12 @@ def _cmd_bounds(args) -> int:
     if args.f:
         if args.nvars is None:
             raise SystemExit2("--nvars is required with --f")
-        f = _parse_poly(args.f, args.nvars, PRIMAL, args.base)
+        f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
         reports.append(bounds_mod.v_bound(symmetric_decomposition(f), args.n))
     elif args.length is not None:
         for candidate in admissible_decompositions(
             args.length, args.n,
             nonsmoothable_only=args.nonsmoothable_only,
-            threads=args.threads,
         ):
             reports.append(bounds_mod.v_bound(candidate.decomposition, args.n))
     else:
@@ -257,9 +249,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    report = bounds_mod.verify_theorem(
-        args.n, nonsmoothable_only=not args.no_filter, threads=args.threads
-    )
+    report = bounds_mod.verify_theorem(args.n, nonsmoothable_only=not args.no_filter)
     lines = []
     if not report.in_scope:
         lines.append(f"note: n={args.n} is outside the verified range 7..8; informational only")
@@ -277,15 +267,20 @@ def _cmd_verify_theorem(args) -> int:
             f" (matches conjectured extremal: {match})"
         )
     lines.append(f"worst margin = {report.worst_margin}")
-    verdict = "PASS" if report.passed else "FAIL"
-    lines.append(f"{verdict} n={report.n} cactus_rank={report.cactus_rank}")
+    if not report.in_scope:
+        # no rank is established outside 7..8, so no PASS/FAIL claim either
+        lines.append(f"INFORMATIONAL n={report.n} rows={len(report.rows)} "
+                     f"worst_margin={report.worst_margin}")
+    else:
+        verdict = "PASS" if report.passed else "FAIL"
+        lines.append(f"{verdict} n={report.n} cactus_rank={report.cactus_rank}")
     _emit(args, lines, report.as_dict())
     return 0 if report.passed else 1
 
 
 def _cmd_exotic_extend(args) -> int:
-    f = _parse_poly(args.f, args.nvars, PRIMAL, args.base)
-    phis = [_parse_poly(text, args.nvars, DUAL, args.base) for text in args.phi]
+    f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
+    phis = [parse(text, args.nvars, side=DUAL, base=args.base) for text in args.phi]
     extended = exotic_extend(f, phis)
     h_before = hilbert_function(f).values
     h_after = hilbert_function(extended).values
@@ -308,7 +303,7 @@ def _cmd_cusp_witness(args) -> int:
     reports = []
     failures = 0
     if args.f:
-        reports.append(("input", cusp_witness(_parse_poly(args.f, 3, PRIMAL, args.base))))
+        reports.append(("input", cusp_witness(parse(args.f, 3, side=PRIMAL, base=args.base))))
     rng = random.Random(args.seed)
     for index in range(args.trials):
         report = cusp_witness(random_general_cubic(rng))
@@ -366,9 +361,15 @@ def run(argv=None) -> int:
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        import traceback
+
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
+        return 3
 
 
 def main() -> None:

@@ -17,7 +17,6 @@ function (1,6,6,1).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .hilbert import HilbertFunction, SymmetricDecomposition
@@ -62,13 +61,12 @@ def nonsmoothable_filter(values) -> bool:
 
 
 def _hilbert_candidates(length: int, n: int, d: int):
-    """Strictly positive Macaulay-admissible H of the given socle degree."""
+    """Strictly positive Macaulay-admissible H of socle degree d >= 3.
+
+    `fill` enforces every Macaulay growth step and keeps every entry >= 1.
+    """
     interior = length - 2
     slots = d - 1
-    if slots == 0:
-        if interior == 0:
-            yield (1, 1)
-        return
     if interior < slots:
         return
 
@@ -89,9 +87,7 @@ def _hilbert_candidates(length: int, n: int, d: int):
             prefix.pop()
 
     for middle in fill([], interior, 0):
-        h = (1,) + middle + (1,)
-        if is_o_sequence(h, strictly_positive=True):
-            yield h
+        yield (1,) + middle + (1,)
 
 
 def _symmetric_rows(d: int, a: int, ceiling):
@@ -114,7 +110,7 @@ def _symmetric_rows(d: int, a: int, ceiling):
 
 
 def _decompositions_for(h: tuple):
-    """All valid symmetric decompositions of a fixed Hilbert function."""
+    """All valid symmetric decompositions of H with socle degree >= 3."""
     d = len(h) - 1
     results = []
 
@@ -138,10 +134,6 @@ def _decompositions_for(h: tuple):
             descend(a - 1, new_remainder, chosen)
             chosen.pop()
 
-    if d <= 1:
-        # degenerate socle degrees: the single row equals H
-        results.append(SymmetricDecomposition(d=d, rows=(h,)))
-        return results
     descend(d - 2, h, [])
     return results
 
@@ -150,7 +142,6 @@ def admissible_decompositions(
     length: int,
     n: int,
     nonsmoothable_only: bool = False,
-    threads: int = 1,
 ) -> list:
     """All admissible (H, Delta) candidates of the given length.
 
@@ -160,24 +151,14 @@ def admissible_decompositions(
     """
     if length < 1 or n < 1:
         raise ValueError("length and n must be positive")
-    hs = []
+    candidates = []
     for d in range(3, length):
         for h in _hilbert_candidates(length, n, d):
             if nonsmoothable_only and not nonsmoothable_filter(h):
                 continue
-            hs.append(h)
-
-    def expand(h):
-        return [
-            DecompositionCandidate(HilbertFunction(h), dec)
-            for dec in _decompositions_for(h)
-        ]
-
-    if threads > 1 and len(hs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(expand, hs))
-    else:
-        groups = [expand(h) for h in hs]
-    candidates = [c for group in groups for c in group]
+            candidates.extend(
+                DecompositionCandidate(HilbertFunction(h), dec)
+                for dec in _decompositions_for(h)
+            )
     candidates.sort(key=DecompositionCandidate.sort_key)
     return candidates

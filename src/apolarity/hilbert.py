@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .apolar import FilteredSpace, diff_space
-from .poly import ChangeOfBasis, Polynomial, dp_substitute
+from .poly import ChangeOfBasis, Polynomial, _invert_matrix, dp_substitute
 from fractions import Fraction
 
 
@@ -213,7 +213,7 @@ def adapt_coordinates(f: Polynomial):
     if len(chosen) != n:
         raise AssertionError("could not complete the linear-partial flag to a basis")
     new_to_old = [list(row) for row in chosen]
-    old_to_new = _invert(new_to_old)
+    old_to_new = _invert_matrix(new_to_old)
     adapted = dp_substitute(f, old_to_new)
     kept = 0
     for exponents in adapted.terms:
@@ -230,9 +230,3 @@ def adapt_coordinates(f: Polynomial):
         dropped=dropped,
     )
     return adapted, change
-
-
-def _invert(rows):
-    from .poly import _invert_matrix
-
-    return _invert_matrix(rows)

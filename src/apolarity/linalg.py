@@ -10,10 +10,6 @@ from __future__ import annotations
 from .poly import grlex_key
 
 
-def _copy(vec: dict) -> dict:
-    return dict(vec)
-
-
 class MonomialSpan:
     """Reduced row-echelon span maintained under row insertion."""
 
@@ -28,7 +24,7 @@ class MonomialSpan:
 
     def reduce(self, vec: dict) -> dict:
         """Fully reduce vec against the span; returns a fresh dict."""
-        out = _copy(vec)
+        out = dict(vec)
         while True:
             lead = None
             for m in out:
@@ -97,7 +93,7 @@ class WitnessSpan:
         return len(self.rows)
 
     def reduce(self, vec: dict, combo: dict | None = None):
-        out = _copy(vec)
+        out = dict(vec)
         used: dict = dict(combo) if combo else {}
         while True:
             lead = None

@@ -174,20 +174,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_compatible(other)
-        terms: dict = {}
-        primal = self.side == PRIMAL
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exponents = tuple(a + b for a, b in zip(ea, eb))
-                coeff = ca * cb
-                if primal:
-                    factor = 1
-                    for a, b in zip(ea, eb):
-                        if a and b:
-                            factor *= comb(a + b, a)
-                    if factor != 1:
-                        coeff = coeff * factor
-                terms[exponents] = terms.get(exponents, 0) + coeff
+        terms = _term_product(self.terms, other.terms, self.side == PRIMAL)
         return Polynomial(self.nvars, terms, self.side)
 
     def power(self, k: int) -> "Polynomial":
@@ -301,15 +288,11 @@ def dual_dehomogenize(psi: Polynomial) -> Polynomial:
         raise ValueError("expected a dual polynomial")
     if psi.nvars == 0:
         raise ValueError("no variable to specialize")
-    terms: dict = {}
-    for exponents, coeff in psi.terms.items():
-        rest = exponents[1:]
-        terms[rest] = terms.get(rest, 0) + coeff
-    return Polynomial(psi.nvars - 1, terms, DUAL)
+    return _drop_first(psi)
 
 
 def _drop_first(f: Polynomial) -> Polynomial:
-    """Set the first primal variable to 1 by dropping its exponent."""
+    """Set the first variable to 1 by dropping its exponent (either side)."""
     terms: dict = {}
     for exponents, coeff in f.terms.items():
         rest = exponents[1:]
@@ -352,16 +335,24 @@ def _linear_dp_power(coeffs: Sequence, nvars: int, k: int) -> dict:
     return out
 
 
-def _dp_mul(a: dict, b: dict) -> dict:
+def _term_product(a: Mapping, b: Mapping, divided: bool) -> dict:
+    """Product of two term dicts, zero terms dropped.
+
+    With `divided`, monomials multiply as divided powers, picking up the
+    factor prod C(a_i + b_i, a_i); otherwise as ordinary monomials.
+    """
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             exponents = tuple(x + y for x, y in zip(ea, eb))
-            factor = 1
-            for x, y in zip(ea, eb):
-                if x and y:
-                    factor *= comb(x + y, x)
-            coeff = ca * cb if factor == 1 else ca * cb * factor
+            coeff = ca * cb
+            if divided:
+                factor = 1
+                for x, y in zip(ea, eb):
+                    if x and y:
+                        factor *= comb(x + y, x)
+                if factor != 1:
+                    coeff = coeff * factor
             out[exponents] = out.get(exponents, 0) + coeff
     return {e: c for e, c in out.items() if c != 0}
 
@@ -384,7 +375,7 @@ def dp_substitute(f: Polynomial, images: Sequence[Sequence]) -> Polynomial:
         term = {(0,) * new_nvars: Fraction(1)}
         for i, e in enumerate(exponents):
             if e:
-                term = _dp_mul(term, _linear_dp_power(images[i], new_nvars, e))
+                term = _term_product(term, _linear_dp_power(images[i], new_nvars, e), True)
         for key, c in term.items():
             total[key] = total.get(key, 0) + coeff * c
     return Polynomial(new_nvars, total, PRIMAL)

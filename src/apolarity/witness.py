@@ -29,13 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .apolar import (
-    annihilator_generators,
-    apolar_length,
-    diff_space,
-    is_apolar,
-)
-from .hilbert import hilbert_function
+from .apolar import annihilator_generators, diff_space, is_apolar
 from .linalg import MonomialSpan
 from .poly import (
     DUAL,
@@ -158,8 +152,8 @@ def cusp_witness(f: Polynomial) -> WitnessReport:
     F = f.pad(4) + Polynomial(4, {(0, 2, 0, 1): one, (1, 0, 0, 2): one}, PRIMAL)
     x0 = Polynomial.variable(4, 0)
     f_l, _ = dehomogenize(F, x0)
-    length_f = apolar_length(f_l)
-    signature = hilbert_function(f_l).values == (1, 3, 3, 1) if not f_l.is_zero() else False
+    # F carries x1^2*x3, so f_l is nonzero
+    space_f = diff_space(f_l)
     g = f_l + Polynomial(3, {(4, 0, 0): one}, PRIMAL)
     G = homogenize(g, 4)
     if contract(Polynomial.variable(4, 0, DUAL), G) != F:
@@ -172,11 +166,11 @@ def cusp_witness(f: Polynomial) -> WitnessReport:
         cubic=f,
         form=F,
         quartic=G,
-        length_f=length_f,
+        length_f=space_f.dim,
         length_g=space_g.dim,
         local_hilbert_g=space_g.hilbert_values(),
         apolar_ok=apolar_ok,
-        general_signature=signature,
+        general_signature=space_f.hilbert_values() == (1, 3, 3, 1),
     )
 
 

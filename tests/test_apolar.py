@@ -211,6 +211,43 @@ class TestIsApolar:
             homogenized = [homogenize(g, int(g.degree())) for g in generators]
             assert is_apolar(homogenized, F)
 
+    @staticmethod
+    def brute_force_is_apolar(generators, F):
+        """Every dual-monomial multiple m*g with deg(m*g) <= deg F must kill F."""
+        d = int(F.degree())
+        for g in generators:
+            if g.is_zero():
+                continue
+            for m in monomials_up_to(F.nvars, max(d - int(g.degree()), 0)):
+                product = Polynomial.monomial(m, Fraction(1), DUAL) * g
+                if not contract(product, F).is_zero():
+                    return False
+        return True
+
+    def test_generator_check_agrees_with_all_multiples(self, rng):
+        outcomes = []
+        for _ in range(12):
+            f = random_polynomial(rng, rng.randint(2, 3), 3)
+            F = homogenize(f, int(f.degree()))
+            generators = annihilator_generators(f, int(f.degree()) + 1)
+            homogenized = [homogenize(g, int(g.degree())) for g in generators]
+            expected = self.brute_force_is_apolar(homogenized, F)
+            assert expected
+            assert is_apolar(homogenized, F) == expected
+            outcomes.append(expected)
+        for _ in range(40):
+            nvars = rng.randint(2, 4)
+            F = random_polynomial(rng, nvars, rng.randint(1, 4), homogeneous=True)
+            duals = [
+                random_polynomial(rng, nvars, rng.randint(1, 3), max_terms=3,
+                                  side=DUAL, homogeneous=True)
+                for _ in range(rng.randint(1, 3))
+            ]
+            expected = self.brute_force_is_apolar(duals, F)
+            assert is_apolar(duals, F) == expected, (F, duals)
+            outcomes.append(expected)
+        assert True in outcomes and outcomes.count(False) > 20
+
 
 class TestLocalScheme:
     def test_point(self):

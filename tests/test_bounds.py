@@ -171,8 +171,3 @@ class TestVerifyTheorem:
         assert not report.filtered
         assert len(report.rows) > 1
         assert report.worst_margin is not None
-
-    def test_threads_deterministic(self):
-        a = verify_theorem(8, threads=1)
-        b = verify_theorem(8, threads=4)
-        assert a.as_dict() == b.as_dict()

@@ -77,11 +77,6 @@ class TestEnumerate:
         lines = [json.loads(line) for line in target.read_text().splitlines()]
         assert lines and lines[0]["H"] == [1, 6, 6, 1]
 
-    def test_threads_flag(self, capsys):
-        serial = capture(capsys, ["enumerate", "--length", "15", "--n", "8"])
-        threaded = capture(capsys, ["enumerate", "--length", "15", "--n", "8", "--threads", "3"])
-        assert serial == threaded
-
 
 class TestVerifyTheorem:
     def test_n7_pass(self, capsys):
@@ -208,6 +203,41 @@ class TestErrorsAndPlumbing:
         status, out, _ = capture(capsys, ["verify-theorem", "--n", "5"])
         assert status == 0
         assert "informational" in out
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_out_of_scope_n_claims_no_rank(self, capsys, n):
+        status, out, _ = capture(capsys, ["verify-theorem", "--n", str(n)])
+        assert status == 0
+        assert "PASS" not in out and "cactus_rank=" not in out
+        assert out.splitlines()[-1].startswith(f"INFORMATIONAL n={n} rows=")
+
+    def test_unwritable_out_path_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "report.txt"
+        status, _, err = capture(capsys, ["verify-theorem", "--n", "7", "--out", str(target)])
+        assert status == 2
+        assert err.startswith("error: ")
+
+    def test_internal_error_is_not_a_fail(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("bound composition routes disagree")
+
+        monkeypatch.setattr("apolarity.cli.bounds_mod.verify_theorem", broken)
+        status, out, err = capture(capsys, ["verify-theorem", "--n", "7"])
+        assert status == 3
+        assert out == ""
+        assert err.startswith("internal error: AssertionError: bound composition routes disagree")
+
+
+class TestPublicSurface:
+    def test_all_names_resolve(self):
+        missing = [name for name in apolarity.__all__ if not hasattr(apolarity, name)]
+        assert missing == []
+
+    def test_removed_option_is_rejected(self, capsys):
+        argv = ["enumerate", "--length", "15", "--n", "8", "--threads", "3"]
+        status, _, err = capture(capsys, argv)
+        assert status == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
 
 
 class TestInstalledEntryPoint:

@@ -117,13 +117,6 @@ class TestWorkedInstances:
         keys = [c.sort_key() for c in candidates]
         assert keys == sorted(keys)
 
-    def test_threads_agree_with_serial(self):
-        serial = admissible_decompositions(16, 8)
-        threaded = admissible_decompositions(16, 8, threads=4)
-        assert [(tuple(c.hilbert), c.decomposition.rows) for c in serial] == [
-            (tuple(c.hilbert), c.decomposition.rows) for c in threaded
-        ]
-
 
 class TestSoundness:
     def test_candidates_revalidate(self):
