@@ -279,14 +279,14 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
 def is_apolar(generators, F: Polynomial) -> bool:
     """Whether every generator, and so the ideal it generates, kills F.
 
-    Generators must be homogeneous dual polynomials.  Contraction is a
+    Generators must be homogeneous dual polynomials; every one is
+    validated before any is applied, also when F is zero.  Contraction is a
     module action, (m*g)(F) = m(g(F)), so g(F) = 0 already means every
     multiple of g kills F; checking the generators suffices.
     """
     if F.side != PRIMAL:
         raise ValueError("is_apolar expects a primal form")
-    if F.is_zero():
-        return True
+    generators = list(generators)
     for g in generators:
         if g.side != DUAL:
             raise ValueError("generators must be dual polynomials")
@@ -294,11 +294,9 @@ def is_apolar(generators, F: Polynomial) -> bool:
             raise ValueError(f"generator {poly_str(g)} is not homogeneous")
         if g.nvars != F.nvars:
             raise ValueError("variable count mismatch")
-        if g.is_zero():
-            continue
-        if not contract(g, F).is_zero():
-            return False
-    return True
+    if F.is_zero():
+        return True
+    return all(g.is_zero() or contract(g, F).is_zero() for g in generators)
 
 
 @dataclass(frozen=True)

@@ -109,33 +109,35 @@ def _symmetric_rows(d: int, a: int, ceiling):
         yield tuple(row)
 
 
-def _decompositions_for(h: tuple):
-    """All valid symmetric decompositions of H with socle degree >= 3."""
-    d = len(h) - 1
-    results = []
+def _chains(d: int, a: int, remainder: tuple, memo: dict) -> tuple:
+    """All row chains (Delta_0, ..., Delta_a) summing to `remainder`.
 
-    def descend(a: int, remainder: tuple, chosen: list):
-        if a == 0:
-            row0 = remainder
-            if row0[0] != 1 or row0[d] != 1:
-                return
-            if any(row0[i] != row0[d - i] for i in range(d + 1)):
-                return
-            rows = [row0] + list(reversed(chosen))
-            results.append(SymmetricDecomposition(d=d, rows=tuple(rows)))
-            return
+    Every partial sum below Delta_a is the Hilbert function of a quotient
+    Q(a), so the chains depend only on (a, remainder): `memo` stores them,
+    dead ends as (), for every H of socle degree d.
+    """
+    key = (a, remainder)
+    chains = memo.get(key)
+    if chains is not None:
+        return chains
+    if a == 0:
+        valid = (
+            remainder[0] == 1
+            and remainder[d] == 1
+            and all(remainder[i] == remainder[d - i] for i in range(d + 1))
+        )
+        chains = ((remainder,),) if valid else ()
+    else:
+        found = []
         for row in _symmetric_rows(d, a, remainder):
+            # rows are bounded by `remainder`, so no entry goes negative
             new_remainder = tuple(r - v for r, v in zip(remainder, row))
-            if any(v < 0 for v in new_remainder):
-                continue
             if not is_o_sequence(new_remainder):
                 continue
-            chosen.append(row)
-            descend(a - 1, new_remainder, chosen)
-            chosen.pop()
-
-    descend(d - 2, h, [])
-    return results
+            found.extend(chain + (row,) for chain in _chains(d, a - 1, new_remainder, memo))
+        chains = tuple(found)
+    memo[key] = chains
+    return chains
 
 
 def admissible_decompositions(
@@ -153,12 +155,13 @@ def admissible_decompositions(
         raise ValueError("length and n must be positive")
     candidates = []
     for d in range(3, length):
+        memo = {}  # row chains, shared by every H of socle degree d
         for h in _hilbert_candidates(length, n, d):
             if nonsmoothable_only and not nonsmoothable_filter(h):
                 continue
             candidates.extend(
-                DecompositionCandidate(HilbertFunction(h), dec)
-                for dec in _decompositions_for(h)
+                DecompositionCandidate(HilbertFunction(h), SymmetricDecomposition(d=d, rows=rows))
+                for rows in _chains(d, d - 2, h, memo)
             )
     candidates.sort(key=DecompositionCandidate.sort_key)
     return candidates

@@ -38,13 +38,28 @@ def binomial_expansion(value: int, i: int) -> BinomialExpansion:
     return BinomialExpansion(i=i, terms=tuple(terms))
 
 
+# (value, i) -> macaulay_bound(value, i), for int arguments only.  The
+# enumerator asks for value < length and i < length, so this stays small.
+_BOUNDS: dict = {}
+
+
 def macaulay_bound(value: int, i: int) -> int:
     """Largest admissible next value after `value` in degree i.
 
     Shifts every term of the i-binomial expansion: sum C(m_k + 1, k + 1).
+    The answer is memoized for int arguments; invalid arguments raise on
+    every call, since only successful computations are stored.
     """
+    cacheable = type(value) is int and type(i) is int
+    if cacheable:
+        bound = _BOUNDS.get((value, i))
+        if bound is not None:
+            return bound
     expansion = binomial_expansion(value, i)
-    return sum(comb(m + 1, k + 1) for m, k in expansion.terms)
+    bound = sum(comb(m + 1, k + 1) for m, k in expansion.terms)
+    if cacheable:
+        _BOUNDS[value, i] = bound
+    return bound
 
 
 def is_o_sequence(values, strictly_positive: bool = False) -> bool:
@@ -55,22 +70,18 @@ def is_o_sequence(values, strictly_positive: bool = False) -> bool:
     zero values are rejected outright (the socle-degree Hilbert-function
     mode); without it, zero tails are allowed (partial-sum mode).
     """
-    values = list(values)
-    if not values:
-        return False
-    if values[0] != 1:
-        return False
-    if any(v < 0 for v in values):
-        return False
-    if strictly_positive and any(v == 0 for v in values):
-        return False
     seen_zero = False
-    for i in range(1, len(values)):
-        if values[i] == 0:
+    previous = None
+    for i, v in enumerate(values):
+        if v < 0 or (i == 0 and v != 1):
+            return False
+        if v == 0:
+            if strictly_positive:
+                return False
             seen_zero = True
-            continue
-        if seen_zero:
+        elif seen_zero:
             return False
-        if i >= 2 and values[i] > macaulay_bound(values[i - 1], i - 1):
+        elif i >= 2 and v > macaulay_bound(previous, i - 1):
             return False
-    return True
+        previous = v
+    return previous is not None

@@ -292,3 +292,24 @@ class TestLocalScheme:
         assert set(data) >= {"length", "hilbert", "annihilator", "apolarity_checked"}
         assert data["length"] == 2 and data["hilbert"] == [1, 1]
         assert all(isinstance(s, str) for s in data["annihilator"])
+
+
+class TestIsApolarValidation:
+    def test_zero_form_still_validates_generators(self):
+        bad = parse("x1 + x1^2", 2)
+        with pytest.raises(ValueError, match="generators must be dual polynomials"):
+            is_apolar([bad], Polynomial.zero(2))
+        with pytest.raises(ValueError, match="generators must be dual polynomials"):
+            is_apolar([bad], parse("x1^3", 2))
+        assert is_apolar([parse("y1", 2, side=DUAL)], Polynomial.zero(2))
+
+    def test_every_generator_validated_before_contracting(self):
+        F = parse("x0^3", 2, base=0)
+        non_killing = parse("y0", 2, side=DUAL, base=0)
+        assert not is_apolar([non_killing], F)
+        with pytest.raises(ValueError, match="generators must be dual polynomials"):
+            is_apolar([non_killing, parse("x1", 2, base=0)], F)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            is_apolar([non_killing, parse("y1 + y1^2", 2, side=DUAL, base=0)], F)
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            is_apolar([non_killing, parse("y1", 3, side=DUAL, base=0)], F)

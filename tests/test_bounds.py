@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -171,3 +173,23 @@ class TestVerifyTheorem:
         assert not report.filtered
         assert len(report.rows) > 1
         assert report.worst_margin is not None
+
+
+class TestInformationalReports:
+    """Full verifier reports outside the paper's range, pinned by digest.
+
+    The digests are sha256 of the sorted-key JSON of `as_dict()`, recorded
+    with the closure-based enumerator that searched every H separately.
+    """
+
+    @pytest.mark.parametrize("n,rows,worst,digest", [
+        (9, 2393, 19, "c8bf80e94964375b89f1d448d12a9c00d07dc5033879639dfe743f9814f416ef"),
+        (10, 7584, 26, "0656523ea589b5e390a1c982453386f6f9e7203e103aa5245d010ee88bea4f6d"),
+    ])
+    def test_report_digest(self, n, rows, worst, digest):
+        report = verify_theorem(n)
+        assert not report.in_scope
+        assert len(report.rows) == rows
+        assert report.worst_margin == worst
+        payload = json.dumps(report.as_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest

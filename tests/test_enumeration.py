@@ -6,8 +6,13 @@ import itertools
 
 import pytest
 
-from apolarity.enumeration import admissible_decompositions, nonsmoothable_filter
-from apolarity.hilbert import symmetric_decomposition
+from apolarity.enumeration import (
+    _hilbert_candidates,
+    _symmetric_rows,
+    admissible_decompositions,
+    nonsmoothable_filter,
+)
+from apolarity.hilbert import SymmetricDecomposition, symmetric_decomposition
 from apolarity.macaulay import is_o_sequence
 from apolarity.poly import parse
 
@@ -86,6 +91,58 @@ class TestAgainstBruteForce:
             for c in admissible_decompositions(length, n)
         }
         assert got == expected
+
+
+def _decompositions_for(h: tuple):
+    """All valid symmetric decompositions of H with socle degree >= 3."""
+    d = len(h) - 1
+    results = []
+
+    def descend(a: int, remainder: tuple, chosen: list):
+        if a == 0:
+            row0 = remainder
+            if row0[0] != 1 or row0[d] != 1:
+                return
+            if any(row0[i] != row0[d - i] for i in range(d + 1)):
+                return
+            rows = [row0] + list(reversed(chosen))
+            results.append(SymmetricDecomposition(d=d, rows=tuple(rows)))
+            return
+        for row in _symmetric_rows(d, a, remainder):
+            new_remainder = tuple(r - v for r, v in zip(remainder, row))
+            if any(v < 0 for v in new_remainder):
+                continue
+            if not is_o_sequence(new_remainder):
+                continue
+            chosen.append(row)
+            descend(a - 1, new_remainder, chosen)
+            chosen.pop()
+
+    descend(d - 2, h, [])
+    return results
+
+
+def unshared_descent(length: int, n: int):
+    """Reference enumerator: one independent row-chain search per H, no memo.
+
+    `_decompositions_for` above is the closure-based search the enumerator
+    used before the row chains were shared across Hilbert functions.
+    """
+    return {
+        (h, dec.rows)
+        for d in range(3, length)
+        for h in _hilbert_candidates(length, n, d)
+        for dec in _decompositions_for(h)
+    }
+
+
+class TestAgainstUnsharedDescent:
+    @pytest.mark.parametrize("length,n", [(14, 8), (15, 8), (16, 8), (17, 8), (15, 9)])
+    def test_identical_output_sets(self, length, n):
+        candidates = admissible_decompositions(length, n)
+        got = {(tuple(c.hilbert), c.decomposition.rows) for c in candidates}
+        assert len(got) == len(candidates)
+        assert got == unshared_descent(length, n)
 
 
 class TestWorkedInstances:

@@ -168,3 +168,37 @@ class TestIsOSequence:
                     expected = False
                     break
             assert is_o_sequence(seq) == expected, seq
+
+
+class TestMacaulayBoundMemo:
+    def test_invalid_arguments_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                macaulay_bound(-1, 2)
+            with pytest.raises(ValueError):
+                macaulay_bound(3, 0)
+            assert macaulay_bound(3, 2) == 4
+
+    def test_repeated_calls_match_oracle(self):
+        cases = [(v, i) for i in (1, 2, 3) for v in range(1, 16)]
+        for _ in range(2):
+            for value, i in cases:
+                assert macaulay_bound(value, i) == lex_growth_oracle(value, i), (value, i)
+
+    def test_non_int_arguments_are_not_answered_from_the_memo(self):
+        from apolarity import macaulay
+
+        assert macaulay_bound(1001.0, 5) == macaulay_bound(1001, 5)
+        assert macaulay_bound(8, 1) == 36
+        assert macaulay_bound(8.0, 1) == 36
+        assert all(type(v) is int and type(i) is int for v, i in macaulay._BOUNDS)
+
+    def test_stays_a_plain_function_bound_by_the_enumerator(self):
+        # profilers and tracers that wrap module-level functions rely on both
+        import inspect
+
+        import apolarity.enumeration
+        import apolarity.macaulay
+
+        assert inspect.isfunction(apolarity.macaulay.macaulay_bound)
+        assert apolarity.enumeration.macaulay_bound is apolarity.macaulay.macaulay_bound
