@@ -19,12 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .linalg import MonomialSpan, WitnessSpan
+from .linalg import MonomialSpan
 from .poly import (
     DUAL,
     PRIMAL,
     ChangeOfBasis,
     Polynomial,
+    _contract_terms,
     contract,
     dehomogenize,
     grlex_key,
@@ -32,24 +33,6 @@ from .poly import (
     monomials_up_to,
     poly_str,
 )
-
-
-def _contract_terms(terms: dict, var: int) -> dict:
-    """Contraction of a term dict by the single dual variable y_{var}."""
-    out = {}
-    for exponents, coeff in terms.items():
-        if exponents[var]:
-            shifted = exponents[:var] + (exponents[var] - 1,) + exponents[var + 1 :]
-            out[shifted] = coeff
-    return out
-
-
-def _monomial_contract(terms: dict, alpha: tuple) -> dict:
-    out = {}
-    for beta, coeff in terms.items():
-        if all(b >= a for b, a in zip(beta, alpha)):
-            out[tuple(b - a for b, a in zip(beta, alpha))] = coeff
-    return out
 
 
 class FilteredSpace:
@@ -78,14 +61,15 @@ class FilteredSpace:
 
     def _closure(self):
         span = self._span
+        units = [tuple(int(i == k) for i in range(self.nvars)) for k in range(self.nvars)]
         queue = [dict(self.polynomial.terms)]
         span.insert(queue[0])
         head = 0
         while head < len(queue):
             current = queue[head]
             head += 1
-            for var in range(self.nvars):
-                image = _contract_terms(current, var)
+            for unit in units:
+                image = _contract_terms(current, unit)
                 if not image:
                     continue
                 index = span.insert(image)
@@ -128,7 +112,7 @@ class FilteredSpace:
         top = self.socle_degree
         for j in range(top, -1, -1):
             for alpha in sorted(by_level.get(j, ()), reverse=True):
-                image = _monomial_contract(f_terms, alpha)
+                image = _contract_terms(f_terms, alpha)
                 if image:
                     span.insert(image)
             levels[j] = {
@@ -221,20 +205,21 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
     monomials of degree <= max_degree to Diff(f), row-reduced: each basis
     element has a distinct leading dual monomial with coefficient 1.
     """
+    if f.side != PRIMAL:
+        raise ValueError("annihilator_generators expects a primal polynomial")
     if f.is_zero():
         raise ValueError("annihilator of the zero polynomial is the whole ring")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    span = WitnessSpan()
+    span = MonomialSpan()
     kernel = []
-    f_terms = dict(f.terms)
     one = _unit_like(f)
     for alpha in monomials_up_to(f.nvars, max_degree):
-        image = _monomial_contract(f_terms, alpha)
+        image = _contract_terms(f.terms, alpha)
         if not image:
             kernel.append({alpha: one})
             continue
-        _, relation = span.insert(image, alpha)
+        _, relation = span.insert_labelled(image, alpha)
         if relation is not None:
             kernel.append(relation)
     return [Polynomial(f.nvars, vec, DUAL) for vec in kernel]
@@ -258,18 +243,21 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
 
     Searches the span of contractions of f by dual monomials of degree
     >= min_order; returns None when the target is not reachable there.
+    Both f and the target must be primal, in the same variables.
     """
-    span = WitnessSpan()
-    f_terms = dict(f.terms)
-    top = f.degree()
-    if top == float("-inf"):
+    if f.side != PRIMAL:
+        raise ValueError("representative_operator expects a primal polynomial")
+    if f.is_zero():
         raise ValueError("f must be nonzero")
-    for alpha in monomials_up_to(f.nvars, int(top)):
+    if target.side != PRIMAL or target.nvars != f.nvars:
+        raise ValueError("target must be a primal polynomial in the variables of f")
+    span = MonomialSpan()
+    for alpha in monomials_up_to(f.nvars, int(f.degree())):
         if sum(alpha) < min_order:
             continue
-        image = _monomial_contract(f_terms, alpha)
+        image = _contract_terms(f.terms, alpha)
         if image:
-            span.insert(image, alpha)
+            span.insert_labelled(image, alpha)
     combo = span.solve(dict(target.terms))
     if combo is None:
         return None

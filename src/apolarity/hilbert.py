@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .apolar import FilteredSpace, diff_space
+from .linalg import MonomialSpan
 from .poly import ChangeOfBasis, Polynomial, _invert_matrix, dp_substitute
 from fractions import Fraction
 
@@ -182,37 +183,27 @@ def adapt_coordinates(f: Polynomial):
     space = diff_space(f)
     d = space.socle_degree
     n = f.nvars
-    chosen: list = []
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    span = MonomialSpan()
+    new_to_old: list = []
 
-    def reduce_row(vec):
-        out = list(vec)
-        for row in chosen:
-            pivot = next(i for i, c in enumerate(row) if c != 0)
-            if out[pivot] != 0:
-                factor = out[pivot]
-                out = [x - factor * y for x, y in zip(out, row)]
-        return out
+    def choose(vec: dict):
+        # densify the new row now, before later inserts back-substitute into
+        # it: it is the normalised remainder, pivot at its lowest variable
+        index = span.insert(vec)
+        if index is not None:
+            row = span.rows[index]
+            zero = row[span.pivots[index]] * 0
+            new_to_old.append([row.get(unit, zero) for unit in units])
 
     for a in range(max(d - 1, 1)):
         for vec in space.linear_partials(d - 1 - a):
-            rem = reduce_row(vec)
-            if any(c != 0 for c in rem):
-                pivot = next(i for i, c in enumerate(rem) if c != 0)
-                inv = rem[pivot]
-                chosen.append([c / inv for c in rem])
-    used_pivots = {next(i for i, c in enumerate(row) if c != 0) for row in chosen}
+            choose({units[i]: c for i, c in enumerate(vec) if c != 0})
     for i in range(n):
-        if i not in used_pivots and len(chosen) < n:
-            unit = [Fraction(0)] * n
-            unit[i] = Fraction(1)
-            rem = reduce_row(unit)
-            if any(c != 0 for c in rem):
-                pivot = next(k for k, c in enumerate(rem) if c != 0)
-                inv = rem[pivot]
-                chosen.append([c / inv for c in rem])
-    if len(chosen) != n:
+        if units[i] not in span.by_pivot:
+            choose({units[i]: Fraction(1)})
+    if len(new_to_old) != n:
         raise AssertionError("could not complete the linear-partial flag to a basis")
-    new_to_old = [list(row) for row in chosen]
     old_to_new = _invert_matrix(new_to_old)
     adapted = dp_substitute(f, old_to_new)
     kept = 0

@@ -21,6 +21,8 @@ def binomial_expansion(value: int, i: int) -> BinomialExpansion:
     """The unique greedy i-binomial expansion of a nonnegative integer."""
     if value < 0:
         raise ValueError("value must be nonnegative")
+    if value != int(value):
+        raise ValueError("value must be an integer")
     if i < 1:
         raise ValueError("i must be positive")
     terms = []

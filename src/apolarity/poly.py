@@ -234,21 +234,23 @@ def contract(psi: Polynomial, f: Polynomial) -> Polynomial:
         raise ValueError(f"variable count mismatch: {psi.nvars} vs {f.nvars}")
     terms: dict = {}
     for alpha, c in psi.terms.items():
-        for beta, e in f.terms.items():
-            shifted = _shift(beta, alpha)
-            if shifted is None:
-                continue
-            terms[shifted] = terms.get(shifted, 0) + c * e
+        for beta, e in _contract_terms(f.terms, alpha).items():
+            terms[beta] = terms.get(beta, 0) + c * e
     return Polynomial(f.nvars, terms, PRIMAL)
 
 
-def _shift(beta: Exponents, alpha: Exponents):
-    out = []
-    for b, a in zip(beta, alpha):
-        if b < a:
-            return None
-        out.append(b - a)
-    return tuple(out)
+def _contract_terms(terms: Mapping[Exponents, object], alpha: Exponents) -> dict:
+    """Contraction of a term dict by the dual monomial y^alpha."""
+    out = {}
+    for beta, coeff in terms.items():
+        shifted = []
+        for b, a in zip(beta, alpha):
+            if b < a:
+                break
+            shifted.append(b - a)
+        else:
+            out[tuple(shifted)] = coeff
+    return out
 
 
 # -- tails and homogeneous components -----------------------------------

@@ -22,6 +22,7 @@ from apolarity.poly import (
     Polynomial,
     contract,
     dehomogenize,
+    grlex_key,
     homogenize,
     monomials_up_to,
     parse,
@@ -313,3 +314,187 @@ class TestIsApolarValidation:
             is_apolar([non_killing, parse("y1 + y1^2", 2, side=DUAL, base=0)], F)
         with pytest.raises(ValueError, match="variable count mismatch"):
             is_apolar([non_killing, parse("y1", 3, side=DUAL, base=0)], F)
+
+
+class TestLabelledSpanValidation:
+    def test_annihilator_rejects_a_dual_f(self):
+        with pytest.raises(ValueError, match="expects a primal polynomial"):
+            annihilator_generators(parse("y1^2", 2, side=DUAL), 2)
+
+    def test_representative_operator_rejects_a_dual_f(self):
+        with pytest.raises(ValueError, match="expects a primal polynomial"):
+            representative_operator(parse("y1^2", 2, side=DUAL), parse("1", 2))
+
+    def test_representative_operator_rejects_a_dual_target(self):
+        with pytest.raises(ValueError, match="target must be a primal polynomial"):
+            representative_operator(parse("x1^3 + x1*x2", 2), parse("y1", 2, side=DUAL))
+
+    def test_representative_operator_rejects_a_target_in_other_variables(self):
+        with pytest.raises(ValueError, match="target must be a primal polynomial"):
+            representative_operator(parse("x1^3 + x1*x2", 2), parse("x1", 3))
+
+
+# -- the labelled echelon span as it was before it was folded into
+# MonomialSpan, kept verbatim as an oracle for the folded kernel ------------
+
+class WitnessSpan:
+    """Row-echelon span that remembers how each row combines the generators.
+
+    Inserting labelled generators g_L keeps, for every stored row r,
+    a combination dict with r = sum combo[L] * g_L.  Reduction reports the
+    combination expressing vec - remainder, which yields kernel vectors
+    (remainder 0 at insert) and preimages under the generator map.
+    """
+
+    def __init__(self):
+        self.rows: list[dict] = []
+        self.combos: list[dict] = []
+        self.pivots: list[tuple] = []
+        self.by_pivot: dict[tuple, int] = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict, combo: dict | None = None):
+        out = dict(vec)
+        used: dict = dict(combo) if combo else {}
+        while True:
+            lead = None
+            for m in out:
+                if m in self.by_pivot and (lead is None or grlex_key(m) > grlex_key(lead)):
+                    lead = m
+            if lead is None:
+                return out, used
+            i = self.by_pivot[lead]
+            factor = out[lead]
+            for m, c in self.rows[i].items():
+                new = out.get(m, 0) - factor * c
+                if new == 0:
+                    out.pop(m, None)
+                else:
+                    out[m] = new
+            for label, c in self.combos[i].items():
+                new = used.get(label, 0) - factor * c
+                if new == 0:
+                    used.pop(label, None)
+                else:
+                    used[label] = new
+        # unreachable
+
+    def insert(self, vec: dict, label):
+        """Insert generator `vec` named `label`.
+
+        Returns (index, None) when independent, or (None, relation) where
+        relation maps labels to coefficients of a vanishing combination
+        including the new label with coefficient 1.
+
+        reduce maintains vec = rem - sum(used[L] * g_L), so a zero remainder
+        gives the relation g_label + sum(used[L] * g_L) = 0.
+        """
+        rem, used = self.reduce(vec)
+        if not rem:
+            relation = dict(used)
+            relation[label] = relation.get(label, 0) + 1
+            return None, {k: c for k, c in relation.items() if c != 0}
+        lead = max(rem, key=grlex_key)
+        inv = rem[lead]
+        row = {m: c / inv for m, c in rem.items()}
+        combo = {k: c / inv for k, c in used.items()}
+        combo[label] = combo.get(label, 0) + 1 / inv
+        combo = {k: c for k, c in combo.items() if c != 0}
+        for i, other in enumerate(self.rows):
+            if lead in other:
+                factor = other[lead]
+                for m, c in row.items():
+                    new = other.get(m, 0) - factor * c
+                    if new == 0:
+                        other.pop(m, None)
+                    else:
+                        other[m] = new
+                for k, c in combo.items():
+                    new = self.combos[i].get(k, 0) - factor * c
+                    if new == 0:
+                        self.combos[i].pop(k, None)
+                    else:
+                        self.combos[i][k] = new
+        index = len(self.rows)
+        self.rows.append(row)
+        self.combos.append(combo)
+        self.pivots.append(lead)
+        self.by_pivot[lead] = index
+        return index, None
+
+    def solve(self, vec: dict):
+        """Express vec in the span; returns the label combination or None."""
+        rem, used = self.reduce(vec)
+        if rem:
+            return None
+        return {k: -c for k, c in used.items()}
+
+
+def contract_by_monomial(terms: dict, alpha: tuple) -> dict:
+    out = {}
+    for beta, coeff in terms.items():
+        if all(b >= a for b, a in zip(beta, alpha)):
+            out[tuple(b - a for b, a in zip(beta, alpha))] = coeff
+    return out
+
+
+def oracle_annihilator(f: Polynomial, max_degree: int) -> list:
+    span = WitnessSpan()
+    kernel = []
+    coeff = next(iter(f.terms.values()))
+    for alpha in monomials_up_to(f.nvars, max_degree):
+        image = contract_by_monomial(f.terms, alpha)
+        if not image:
+            kernel.append({alpha: coeff / coeff})
+            continue
+        _, relation = span.insert(image, alpha)
+        if relation is not None:
+            kernel.append(relation)
+    return [Polynomial(f.nvars, vec, DUAL) for vec in kernel]
+
+
+def oracle_representative(f: Polynomial, target: Polynomial, min_order: int):
+    span = WitnessSpan()
+    for alpha in monomials_up_to(f.nvars, int(f.degree())):
+        if sum(alpha) >= min_order:
+            image = contract_by_monomial(f.terms, alpha)
+            if image:
+                span.insert(image, alpha)
+    combo = span.solve(dict(target.terms))
+    return None if combo is None else Polynomial(f.nvars, combo, DUAL)
+
+
+def over_fields(f: Polynomial):
+    """f over QQ and, coefficients reduced, over GF(32003)."""
+    from apolarity.scalars import PrimeField
+
+    gf = PrimeField(32003)
+    yield f
+    modular = Polynomial(f.nvars, {e: gf(c) for e, c in f.terms.items()}, f.side)
+    if not modular.is_zero():
+        yield modular
+
+
+class TestLabelledSpanOracle:
+    def test_annihilator_matches_witness_span(self, rng):
+        for _ in range(12):
+            for f in over_fields(random_polynomial(rng, rng.randint(1, 3), 4)):
+                bound = int(f.degree()) + 1
+                generators = annihilator_generators(f, bound)
+                expected = oracle_annihilator(f, bound)
+                assert set_of(generators) == set_of(expected)
+                assert [g.terms for g in generators] == [g.terms for g in expected]
+
+    def test_representative_operator_matches_witness_span(self, rng):
+        for _ in range(8):
+            for f in over_fields(random_polynomial(rng, rng.randint(1, 3), 4, max_terms=3)):
+                space = diff_space(f)
+                targets = list(zip(space.rows, space.orders))
+                targets.append((random_polynomial(rng, f.nvars, 3), rng.randint(0, 2)))
+                for target, order in targets:
+                    for min_order in (0, order, order + 1):
+                        got = representative_operator(f, target, min_order=min_order)
+                        assert got == oracle_representative(f, target, min_order)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from apolarity.apolar import diff_space
@@ -14,7 +16,7 @@ from apolarity.hilbert import (
     symmetric_decomposition,
 )
 from apolarity.macaulay import is_o_sequence
-from apolarity.poly import Polynomial, homogeneous_component, parse, poly_str
+from apolarity.poly import Polynomial, _invert_matrix, homogeneous_component, parse, poly_str
 
 from conftest import random_polynomial
 
@@ -252,3 +254,71 @@ class TestAdaptCoordinates:
                     assert all(e == 0 for e in exponents[allowed:]), (
                         poly_str(adapted), poly_str(row), degree, order, dims,
                     )
+
+
+def dense_flag(f: Polynomial) -> list:
+    """new_to_old as adapt_coordinates built it with a dense flag reduction."""
+    space = diff_space(f)
+    d = space.socle_degree
+    n = f.nvars
+    chosen: list = []
+
+    def reduce_row(vec):
+        out = list(vec)
+        for row in chosen:
+            pivot = next(i for i, c in enumerate(row) if c != 0)
+            if out[pivot] != 0:
+                factor = out[pivot]
+                out = [x - factor * y for x, y in zip(out, row)]
+        return out
+
+    for a in range(max(d - 1, 1)):
+        for vec in space.linear_partials(d - 1 - a):
+            rem = reduce_row(vec)
+            if any(c != 0 for c in rem):
+                pivot = next(i for i, c in enumerate(rem) if c != 0)
+                inv = rem[pivot]
+                chosen.append([c / inv for c in rem])
+    used_pivots = {next(i for i, c in enumerate(row) if c != 0) for row in chosen}
+    for i in range(n):
+        if i not in used_pivots and len(chosen) < n:
+            unit = [Fraction(0)] * n
+            unit[i] = Fraction(1)
+            rem = reduce_row(unit)
+            if any(c != 0 for c in rem):
+                pivot = next(k for k, c in enumerate(rem) if c != 0)
+                inv = rem[pivot]
+                chosen.append([c / inv for c in rem])
+    return chosen
+
+
+def typed(matrix) -> list:
+    return [[(type(c), c) for c in row] for row in matrix]
+
+
+class TestAdaptCoordinatesDenseOracle:
+    def check(self, f):
+        _, change = adapt_coordinates(f)
+        new_to_old = dense_flag(f)
+        assert typed(change.new_to_old) == typed(new_to_old)
+        assert typed(change.old_to_new) == typed(_invert_matrix(new_to_old))
+
+    def test_worked_inputs(self):
+        from apolarity.scalars import PrimeField
+
+        gf = PrimeField(32003)
+        for text, n in (("x2^6 + x2^3*x1", 2), ("x1^2 + x1*x2 + x2^2", 2),
+                        ("4*x1*x2 - 7*x3", 3), ("x1^3 + x2^2*x3 + x1*x3^2", 4)):
+            self.check(parse(text, n))
+            self.check(parse(text, n, field=gf))
+
+    def test_random_inputs_over_both_fields(self, rng):
+        from apolarity.scalars import PrimeField
+
+        gf = PrimeField(32003)
+        for _ in range(15):
+            f = random_polynomial(rng, rng.randint(1, 4), rng.randint(1, 5))
+            self.check(f)
+            modular = Polynomial(f.nvars, {e: gf(c) for e, c in f.terms.items()}, f.side)
+            if not modular.is_zero():
+                self.check(modular)

@@ -202,3 +202,23 @@ class TestMacaulayBoundMemo:
 
         assert inspect.isfunction(apolarity.macaulay.macaulay_bound)
         assert apolarity.enumeration.macaulay_bound is apolarity.macaulay.macaulay_bound
+
+
+class TestNonIntegralValues:
+    def test_binomial_expansion_rejects_them(self):
+        from fractions import Fraction
+
+        for value in (2.5, Fraction(7, 2), 0.5):
+            with pytest.raises(ValueError, match="must be an integer"):
+                binomial_expansion(value, 2)
+
+    def test_macaulay_bound_and_is_o_sequence_reject_them(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be an integer"):
+                macaulay_bound(2.5, 1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            is_o_sequence((1, 2.5, 3))
+
+    def test_integral_floats_still_answered(self):
+        assert macaulay_bound(8.0, 1) == 36
+        assert binomial_expansion(5.0, 2).terms == ((3, 2), (2, 1))
