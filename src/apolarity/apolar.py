@@ -5,18 +5,21 @@ carries two filtrations:
 
 * degree: Diff(f)_i = partials of degree <= i, read off the row-echelon
   basis because pivots are grlex-greatest monomials;
-* order: O_j = span of contractions of f by dual monomials of degree >= j,
-  built level by level from j = deg f down to 0.
+* order: O_j = span of contractions of f by dual monomials of degree >= j.
 
-The intersection dimensions M(i, j) = dim(Diff(f)_i  ∩ O_j) are recorded
-while the order filtration is built (at the moment level j completes, the
-rows with pivot degree <= i span exactly the intersection) and feed the
-symmetric decomposition of the Hilbert function.
+The order filtration is one echelon basis, built from level j = deg f down
+to 0 and never back-substituted, each row tagged with its level and written
+in coordinates over the reduced basis of Diff(f) (its entries at the
+pivots, which keeps leading monomials).  The rows tagged >= j span O_j, so
+those with pivot degree <= i count M(i, j) = dim(Diff(f)_i  ∩ O_j) for the
+symmetric decomposition, and a partial's order is the lowest tag among the
+rows it combines: coordinates in an echelon basis are unique.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 
 from .linalg import MonomialSpan
@@ -54,7 +57,8 @@ class FilteredSpace:
         self._pivots = [self._span.pivots[i] for i in order]
         self.degrees = tuple(sum(p) for p in self._pivots)
         self.dim = len(self._rows)
-        self._levels = None  # built on demand: order filtration data
+        self._levels = None  # built on demand: tagged basis of the order filtration
+        self._m_table = None
         self._orders = None
 
     # -- phase 1: contraction closure ----------------------------------
@@ -107,75 +111,70 @@ class FilteredSpace:
         by_level: dict[int, list] = {}
         for alpha in divisors:
             by_level.setdefault(sum(alpha), []).append(alpha)
+        pivots = self._span.by_pivot
         span = MonomialSpan()
-        levels = {}
-        top = self.socle_degree
-        for j in range(top, -1, -1):
+        self._tags = []
+        for j in range(self.socle_degree, -1, -1):
             for alpha in sorted(by_level.get(j, ()), reverse=True):
-                image = _contract_terms(f_terms, alpha)
-                if image:
-                    span.insert(image)
-            levels[j] = {
-                "rows": span.snapshot(),
-                "lead_degrees": sorted(sum(p) for p in span.pivots),
-            }
+                # coordinates in the RREF basis of Diff(f) are the entries at its pivots
+                image = {m: c for m, c in _contract_terms(f_terms, alpha).items() if m in pivots}
+                if image and span.insert_tagged(image, alpha) is not None:
+                    self._tags.append(j)
         if span.dim != self.dim:
             raise AssertionError("order filtration does not exhaust Diff(f)")
-        self._levels = levels
+        self._levels = span
+        self._linear = [(tag, row) for tag, row, pivot in zip(self._tags, span.rows, span.pivots)
+                        if sum(pivot) <= 1]
 
     def m_table(self, i: int, j: int) -> int:
         """dim (Diff(f)_i  ∩ O_j) for the degree/order double filtration."""
-        if i < 0:
+        d = self.socle_degree
+        if i < 0 or j > d:
             return 0
-        if j > self.socle_degree:
-            return 0
-        j = max(j, 0)
-        self._ensure_levels()
-        degrees = self._levels[j]["lead_degrees"]
-        return sum(1 for d in degrees if d <= i)
-
-    def order_level_rows(self, j: int) -> list:
-        """Echelon basis rows of O_j (term dicts, copies)."""
-        self._ensure_levels()
-        if j > self.socle_degree:
-            return []
-        return [dict(r) for r in self._levels[max(j, 0)]["rows"]]
+        if self._m_table is None:
+            self._ensure_levels()
+            # rows tagged >= j with pivot degree <= i span Diff(f)_i ∩ O_j
+            table = [[0] * (d + 1) for _ in range(d + 2)]
+            for tag, pivot in zip(self._tags, self._levels.pivots):
+                table[tag][sum(pivot)] += 1
+            for k in range(d, -1, -1):
+                row = itertools.accumulate(table[k])
+                table[k] = array("q", [a + b for a, b in zip(row, table[k + 1])])
+            self._m_table = table
+        return self._m_table[j if j > 0 else 0][i if i < d else d]
 
     def linear_partials(self, j: int) -> list:
         """Variable-coefficient rows spanning degree-1 partials of order >= j.
 
-        The constant row is excluded; full reduction guarantees degree-1
-        rows carry no constant term.
+        The reduced echelon basis of O_j ∩ Diff(f)_1 without the constant
+        row, which full reduction keeps out of the degree-1 rows.
         """
+        self._ensure_levels()
+        span = MonomialSpan()
+        for tag, row in self._linear:
+            if tag >= j:
+                span.insert(row)
         out = []
-        for row in self.order_level_rows(j):
-            pivot = max(row, key=grlex_key)
+        for row, pivot in zip(span.rows, span.pivots):
             if sum(pivot) == 1:
                 vec = [0] * self.nvars
-                for m, c in row.items():
-                    vec[m.index(1)] = c
-                out.append(vec)
+                for p, c in row.items():  # back from coordinates to partials
+                    for m, b in self._span.rows[self._span.by_pivot[p]].items():
+                        vec[m.index(1)] += c * b
+                out.append([c or 0 for c in vec])
         return out
 
     @property
     def orders(self) -> tuple:
-        """Order of each basis row: the largest j with the row inside O_j."""
+        """Order of each basis row: the largest j with the row inside O_j,
+        which is the lowest tag among the tagged rows that it combines."""
         if self._orders is None:
             self._ensure_levels()
-            spans = {}
-            for j in range(self.socle_degree, -1, -1):
-                span = MonomialSpan()
-                for row in self._levels[j]["rows"]:
-                    span.insert(dict(row))
-                spans[j] = span
             orders = []
-            for row in self._rows:
-                order = 0
-                for j in range(self.socle_degree, 0, -1):
-                    if spans[j].contains(row):
-                        order = j
-                        break
-                orders.append(order)
+            for row, pivot in zip(self._rows, self._pivots):
+                used: dict = {}
+                self._levels.reduce({pivot: row[pivot]}, used)
+                orders.append(min(sum(alpha) for alpha in used))
             self._orders = tuple(orders)
         return self._orders
 
@@ -225,17 +224,20 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
     return [Polynomial(f.nvars, vec, DUAL) for vec in kernel]
 
 
-def annihilator_stabilized(f: Polynomial, max_degree: int, generators=None) -> bool:
+def annihilator_stabilized(f: Polynomial, max_degree: int, generators=None,
+                           length: int | None = None) -> bool:
     """Whether the kernel up to max_degree already cuts out Diff(f).
 
     True when the count of dual monomials of degree <= max_degree minus the
-    kernel dimension equals dim Diff(f); beyond that degree every dual
-    monomial contracts f to 0 and the kernel gains nothing new.
+    kernel dimension equals dim Diff(f) (`length`, if given); beyond that
+    degree every dual monomial contracts f to 0 and the kernel gains nothing.
     """
     if generators is None:
         generators = annihilator_generators(f, max_degree)
+    if length is None:
+        length = apolar_length(f)
     total = sum(1 for _ in monomials_up_to(f.nvars, max_degree))
-    return total - len(generators) == apolar_length(f)
+    return total - len(generators) == length
 
 
 def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 0):
@@ -337,6 +339,6 @@ def local_scheme(F: Polynomial, l: Polynomial) -> ApolarScheme:
         support=l,
         annihilator=tuple(generators),
         apolarity_checked=checked,
-        stabilized=annihilator_stabilized(f, max_degree, generators),
+        stabilized=annihilator_stabilized(f, max_degree, generators, space.dim),
         change=change,
     )

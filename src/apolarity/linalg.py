@@ -6,8 +6,8 @@ off its pivot; that property drives every degree-filtration computation.
 
 Rows inserted with a label also remember how they combine the labelled
 generators, which yields kernel vectors (a dependent insert) and preimages
-under the generator map (`solve`).  A span holds either labelled or
-unlabelled rows, not both.
+under the generator map (`solve`).  Tagged rows are never back-substituted
+into, so a reduction names the tagged rows it combines.  One kind per span.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def _subtract(target: dict, factor, source: dict):
 
 
 class MonomialSpan:
-    """Reduced row-echelon span maintained under row insertion."""
+    """Row-echelon span maintained under row insertion, reduced unless tagged."""
 
     def __init__(self):
         self.rows: list[dict] = []
@@ -66,15 +66,15 @@ class MonomialSpan:
                 _subtract(used, factor, self._combos[id(row)])
         # unreachable
 
-    def _append(self, rem: dict, combo: dict | None) -> int:
-        """Normalise a nonzero remainder, clear its pivot from every row, store it."""
+    def _append(self, rem: dict, combo: dict | None, back_substitute: bool = True) -> int:
+        """Normalise a nonzero remainder, clear its pivot from older rows if asked, store it."""
         lead = max(rem, key=grlex_key)
         inv = rem[lead]
         row = {m: c / inv for m, c in rem.items()}
         if combo is not None:
             combo = {k: c / inv for k, c in combo.items()}
         # keep existing rows fully reduced against the new pivot
-        for other in self.rows:
+        for other in self.rows if back_substitute else ():
             if lead in other:
                 factor = other[lead]
                 for m, c in row.items():
@@ -115,6 +115,13 @@ class MonomialSpan:
             return None, used
         return self._append(rem, used), None
 
+    def insert_tagged(self, vec: dict, tag):
+        """Insert vec labelled {tag: 1}, tags distinct, not back-substituted; index or None."""
+        rem = self.reduce(vec)
+        if not rem:
+            return None
+        return self._append(rem, {tag: 1}, back_substitute=False)
+
     def solve(self, vec: dict):
         """Express vec in the span; returns the label combination or None."""
         used: dict = {}
@@ -124,6 +131,3 @@ class MonomialSpan:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
-
-    def snapshot(self) -> list[dict]:
-        return [dict(r) for r in self.rows]

@@ -59,7 +59,7 @@ def monomials_up_to(nvars: int, degree: int) -> Iterator[Exponents]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; `terms` maps exponent vectors to scalars."""
+    """Immutable sparse polynomial; `terms` maps exponent vectors to field scalars."""
 
     __slots__ = ("nvars", "terms", "side")
 
@@ -76,6 +76,10 @@ class Polynomial:
                 )
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
+            if type(coeff) is int:
+                coeff = Fraction(coeff)
+            elif isinstance(coeff, float):
+                raise TypeError("floating-point coefficient rejected; use Fraction or int")
             if coeff == 0:
                 continue
             clean[tuple(exponents)] = coeff

@@ -498,3 +498,22 @@ class TestLabelledSpanOracle:
                     for min_order in (0, order, order + 1):
                         got = representative_operator(f, target, min_order=min_order)
                         assert got == oracle_representative(f, target, min_order)
+
+
+class TestLocalSchemeBuildsDiffOnce:
+    def test_one_filtered_space_per_scheme(self, monkeypatch):
+        from apolarity import apolar
+
+        built = []
+        original = apolar.FilteredSpace.__init__
+
+        def counted(self, f):
+            built.append(f)
+            original(self, f)
+
+        monkeypatch.setattr(apolar.FilteredSpace, "__init__", counted)
+        F = parse("x0^3 + x1^3 + x2^3", 3, base=0)
+        scheme = local_scheme(F, Polynomial.variable(3, 0))
+        assert len(built) == 1
+        assert scheme.stabilized
+        assert scheme.stabilized == annihilator_stabilized(scheme.defining, 4)

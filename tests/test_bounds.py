@@ -193,3 +193,27 @@ class TestInformationalReports:
         assert report.worst_margin == worst
         payload = json.dumps(report.as_dict(), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+class TestUnfilteredVerdicts:
+    """The paper's PASS without the nonsmoothable filter, pinned by digest.
+
+    The filter only removes candidates, so these runs show that the verdict
+    needs only the fact that Gorenstein schemes of length <= 13 are
+    smoothable.  Digests are sha256 of the sorted-key JSON of `as_dict()`.
+    """
+
+    @pytest.mark.parametrize("n,rows,worst,rank,digest", [
+        (7, 101, 16, 15, "a3a3b06b230b8c4043e4d5c6b344174d028f8315131ce73ea8ab63f70708a874"),
+        (8, 1653, 13, 18, "a4dd0ae3800fea2c667619619840ee2679f41fe76548b3c938ab3c487839bf52"),
+    ])
+    def test_report_digest(self, n, rows, worst, rank, digest):
+        report = verify_theorem(n, nonsmoothable_only=False)
+        assert report.in_scope
+        assert not report.filtered
+        assert report.passed
+        assert report.cactus_rank == rank
+        assert len(report.rows) == rows
+        assert report.worst_margin == worst
+        payload = json.dumps(report.as_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest

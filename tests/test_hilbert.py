@@ -322,3 +322,16 @@ class TestAdaptCoordinatesDenseOracle:
             modular = Polynomial(f.nvars, {e: gf(c) for e, c in f.terms.items()}, f.side)
             if not modular.is_zero():
                 self.check(modular)
+
+
+class TestIntInputStaysExact:
+    """Python int coefficients are reduced over QQ, never in floating point."""
+
+    def test_diff_space_and_adapted_coordinates_hold_only_fractions(self):
+        f = Polynomial(2, {(2, 1): 1, (0, 3): 3})
+        space = diff_space(f)
+        assert all(type(c) is Fraction for row in space.rows for c in row.terms.values())
+        assert space.rows == diff_space(parse("x1^2*x2 + 3*x2^3", 2)).rows
+        _, change = adapt_coordinates(f)
+        for matrix in (change.new_to_old, change.old_to_new):
+            assert all(type(c) is Fraction for row in matrix for c in row)

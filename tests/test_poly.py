@@ -353,3 +353,16 @@ class TestDpSubstitute:
         f = random_polynomial(rng, 3, 4)
         identity = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
         assert dp_substitute(f, identity) == f
+
+
+class TestCoefficientTypes:
+    def test_int_coefficients_become_fractions(self):
+        f = Polynomial(2, {(2, 1): 1, (0, 3): 3, (1, 0): 0})
+        assert f.terms == {(2, 1): Fraction(1), (0, 3): Fraction(3)}
+        assert all(type(c) is Fraction for c in f.terms.values())
+
+    def test_float_coefficient_is_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial(2, {(2, 1): 1.0})
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1,): 0.0}, DUAL)
