@@ -4,7 +4,8 @@ Diff(f) is the closure of {f} under contraction by the dual variables.  It
 carries two filtrations:
 
 * degree: Diff(f)_i = partials of degree <= i, read off the row-echelon
-  basis because pivots are grlex-greatest monomials;
+  basis because pivots are grlex-greatest monomials (the closure inserts
+  into an echelon basis and reduces it once, when it is complete);
 * order: O_j = span of contractions of f by dual monomials of degree >= j.
 
 The order filtration is one echelon basis, built from level j = deg f down
@@ -78,7 +79,10 @@ class FilteredSpace:
                     continue
                 index = span.insert(image)
                 if index is not None:
-                    queue.append(dict(span.rows[index]))
+                    queue.append(span.rows[index])
+        # the rows, the pivot coordinates of _ensure_levels and
+        # linear_partials read the reduced basis
+        span.back_substitute()
 
     # -- public views ----------------------------------------------------
 
@@ -131,6 +135,12 @@ class FilteredSpace:
         d = self.socle_degree
         if i < 0 or j > d:
             return 0
+        return self.m_table_rows()[j if j > 0 else 0][i if i < d else d]
+
+    def m_table_rows(self) -> list:
+        """The M-table by level: row j holds M(0, j), ..., M(d, j) for
+        j = 0..d, and row d + 1 is all 0."""
+        d = self.socle_degree
         if self._m_table is None:
             self._ensure_levels()
             # rows tagged >= j with pivot degree <= i span Diff(f)_i ∩ O_j
@@ -141,7 +151,7 @@ class FilteredSpace:
                 row = itertools.accumulate(table[k])
                 table[k] = array("q", [a + b for a, b in zip(row, table[k + 1])])
             self._m_table = table
-        return self._m_table[j if j > 0 else 0][i if i < d else d]
+        return self._m_table
 
     def linear_partials(self, j: int) -> list:
         """Variable-coefficient rows spanning degree-1 partials of order >= j.
@@ -154,6 +164,7 @@ class FilteredSpace:
         for tag, row in self._linear:
             if tag >= j:
                 span.insert(row)
+        span.back_substitute()
         out = []
         for row, pivot in zip(span.rows, span.pivots):
             if sum(pivot) == 1:

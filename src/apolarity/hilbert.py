@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apolar import FilteredSpace, diff_space
+from .apolar import _unit_like, diff_space
 from .linalg import MonomialSpan
 from .poly import ChangeOfBasis, Polynomial, _invert_matrix, dp_substitute
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -136,23 +135,23 @@ class SymmetricDecomposition:
         return f"({h}) -> {rows}"
 
 
-def _delta_value(space: FilteredSpace, a: int, i: int) -> int:
-    d = space.socle_degree
-    j = d - a - i
-    upper = space.m_table(i, j) - space.m_table(i, j + 1)
-    lower = space.m_table(i - 1, j) - space.m_table(i - 1, j + 1)
-    return upper - lower
-
-
 def symmetric_decomposition(f: Polynomial) -> SymmetricDecomposition:
     """Symmetric decomposition of the Hilbert function of the algebra of f."""
     if f.is_zero():
         raise ValueError("decomposition of the zero polynomial is undefined")
     space = diff_space(f)
     d = space.socle_degree
+    table = space.m_table_rows()
     rows = []
     for a in range(max(d - 1, 1)):
-        rows.append(tuple(_delta_value(space, a, i) for i in range(d + 1)))
+        # [M(i, j) - M(i, j+1)] - [M(i-1, j) - M(i-1, j+1)] at j = d - a - i,
+        # with M(-1, .) = 0; past i = d - a both levels read level 0 in
+        # m_table, so those entries are 0
+        row = [table[d - a][0] - table[d - a + 1][0]]
+        for i in range(1, d - a + 1):
+            upper, lower = table[d - a - i], table[d - a - i + 1]
+            row.append(upper[i] - lower[i] - upper[i - 1] + lower[i - 1])
+        rows.append(tuple(row) + (0,) * a)
     decomposition = SymmetricDecomposition(d=d, rows=tuple(rows))
     if tuple(decomposition.hilbert()) != space.hilbert_values():
         raise AssertionError("decomposition rows do not sum to the Hilbert function")
@@ -188,8 +187,7 @@ def adapt_coordinates(f: Polynomial):
     new_to_old: list = []
 
     def choose(vec: dict):
-        # densify the new row now, before later inserts back-substitute into
-        # it: it is the normalised remainder, pivot at its lowest variable
+        # the new row is the normalised remainder, pivot at its lowest variable
         index = span.insert(vec)
         if index is not None:
             row = span.rows[index]
@@ -201,7 +199,7 @@ def adapt_coordinates(f: Polynomial):
             choose({units[i]: c for i, c in enumerate(vec) if c != 0})
     for i in range(n):
         if units[i] not in span.by_pivot:
-            choose({units[i]: Fraction(1)})
+            choose({units[i]: _unit_like(f)})
     if len(new_to_old) != n:
         raise AssertionError("could not complete the linear-partial flag to a basis")
     old_to_new = _invert_matrix(new_to_old)

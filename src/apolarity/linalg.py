@@ -4,10 +4,20 @@ Vectors are dicts mapping exponent tuples to field scalars.  Pivots are the
 graded-lex greatest monomials, so a stored row's total degree can be read
 off its pivot; that property drives every degree-filtration computation.
 
+The span is an echelon basis: an inserted row is fully reduced against the
+older rows and normalised, and it never changes afterwards.  Reducing a
+vector against it always picks the greatest pivot monomial still present,
+so the remainder is the unique vector with no entry at any pivot that
+differs from the input by an element of the span, whatever form the basis
+rows have.  Every independence decision, remainder and label combination is
+therefore the one a reduced basis would give.  `back_substitute` brings
+the rows to the unique reduced form, for callers that read the rows.
+
 Rows inserted with a label also remember how they combine the labelled
 generators, which yields kernel vectors (a dependent insert) and preimages
-under the generator map (`solve`).  Tagged rows are never back-substituted
-into, so a reduction names the tagged rows it combines.  One kind per span.
+under the generator map (`solve`); a relation's coefficients over the
+independent labels are unique.  A tagged row is labelled {tag: 1}, so a
+reduction names the tagged rows it combines.  One kind per span.
 """
 
 from __future__ import annotations
@@ -26,15 +36,14 @@ def _subtract(target: dict, factor, source: dict):
 
 
 class MonomialSpan:
-    """Row-echelon span maintained under row insertion, reduced unless tagged."""
+    """Row-echelon span maintained under row insertion; see the module docstring."""
 
     def __init__(self):
         self.rows: list[dict] = []
         self.pivots: list[tuple] = []
         self.by_pivot: dict[tuple, int] = {}
-        # id(row) -> {label: coeff} with row = sum coeff * g_label; rows are
-        # updated in place and never replaced, so their ids stay valid
-        self._combos: dict[int, dict] = {}
+        # label combinations parallel to rows: row = sum coeff * g_label
+        self._combos: list[dict] = []
 
     @property
     def dim(self) -> int:
@@ -55,72 +64,65 @@ class MonomialSpan:
             if lead is None:
                 return out
             factor = out[lead]
-            row = self.rows[self.by_pivot[lead]]
-            for m, c in row.items():
+            index = self.by_pivot[lead]
+            for m, c in self.rows[index].items():
                 new = out.get(m, 0) - factor * c
                 if new == 0:
                     out.pop(m, None)
                 else:
                     out[m] = new
             if used is not None:
-                _subtract(used, factor, self._combos[id(row)])
+                _subtract(used, factor, self._combos[index])
         # unreachable
 
-    def _append(self, rem: dict, combo: dict | None, back_substitute: bool = True) -> int:
-        """Normalise a nonzero remainder, clear its pivot from older rows if asked, store it."""
+    def _append(self, rem: dict, combo: dict | None) -> int:
+        """Normalise a nonzero remainder and store it as a new row."""
         lead = max(rem, key=grlex_key)
         inv = rem[lead]
-        row = {m: c / inv for m, c in rem.items()}
-        if combo is not None:
-            combo = {k: c / inv for k, c in combo.items()}
-        # keep existing rows fully reduced against the new pivot
-        for other in self.rows if back_substitute else ():
-            if lead in other:
-                factor = other[lead]
-                for m, c in row.items():
-                    new = other.get(m, 0) - factor * c
-                    if new == 0:
-                        other.pop(m, None)
-                    else:
-                        other[m] = new
-                if combo is not None:
-                    _subtract(self._combos[id(other)], factor, combo)
-        index = len(self.rows)
-        self.rows.append(row)
+        self.by_pivot[lead] = len(self.rows)
+        self.rows.append({m: c / inv for m, c in rem.items()})
         self.pivots.append(lead)
-        self.by_pivot[lead] = index
         if combo is not None:
-            self._combos[id(row)] = combo
-        return index
+            self._combos.append({k: c / inv for k, c in combo.items()})
+        return len(self.rows) - 1
+
+    def back_substitute(self):
+        """Bring an unlabelled span to reduced echelon form in place.
+
+        Rows go lowest pivot first; each subtracts only the already reduced
+        rows whose pivots are among its own entries, so the pass costs in
+        proportion to the entries it clears, not to the square of the dimension.
+        """
+        for index in sorted(range(self.dim), key=lambda i: grlex_key(self.pivots[i])):
+            row = self.rows[index]
+            for m in [m for m in row if m in self.by_pivot and m != self.pivots[index]]:
+                _subtract(row, row[m], self.rows[self.by_pivot[m]])
 
     def insert(self, vec: dict):
         """Insert vec; returns the new row index, or None if dependent."""
         rem = self.reduce(vec)
-        if not rem:
-            return None
-        return self._append(rem, None)
+        return self._append(rem, None) if rem else None
 
     def insert_labelled(self, vec: dict, label):
         """Insert generator `vec` named `label`.
 
         Returns (index, None) when independent, or (None, relation) where
         relation maps labels to the coefficients of a vanishing combination
-        that includes the new label with coefficient 1.
+        that includes the new label with the field's one.
         """
         used: dict = {}
         rem = self.reduce(vec, used)
-        used[label] = used.get(label, 0) + 1
+        # x ** 0 is the one of x's field; int 1 for a zero vec
+        used[label] = used.get(label, 0) + next(iter(vec.values()), 1) ** 0
         used = {k: c for k, c in used.items() if c != 0}
         if not rem:
             return None, used
         return self._append(rem, used), None
 
     def insert_tagged(self, vec: dict, tag):
-        """Insert vec labelled {tag: 1}, tags distinct, not back-substituted; index or None."""
+        """Insert vec labelled {tag: 1}, tags distinct; index or None."""
         rem = self.reduce(vec)
-        if not rem:
-            return None
-        return self._append(rem, {tag: 1}, back_substitute=False)
+        return self._append(rem, {tag: 1}) if rem else None
 
     def solve(self, vec: dict):
         """Express vec in the span; returns the label combination or None."""

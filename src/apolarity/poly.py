@@ -411,8 +411,10 @@ class ChangeOfBasis:
 def _invert_matrix(rows: Sequence[Sequence]) -> list:
     """Invert a small square matrix over the coefficient field."""
     n = len(rows)
-    aug = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, r in enumerate(rows)]
+    entry = next((x for r in rows for x in r if x != 0), Fraction(1))
+    one = entry / entry  # the field's one and zero, taken from the input
+    zero = one - one
+    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:

@@ -134,7 +134,8 @@ class PrimeFieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.p))
+        # equal to the hash of the int or Fraction in [0, p) that it equals
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0

@@ -28,7 +28,7 @@ from apolarity.poly import (
     parse,
 )
 
-from conftest import random_polynomial
+from conftest import BackSubstitutingSpan, random_polynomial
 
 
 class TestDiffSpace:
@@ -498,6 +498,70 @@ class TestLabelledSpanOracle:
                     for min_order in (0, order, order + 1):
                         got = representative_operator(f, target, min_order=min_order)
                         assert got == oracle_representative(f, target, min_order)
+
+
+# -- diff_space, annihilator_generators and representative_operator against
+# kernels that back-substituted on every insert (the closure on the parent's
+# MonomialSpan, the labelled calls on WitnessSpan above) ----------------------
+#
+# The echelon-only kernel cannot change them: a full reduction's remainder is
+# unique (two remainders differ by a span vector with no entry at any pivot,
+# which is 0), so the closure queue, the pivots and every independence
+# decision agree; a relation's coefficients over the independent labels are
+# unique, so the kernel and `solve` agree; and the reduced echelon form is
+# unique, so the rows agree once diff_space runs its one reduction pass.
+
+def oracle_diff_rows(f: Polynomial) -> list:
+    span = BackSubstitutingSpan()
+    units = [tuple(int(i == k) for i in range(f.nvars)) for k in range(f.nvars)]
+    queue = [dict(f.terms)]
+    span.insert(queue[0])
+    for current in queue:
+        for unit in units:
+            image = contract_by_monomial(current, unit)
+            if image:
+                index = span.insert(image)
+                if index is not None:
+                    queue.append(dict(span.rows[index]))
+    order = sorted(range(span.dim), key=lambda i: grlex_key(span.pivots[i]), reverse=True)
+    return [Polynomial(f.nvars, span.rows[i], PRIMAL) for i in order]
+
+
+def typed_terms(p: Polynomial) -> list:
+    return [(m, type(c).__name__, str(c)) for m, c in p.sorted_terms()]
+
+
+def seeded_inputs(rng):
+    """Sparse and dense polynomials in 1-4 variables, over QQ and GF(32003)."""
+    for nvars, degree in ((1, 8), (2, 6), (3, 4), (4, 3)):
+        sparse = random_polynomial(rng, nvars, degree)
+        dense = Polynomial(nvars, {m: Fraction(rng.randint(1, 5) * rng.choice((1, -1)))
+                                   for m in monomials_up_to(nvars, degree)})
+        for f in (sparse, dense):
+            yield from over_fields(f)
+
+
+class TestEchelonOnlyKernelOracle:
+    def test_diff_space_rows(self, rng):
+        for f in seeded_inputs(rng):
+            rows = diff_space(f).rows
+            assert [typed_terms(r) for r in rows] == [typed_terms(r) for r in oracle_diff_rows(f)]
+
+    def test_annihilator_generators(self, rng):
+        for f in seeded_inputs(rng):
+            bound = int(f.degree()) + 1
+            got = annihilator_generators(f, bound)
+            expected = oracle_annihilator(f, bound)
+            assert [g.terms for g in got] == [g.terms for g in expected]
+            assert [str(g) for g in got] == [str(g) for g in expected]
+
+    def test_representative_operator(self, rng):
+        for f in seeded_inputs(rng):
+            space = diff_space(f)
+            for target, order in zip(space.rows, space.orders):
+                for min_order in (0, order, order + 1):
+                    got = representative_operator(f, target, min_order=min_order)
+                    assert got == oracle_representative(f, target, min_order)
 
 
 class TestLocalSchemeBuildsDiffOnce:

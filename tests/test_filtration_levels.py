@@ -2,7 +2,8 @@
 
 `FilteredSpace` reads the M(i, j) table, the row orders and the linear
 partials off one level-tagged echelon basis.  The oracle below is the
-construction it replaced, kept verbatim apart from the inlined snapshot:
+construction it replaced, kept verbatim apart from the inlined snapshot
+and the kernel it runs on (the back-substituting one it was written for):
 one reduced span, copied after every level, and d+1 spans rebuilt from the
 copies to find each row's order.
 """
@@ -16,7 +17,7 @@ from apolarity.apolar import diff_space
 from apolarity.linalg import MonomialSpan
 from apolarity.poly import Polynomial, _contract_terms, grlex_key, parse
 
-from conftest import random_polynomial
+from conftest import BackSubstitutingSpan, random_polynomial
 
 
 class SnapshotFiltration:
@@ -42,7 +43,7 @@ class SnapshotFiltration:
         by_level: dict[int, list] = {}
         for alpha in divisors:
             by_level.setdefault(sum(alpha), []).append(alpha)
-        span = MonomialSpan()
+        span = BackSubstitutingSpan()
         levels = {}
         top = self.socle_degree
         for j in range(top, -1, -1):
@@ -99,7 +100,7 @@ class SnapshotFiltration:
             self._ensure_levels()
             spans = {}
             for j in range(self.socle_degree, -1, -1):
-                span = MonomialSpan()
+                span = BackSubstitutingSpan()
                 for row in self._levels[j]["rows"]:
                     span.insert(dict(row))
                 spans[j] = span

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from apolarity.apolar import diff_space
+from apolarity.apolar import annihilator_generators, diff_space
 from apolarity.hilbert import (
     HilbertFunction,
     SymmetricDecomposition,
@@ -167,6 +167,27 @@ class TestSymmetricDecomposition:
         assert dec.arrow_str() == "(1,4,5,4,1,1,1) -> (1,1,1,1,1,1,1),(0,3,4,3,0)"
 
 
+def delta_by_m_table(space, a: int, i: int) -> int:
+    """Delta_a(i) from four m_table lookups, as the decomposition once read it."""
+    j = space.socle_degree - a - i
+    upper = space.m_table(i, j) - space.m_table(i, j + 1)
+    lower = space.m_table(i - 1, j) - space.m_table(i - 1, j + 1)
+    return upper - lower
+
+
+class TestDecompositionAgainstMTableLookups:
+    def test_rows_equal_per_entry_lookups(self, rng):
+        inputs = [parse(text, n) for text, n in (("1", 1), ("x1", 1), ("x1^2 + x2", 2),
+                                                  ("x1^6 + x1^3*x2", 2))]
+        inputs += [random_polynomial(rng, rng.randint(1, 3), rng.randint(1, 6)) for _ in range(12)]
+        for f in inputs:
+            space = diff_space(f)
+            d = space.socle_degree
+            expected = tuple(tuple(delta_by_m_table(space, a, i) for i in range(d + 1))
+                             for a in range(max(d - 1, 1)))
+            assert symmetric_decomposition(f).rows == expected, str(f)
+
+
 class TestEmbeddingDims:
     def test_worked_example(self):
         dec = SymmetricDecomposition(
@@ -280,10 +301,12 @@ def dense_flag(f: Polynomial) -> list:
                 inv = rem[pivot]
                 chosen.append([c / inv for c in rem])
     used_pivots = {next(i for i, c in enumerate(row) if c != 0) for row in chosen}
+    coeff = next(iter(f.terms.values()))
+    one = coeff / coeff  # completion units over the field of f
     for i in range(n):
         if i not in used_pivots and len(chosen) < n:
-            unit = [Fraction(0)] * n
-            unit[i] = Fraction(1)
+            unit = [one - one] * n
+            unit[i] = one
             rem = reduce_row(unit)
             if any(c != 0 for c in rem):
                 pivot = next(k for k, c in enumerate(rem) if c != 0)
@@ -335,3 +358,38 @@ class TestIntInputStaysExact:
         _, change = adapt_coordinates(f)
         for matrix in (change.new_to_old, change.old_to_new):
             assert all(type(c) is Fraction for row in matrix for c in row)
+
+
+class TestPrimeFieldStaysPrime:
+    """Over GF(p), kernels and coordinate changes hold only field elements."""
+
+    @staticmethod
+    def assert_prime(values):
+        from apolarity.scalars import PrimeFieldElement
+
+        values = list(values)
+        assert values and all(type(c) is PrimeFieldElement for c in values)
+
+    def check(self, f):
+        kernel = annihilator_generators(f, int(f.degree()) + 1)
+        self.assert_prime(c for g in kernel for c in g.terms.values())
+        _, change = adapt_coordinates(f)
+        for matrix in (change.new_to_old, change.old_to_new):
+            self.assert_prime(c for row in matrix for c in row)
+
+    def test_worked_inputs(self):
+        from apolarity.scalars import PrimeField
+
+        gf = PrimeField(32003)
+        self.check(parse("x1^2*x2 + 3*x2^3", 2, field=gf))
+        self.check(parse("x1^3 + x2^2", 3, field=gf))
+
+    def test_random_inputs(self, rng):
+        from apolarity.scalars import PrimeField
+
+        gf = PrimeField(32003)
+        for _ in range(15):
+            f = random_polynomial(rng, rng.randint(1, 4), rng.randint(1, 5))
+            modular = Polynomial(f.nvars, {e: gf(c) for e, c in f.terms.items()}, f.side)
+            if not modular.is_zero():
+                self.check(modular)

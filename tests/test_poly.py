@@ -330,6 +330,11 @@ class TestPrimeField:
         assert a ** 3 == 3
         assert a ** -1 * a == 1
 
+    def test_hash_agrees_with_the_equal_int_and_fraction(self):
+        gf = PrimeField(7)
+        assert hash(gf(10)) == hash(3) == hash(Fraction(3))
+        assert {((1, 0), gf(1))} == {((1, 0), Fraction(1))}
+
     def test_dehomogenize_round_trip_over_prime_field(self):
         gf = PrimeField(7)
         F = parse("x0^3 + 2*x0*x1^2 + x1^3", 2, base=0, field=gf)
