@@ -37,6 +37,7 @@ from .poly import (
     monomials_up_to,
     poly_str,
 )
+from .scalars import one_like
 
 
 class FilteredSpace:
@@ -202,12 +203,6 @@ def apolar_length(f: Polynomial) -> int:
     return FilteredSpace(f).dim
 
 
-def _unit_like(f: Polynomial):
-    """Multiplicative unit matching the coefficient field of f."""
-    coeff = next(iter(f.terms.values()))
-    return coeff / coeff
-
-
 def annihilator_generators(f: Polynomial, max_degree: int) -> list:
     """Basis of the dual polynomials of degree <= max_degree that kill f.
 
@@ -223,7 +218,7 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
         raise ValueError("max_degree must be at least 1")
     span = MonomialSpan()
     kernel = []
-    one = _unit_like(f)
+    one = one_like(next(iter(f.terms.values())))
     for alpha in monomials_up_to(f.nvars, max_degree):
         image = _contract_terms(f.terms, alpha)
         if not image:
@@ -339,8 +334,9 @@ def local_scheme(F: Polynomial, l: Polynomial) -> ApolarScheme:
     max_degree = int(F.degree()) + 1
     generators = annihilator_generators(f, max_degree)
     # apolarity is checked against F rewritten in the coordinates where l
-    # is the first variable; the scheme data itself is coordinate-free
-    transformed = change.apply(F)
+    # is the first variable; the scheme data itself is coordinate-free.
+    # That form is homogeneous of degree deg F, so homogenizing f gives it back.
+    transformed = homogenize(f, int(F.degree()))
     homogenized = [homogenize(g, int(g.degree())) for g in generators if not g.is_zero()]
     checked = is_apolar(homogenized, transformed)
     return ApolarScheme(

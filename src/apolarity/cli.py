@@ -17,13 +17,9 @@ from . import bounds as bounds_mod
 from .apolar import annihilator_generators, annihilator_stabilized, diff_space, local_scheme
 from .enumeration import admissible_decompositions
 from .hilbert import embedding_dims, hilbert_function, symmetric_decomposition
-from .poly import DUAL, PRIMAL, ParseError, parse, poly_str
+from .poly import DUAL, PRIMAL, parse, poly_str
 from .selftest import run_selftest
 from .witness import LENGTH_NOTE, cusp_witness, exotic_extend, random_general_cubic
-
-
-class SystemExit2(Exception):
-    """Usage error detected after argparse; exits with status 2."""
 
 
 def _add_common(sub, base_default: int):
@@ -114,17 +110,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text_lines, payload) -> None:
-    if getattr(args, "json", False):
-        output = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    else:
-        output = "\n".join(text_lines) + "\n"
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+def _write(args, output: str) -> None:
+    """Write the report to --out if given, else to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output)
     else:
         sys.stdout.write(output)
+
+
+def _emit(args, text_lines, payload) -> None:
+    if args.json:
+        _write(args, json.dumps(payload, indent=2) + "\n")
+    else:
+        _write(args, "\n".join(text_lines) + "\n")
 
 
 def _cmd_diff(args) -> int:
@@ -205,17 +204,12 @@ def _cmd_enumerate(args) -> int:
         args.length, args.n,
         nonsmoothable_only=args.nonsmoothable_only,
     )
-    lines = [c.decomposition.arrow_str() for c in candidates]
-    lines.append(f"total = {len(candidates)}")
-    if args.json:
-        output = "".join(json.dumps(c.as_dict()) + "\n" for c in candidates)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(output)
-        else:
-            sys.stdout.write(output)
-        return 0
-    _emit(args, lines, None)
+    if args.json:  # JSON lines, one candidate each
+        _write(args, "".join(json.dumps(c.as_dict()) + "\n" for c in candidates))
+    else:
+        lines = [c.decomposition.arrow_str() for c in candidates]
+        lines.append(f"total = {len(candidates)}")
+        _emit(args, lines, None)
     return 0
 
 
@@ -223,7 +217,7 @@ def _cmd_bounds(args) -> int:
     reports = []
     if args.f:
         if args.nvars is None:
-            raise SystemExit2("--nvars is required with --f")
+            raise ValueError("--nvars is required with --f")
         f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
         reports.append(bounds_mod.v_bound(symmetric_decomposition(f), args.n))
     elif args.length is not None:
@@ -233,7 +227,7 @@ def _cmd_bounds(args) -> int:
         ):
             reports.append(bounds_mod.v_bound(candidate.decomposition, args.n))
     else:
-        raise SystemExit2("one of --length or --f is required")
+        raise ValueError("one of --length or --f is required")
     lines = []
     for r in reports:
         h = "(" + ",".join(map(str, r.hilbert)) + ")"
@@ -309,7 +303,7 @@ def _cmd_cusp_witness(args) -> int:
         report = cusp_witness(random_general_cubic(rng))
         reports.append((f"trial {index}", report))
     if not reports:
-        raise SystemExit2("provide --f and/or --trials N")
+        raise ValueError("provide --f and/or --trials N")
     lines = []
     for label, report in reports:
         ok = report.length_g <= 7 and report.apolar_ok
@@ -334,6 +328,12 @@ def _cmd_cusp_witness(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _cmd_selftest(args) -> int:
+    lines, payload, status = run_selftest()
+    _emit(args, lines, payload)
+    return status
+
+
 _HANDLERS = {
     "diff": _cmd_diff,
     "hilbert": _cmd_hilbert,
@@ -344,6 +344,7 @@ _HANDLERS = {
     "verify-theorem": _cmd_verify_theorem,
     "exotic-extend": _cmd_exotic_extend,
     "cusp-witness": _cmd_cusp_witness,
+    "selftest": _cmd_selftest,
 }
 
 
@@ -353,15 +354,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "selftest":
-        return run_selftest(json_output=args.json, out_path=args.out)
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except SystemExit2 as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:

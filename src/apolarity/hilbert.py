@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apolar import _unit_like, diff_space
+from .apolar import diff_space
 from .linalg import MonomialSpan
 from .poly import ChangeOfBasis, Polynomial, _invert_matrix, dp_substitute
+from .scalars import one_like
 
 
 @dataclass(frozen=True)
@@ -83,33 +84,25 @@ class SymmetricDecomposition:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         expected = max(self.d - 1, 1)
         if len(rows) != expected:
             raise ValueError(f"expected {expected} rows for socle degree {self.d}")
         for a, row in enumerate(rows):
+            w = self.d - a  # row a lives on 0..w, symmetric about w / 2
             if len(row) != self.d + 1:
                 raise ValueError("each row must have d+1 entries")
-            if any(v < 0 for v in row):
+            if min(row) < 0:
                 raise ValueError("negative entry in a decomposition row")
-            for i in range(self.d + 1):
-                mirrored = self.d - a - i
-                other = row[mirrored] if 0 <= mirrored <= self.d else 0
-                if i > self.d - a:
-                    if row[i] != 0:
-                        raise ValueError(f"row {a} has support beyond index {self.d - a}")
-                elif row[i] != other:
-                    raise ValueError(f"row {a} is not symmetric about {(self.d - a) / 2}")
+            if row[:w + 1] != row[w::-1]:
+                raise ValueError(f"row {a} is not symmetric about {w / 2}")
+            if any(row[w + 1:]):
+                raise ValueError(f"row {a} has support beyond index {w}")
             if a >= 1 and row[0] != 0:
                 raise ValueError("rows a >= 1 must vanish at index 0")
         if rows[0][0] != 1 or rows[0][self.d] != 1:
             raise ValueError("row 0 must start and end with 1")
-
-    def row(self, a: int) -> tuple:
-        if 0 <= a < len(self.rows):
-            return self.rows[a]
-        return (0,) * (self.d + 1)
 
     def entry(self, a: int, i: int) -> int:
         if 0 <= a < len(self.rows) and 0 <= i <= self.d:
@@ -183,6 +176,8 @@ def adapt_coordinates(f: Polynomial):
     d = space.socle_degree
     n = f.nvars
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    one = one_like(next(iter(f.terms.values())))
+    zero = one - one
     span = MonomialSpan()
     new_to_old: list = []
 
@@ -190,16 +185,14 @@ def adapt_coordinates(f: Polynomial):
         # the new row is the normalised remainder, pivot at its lowest variable
         index = span.insert(vec)
         if index is not None:
-            row = span.rows[index]
-            zero = row[span.pivots[index]] * 0
-            new_to_old.append([row.get(unit, zero) for unit in units])
+            new_to_old.append([span.rows[index].get(unit, zero) for unit in units])
 
     for a in range(max(d - 1, 1)):
         for vec in space.linear_partials(d - 1 - a):
             choose({units[i]: c for i, c in enumerate(vec) if c != 0})
     for i in range(n):
         if units[i] not in span.by_pivot:
-            choose({units[i]: _unit_like(f)})
+            choose({units[i]: one})
     if len(new_to_old) != n:
         raise AssertionError("could not complete the linear-partial flag to a basis")
     old_to_new = _invert_matrix(new_to_old)

@@ -23,6 +23,7 @@ reduction names the tagged rows it combines.  One kind per span.
 from __future__ import annotations
 
 from .poly import grlex_key
+from .scalars import one_like
 
 
 def _subtract(target: dict, factor, source: dict):
@@ -112,8 +113,8 @@ class MonomialSpan:
         """
         used: dict = {}
         rem = self.reduce(vec, used)
-        # x ** 0 is the one of x's field; int 1 for a zero vec
-        used[label] = used.get(label, 0) + next(iter(vec.values()), 1) ** 0
+        # the one of vec's field; int 1 for a zero vec
+        used[label] = used.get(label, 0) + one_like(next(iter(vec.values()), 1))
         used = {k: c for k, c in used.items() if c != 0}
         if not rem:
             return None, used

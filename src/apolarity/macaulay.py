@@ -40,8 +40,8 @@ def binomial_expansion(value: int, i: int) -> BinomialExpansion:
     return BinomialExpansion(i=i, terms=tuple(terms))
 
 
-# (value, i) -> macaulay_bound(value, i), for int arguments only.  The
-# enumerator asks for value < length and i < length, so this stays small.
+# (value, i) -> macaulay_bound(value, i), keyed by ints.  The enumerator
+# asks for value < length and i < length, so this stays small.
 _BOUNDS: dict = {}
 
 
@@ -49,18 +49,15 @@ def macaulay_bound(value: int, i: int) -> int:
     """Largest admissible next value after `value` in degree i.
 
     Shifts every term of the i-binomial expansion: sum C(m_k + 1, k + 1).
-    The answer is memoized for int arguments; invalid arguments raise on
-    every call, since only successful computations are stored.
+    The answer is memoized; invalid arguments raise on every call, since
+    only successful computations are stored.  An integral value equal to
+    a stored int (8.0 and 8) hashes alike and shares its entry.
     """
-    cacheable = type(value) is int and type(i) is int
-    if cacheable:
-        bound = _BOUNDS.get((value, i))
-        if bound is not None:
-            return bound
-    expansion = binomial_expansion(value, i)
-    bound = sum(comb(m + 1, k + 1) for m, k in expansion.terms)
-    if cacheable:
-        _BOUNDS[value, i] = bound
+    bound = _BOUNDS.get((value, i))
+    if bound is None:
+        expansion = binomial_expansion(value, i)
+        bound = _BOUNDS[int(value), int(i)] = sum(
+            comb(m + 1, k + 1) for m, k in expansion.terms)
     return bound
 
 

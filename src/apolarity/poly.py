@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
-from .scalars import RATIONALS
+from .scalars import RATIONALS, one_like
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -310,7 +310,7 @@ def _drop_first(f: Polynomial) -> Polynomial:
 
 
 def _linear_dp_power(coeffs: Sequence, nvars: int, k: int) -> dict:
-    """Divided-power k-th power of the linear form sum(coeffs[i] * x_i).
+    """Divided-power k-th power (k >= 1) of the linear form sum(coeffs[i] * x_i).
 
     Expands without multinomial coefficients: the result is the sum over
     all exponent vectors g of total degree k supported on the nonzero
@@ -318,9 +318,6 @@ def _linear_dp_power(coeffs: Sequence, nvars: int, k: int) -> dict:
     """
     support = [i for i, c in enumerate(coeffs) if c != 0]
     out: dict = {}
-    if k == 0:
-        out[(0,) * nvars] = Fraction(1)
-        return out
     if not support:
         return out
     for split in itertools.combinations(range(k + len(support) - 1), len(support) - 1):
@@ -332,7 +329,7 @@ def _linear_dp_power(coeffs: Sequence, nvars: int, k: int) -> dict:
             prev = s
         parts.append(k + len(support) - 2 - prev)
         exponents = [0] * nvars
-        coeff = Fraction(1)
+        coeff = 1
         for idx, e in zip(support, parts):
             exponents[idx] = e
             if e:
@@ -378,12 +375,12 @@ def dp_substitute(f: Polynomial, images: Sequence[Sequence]) -> Polynomial:
     new_nvars = len(images[0]) if images else 0
     total: dict = {}
     for exponents, coeff in f.terms.items():
-        term = {(0,) * new_nvars: Fraction(1)}
+        term = {(0,) * new_nvars: coeff}
         for i, e in enumerate(exponents):
             if e:
                 term = _term_product(term, _linear_dp_power(images[i], new_nvars, e), True)
         for key, c in term.items():
-            total[key] = total.get(key, 0) + coeff * c
+            total[key] = total.get(key, 0) + c
     return Polynomial(new_nvars, total, PRIMAL)
 
 
@@ -401,9 +398,6 @@ class ChangeOfBasis:
     new_to_old: tuple
     dropped: int = 0
 
-    def apply(self, f: Polynomial) -> Polynomial:
-        return dp_substitute(f, self.old_to_new)
-
     def unapply(self, f: Polynomial) -> Polynomial:
         return dp_substitute(f, self.new_to_old)
 
@@ -411,8 +405,7 @@ class ChangeOfBasis:
 def _invert_matrix(rows: Sequence[Sequence]) -> list:
     """Invert a small square matrix over the coefficient field."""
     n = len(rows)
-    entry = next((x for r in rows for x in r if x != 0), Fraction(1))
-    one = entry / entry  # the field's one and zero, taken from the input
+    one = one_like(next((x for r in rows for x in r if x != 0), 1))
     zero = one - one
     aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
     for col in range(n):
@@ -449,30 +442,20 @@ def dehomogenize(F: Polynomial, l: Polynomial):
     if l.degree() != 1:
         raise ValueError("l must be linear")
     n = F.nvars
-    coeffs = [Fraction(0)] * n
+    one = one_like(next(iter(l.terms.values())))
+    zero = one - one
+    coeffs = [zero] * n
     for exponents, coeff in l.terms.items():
         coeffs[exponents.index(1)] = coeff
     pivot = next(i for i in range(n) if coeffs[i] != 0)
-
-    rest = [i for i in range(n) if i != pivot]
-    if all(c == 0 for i, c in enumerate(coeffs) if i != pivot) and coeffs[pivot] == 1 and pivot == 0:
-        transformed = F  # l is already the first coordinate
-        new_to_old = tuple(
-            tuple(Fraction(1) if j == k else Fraction(0) for j in range(n)) for k in range(n)
-        )
-        old_to_new = new_to_old
-    else:
-        # new coordinates: z_0 = l, z_k = x_{rest[k-1]}
-        new_to_old = [list(coeffs)] + [
-            [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in rest
-        ]
-        old_to_new = _invert_matrix(new_to_old)
-        # rows of old_to_new express old variables in the z's already
-        transformed = dp_substitute(F, old_to_new)
-        new_to_old = tuple(tuple(r) for r in new_to_old)
-        old_to_new = tuple(tuple(r) for r in old_to_new)
-    record = ChangeOfBasis(old_to_new=old_to_new, new_to_old=new_to_old)
-    return _drop_first(transformed), record
+    # new coordinates: z_0 = l, then the other x_i in index order
+    new_to_old = [coeffs] + [[one if j == i else zero for j in range(n)]
+                             for i in range(n) if i != pivot]
+    # rows of old_to_new express old variables in the z's already
+    old_to_new = _invert_matrix(new_to_old)
+    record = ChangeOfBasis(old_to_new=tuple(map(tuple, old_to_new)),
+                           new_to_old=tuple(map(tuple, new_to_old)))
+    return _drop_first(dp_substitute(F, old_to_new)), record
 
 
 # -- parsing and printing -------------------------------------------------

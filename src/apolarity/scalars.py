@@ -1,7 +1,8 @@
 """Coefficient fields: exact rationals (default) and prime fields GF(p), p >= 5.
 
 Polynomials never fix a field type; any value supporting +, -, *, /, ==
-against its own kind and against Python ints works as a coefficient.
+against its own kind and against Python ints, and ** with an int exponent,
+works as a coefficient.
 `fractions.Fraction` is the default.  Characteristics 2 and 3 are rejected
 because divided-power arithmetic in those characteristics is outside the
 supported scope.
@@ -36,6 +37,12 @@ class Rationals:
 
 
 RATIONALS = Rationals()
+
+
+def one_like(x):
+    """The one of the field that the scalar x (zero included) belongs to;
+    its zero is `one - one`."""
+    return x ** 0
 
 
 def _is_prime(p: int) -> bool:

@@ -7,9 +7,7 @@ rank verification) and fails loudly on any mismatch.
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 
 from .apolar import apolar_length, diff_space, local_scheme
 from .bounds import c_bound, v_bound, verify_theorem, w_bound
@@ -148,7 +146,9 @@ CHECKS = (
 )
 
 
-def run_selftest(json_output: bool = False, out_path: str | None = None) -> int:
+def run_selftest():
+    """Run every check; returns the text lines, the JSON payload and the
+    exit status of the report."""
     results = []
     failures = 0
     for name, check in CHECKS:
@@ -158,28 +158,13 @@ def run_selftest(json_output: bool = False, out_path: str | None = None) -> int:
         except Exception as exc:  # report and continue
             failures += 1
             results.append((name, False, f"{type(exc).__name__}: {exc}"))
-    if json_output:
-        output = json.dumps(
-            {
-                "passed": failures == 0,
-                "checks": [
-                    {"name": n, "ok": ok, "detail": detail} for n, ok, detail in results
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    else:
-        lines = [
-            f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else "")
-            for name, ok, detail in results
-        ]
-        lines.append(
-            f"selftest: {len(CHECKS) - failures}/{len(CHECKS)} checks passed"
-        )
-        output = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(output)
-    else:
-        sys.stdout.write(output)
-    return 0 if failures == 0 else 1
+    lines = [
+        f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else "")
+        for name, ok, detail in results
+    ]
+    lines.append(f"selftest: {len(CHECKS) - failures}/{len(CHECKS)} checks passed")
+    payload = {
+        "passed": failures == 0,
+        "checks": [{"name": n, "ok": ok, "detail": detail} for n, ok, detail in results],
+    }
+    return lines, payload, 0 if failures == 0 else 1

@@ -30,41 +30,27 @@ from fractions import Fraction
 from itertools import product
 
 from .apolar import annihilator_generators, diff_space, is_apolar
-from .linalg import MonomialSpan
 from .poly import (
     DUAL,
     PRIMAL,
     Polynomial,
+    _drop_first,
     contract,
-    dehomogenize,
     homogenize,
     poly_str,
 )
+from .scalars import one_like
 
 LENGTH_NOTE = "length <= 7 verified constructively; equality holds for general cubics"
 
 
-def _linear_span_rows(f: Polynomial):
-    """Echelon rows of the degree <= 1 partials of f, constants included."""
-    space = diff_space(f)
-    span = MonomialSpan()
-    for row, degree in zip(space.rows, space.degrees):
-        if degree <= 1:
-            span.insert(dict(row.terms))
-    return span
-
-
 def _spans_all_linear(f: Polynomial) -> bool:
-    """Whether Diff(f)_1 contains 1 and every variable of the ring."""
-    span = _linear_span_rows(f)
-    if not span.contains({(0,) * f.nvars: Fraction(1)}):
-        return False
-    for i in range(f.nvars):
-        exponents = [0] * f.nvars
-        exponents[i] = 1
-        if not span.contains({tuple(exponents): Fraction(1)}):
-            return False
-    return True
+    """Whether Diff(f)_1 contains 1 and every variable of the ring.
+
+    Diff(f) of a nonzero f always holds a constant, so this is H(1) = nvars.
+    """
+    values = diff_space(f).hilbert_values()
+    return (values[1] if len(values) > 1 else 0) == f.nvars
 
 
 def exotic_extend(f: Polynomial, phis) -> Polynomial:
@@ -94,10 +80,12 @@ def exotic_extend(f: Polynomial, phis) -> Polynomial:
     nvars = k + m
     total: dict = {}
     bound = d // 2
+    one = one_like(next(iter(f.terms.values())))
     for powers in product(range(bound + 1), repeat=m):
-        operator = Polynomial.constant(k, Fraction(1), DUAL)
+        operator = Polynomial.constant(k, one, DUAL)
         for phi, e in zip(phis, powers):
-            operator = operator * phi.power(e)
+            for _ in range(e):
+                operator = operator * phi
         image = contract(operator, f)
         if image.is_zero():
             continue
@@ -148,11 +136,9 @@ def cusp_witness(f: Polynomial) -> WitnessReport:
         raise ValueError("f must be homogeneous of degree 3")
     if f.coefficient((0, 0, 3)) == 0:
         raise ValueError("the coefficient of x2^3 must be nonzero")
-    one = Fraction(1)
+    one = one_like(f.coefficient((0, 0, 3)))
     F = f.pad(4) + Polynomial(4, {(0, 2, 0, 1): one, (1, 0, 0, 2): one}, PRIMAL)
-    x0 = Polynomial.variable(4, 0)
-    f_l, _ = dehomogenize(F, x0)
-    # F carries x1^2*x3, so f_l is nonzero
+    f_l = _drop_first(F)  # F(x0 = 1); F carries x1^2*x3, so f_l is nonzero
     space_f = diff_space(f_l)
     g = f_l + Polynomial(3, {(4, 0, 0): one}, PRIMAL)
     G = homogenize(g, 4)

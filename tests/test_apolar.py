@@ -581,3 +581,21 @@ class TestLocalSchemeBuildsDiffOnce:
         assert len(built) == 1
         assert scheme.stabilized
         assert scheme.stabilized == annihilator_stabilized(scheme.defining, 4)
+
+    def test_one_substitution_per_scheme(self, monkeypatch):
+        # dehomogenize substitutes once; the form that apolarity is checked
+        # against is f homogenized, not a second substitution of F
+        from apolarity import poly
+
+        calls = []
+        original = poly.dp_substitute
+
+        def counted(f, images):
+            calls.append(f)
+            return original(f, images)
+
+        monkeypatch.setattr(poly, "dp_substitute", counted)
+        F = parse("x0^3 + x1^3 + x2^3 + 5*x0*x1*x2", 3, base=0)
+        scheme = local_scheme(F, parse("x0 + x1", 3, base=0))
+        assert len(calls) == 1
+        assert scheme.apolarity_checked

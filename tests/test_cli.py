@@ -217,6 +217,21 @@ class TestErrorsAndPlumbing:
         assert status == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--n", "7"], "one of --length or --f is required"),
+        (["bounds", "--n", "7", "--f", "x1^3"], "--nvars is required with --f"),
+        (["cusp-witness"], "provide --f and/or --trials N"),
+    ])
+    def test_checked_usage_errors(self, capsys, argv, message):
+        status, out, err = capture(capsys, argv)
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unwritable_selftest_out_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "report.txt"
+        status, out, err = capture(capsys, ["selftest", "--out", str(target)])
+        assert status == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_internal_error_is_not_a_fail(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise AssertionError("bound composition routes disagree")

@@ -159,6 +159,23 @@ class TestSymmetricDecomposition:
         with pytest.raises(ValueError):
             SymmetricDecomposition(d=3, rows=((1, 1, 1, 1), (1, 0, 0, 0)))  # a>=1 at 0
 
+    def test_validation_messages(self):
+        row0 = (1, 1, 1, 1, 1)
+        for rows, message in (
+            ((row0, (0, 1, 1, 0, 2), (0,) * 5), "row 1 has support beyond index 3"),
+            ((row0, (0, 1, 2, 0, 2), (0,) * 5), r"row 1 is not symmetric about 1\.5"),
+            ((row0, (0, 1, 1, 0, 0), (0, -1, 0, 0, 0)), "negative entry"),
+            ((row0, (0, 1, 1, 0), (0,) * 5), "d\\+1 entries"),
+            ((row0, (0,) * 5), "expected 3 rows"),
+            (((1, 1, 1, 1, 0), (0,) * 5, (0,) * 5), r"row 0 is not symmetric about 2\.0"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SymmetricDecomposition(d=4, rows=rows)
+        accepted = SymmetricDecomposition(
+            d=4, rows=(row0, (0, Fraction(1), 1, 0, 0), (0, 2, 0, 0, 0)))
+        assert accepted.rows[1] == (0, 1, 1, 0, 0)
+        assert all(type(v) is int for row in accepted.rows for v in row)
+
     def test_arrow_format(self):
         dec = SymmetricDecomposition(
             d=6,
@@ -393,3 +410,49 @@ class TestPrimeFieldStaysPrime:
             modular = Polynomial(f.nvars, {e: gf(c) for e, c in f.terms.items()}, f.side)
             if not modular.is_zero():
                 self.check(modular)
+
+    def test_dehomogenize_and_local_scheme(self):
+        from apolarity.apolar import local_scheme
+        from apolarity.poly import dehomogenize
+        from apolarity.scalars import PrimeField
+
+        gf = PrimeField(32003)
+        for F_text, l_text, nvars in (
+            ("x0^3 + 2*x0*x1^2 + x1^3", "2*x0 + 3*x1", 2),
+            ("x0^3 + 2*x0*x1^2 + x1^3", "x0", 2),
+            ("x0^3 + x1^3 + x2^3 + 5*x0*x1*x2", "x0 + x1", 3),
+            ("x0^3 + x1^3 + x2^3 + 5*x0*x1*x2", "x1 + 4*x2", 3),
+        ):
+            F = parse(F_text, nvars, base=0, field=gf)
+            l = parse(l_text, nvars, base=0, field=gf)
+            f, change = dehomogenize(F, l)
+            self.assert_prime(f.terms.values())
+            for matrix in (change.new_to_old, change.old_to_new):
+                self.assert_prime(c for row in matrix for c in row)
+            scheme = local_scheme(F, l)
+            assert scheme.apolarity_checked
+            self.assert_prime(c for g in scheme.annihilator for c in g.terms.values())
+            for matrix in (scheme.change.new_to_old, scheme.change.old_to_new):
+                self.assert_prime(c for row in matrix for c in row)
+
+    def test_exotic_extend(self):
+        from apolarity.poly import DUAL
+        from apolarity.scalars import PrimeField
+        from apolarity.witness import exotic_extend
+
+        gf = PrimeField(32003)
+        f = parse("x1^6 + x1^3*x2", 2, field=gf)
+        extended = exotic_extend(f, [parse("y1^2", 2, side=DUAL, field=gf)])
+        self.assert_prime(extended.terms.values())
+        assert extended == parse(
+            "x1^6 + x1^4*x3 + x1^3*x2 + x1^2*x3^2 + x1*x2*x3 + x3^3", 3, field=gf)
+
+    def test_cusp_witness(self):
+        from apolarity.scalars import PrimeField
+        from apolarity.witness import cusp_witness
+
+        gf = PrimeField(32003)
+        report = cusp_witness(parse("x0^3 + x1^3 + x2^3 + 5*x0*x1*x2", 3, base=0, field=gf))
+        assert report.length_g <= 7 and report.apolar_ok
+        for g in (report.cubic, report.form, report.quartic):
+            self.assert_prime(g.terms.values())

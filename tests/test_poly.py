@@ -229,6 +229,28 @@ class TestDehomogenize:
             rebuilt = record.unapply(homogenize(f, int(F.degree())))
             assert rebuilt == F
 
+    def test_first_coordinate_gives_the_identity_record(self, rng):
+        # l = x0 takes the general path: the identity inverts to itself
+        for n in (1, 2, 3):
+            F = random_polynomial(rng, n, 3, homogeneous=True)
+            if F.is_zero():
+                continue
+            f, record = dehomogenize(F, Polynomial.variable(n, 0))
+            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            assert record.old_to_new == record.new_to_old == identity
+            assert homogenize(f, int(F.degree())) == F
+
+    def test_homogenized_image_is_the_substituted_form(self, rng):
+        # F is homogeneous, so dropping the first variable merges no terms
+        for _ in range(10):
+            n = rng.randint(2, 4)
+            F = random_polynomial(rng, n, 3, homogeneous=True)
+            if F.is_zero():
+                continue
+            l = parse(" + ".join(f"{rng.randint(1, 3)}*x{i}" for i in range(n)), n, base=0)
+            f, record = dehomogenize(F, l)
+            assert homogenize(f, int(F.degree())) == dp_substitute(F, record.old_to_new)
+
     def test_divisible_case_loses_top_degree(self):
         # x0 + x1 divides x0^3 + x1^3, so the cubic part of the image vanishes
         F = parse("x0^3 + x1^3", 2, base=0)
