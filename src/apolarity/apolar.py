@@ -169,11 +169,12 @@ class FilteredSpace:
         out = []
         for row, pivot in zip(span.rows, span.pivots):
             if sum(pivot) == 1:
-                vec = [0] * self.nvars
+                one = one_like(row[pivot])
+                vec = [one - one] * self.nvars
                 for p, c in row.items():  # back from coordinates to partials
                     for m, b in self._span.rows[self._span.by_pivot[p]].items():
                         vec[m.index(1)] += c * b
-                out.append([c or 0 for c in vec])
+                out.append(vec)
         return out
 
     @property

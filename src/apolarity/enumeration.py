@@ -16,11 +16,10 @@ function (1,6,6,1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .hilbert import HilbertFunction, SymmetricDecomposition
-from .macaulay import is_o_sequence, macaulay_bound
+from .macaulay import macaulay_bound
 
 
 @dataclass(frozen=True)
@@ -90,23 +89,52 @@ def _hilbert_candidates(length: int, n: int, d: int):
         yield (1,) + middle + (1,)
 
 
-def _symmetric_rows(d: int, a: int, ceiling):
-    """All symmetric candidate rows Delta_a bounded entrywise by `ceiling`."""
-    width = d - a
-    free = width // 2  # indices 1..free determine the row
-    if free == 0:
-        yield (0,) * (d + 1)
-        return
-    ranges = []
-    for i in range(1, free + 1):
-        mirror = width - i
-        ranges.append(range(min(ceiling[i], ceiling[mirror]) + 1))
-    for values in itertools.product(*ranges):
-        row = [0] * (d + 1)
-        for i, v in enumerate(values, start=1):
-            row[i] = v
-            row[width - i] = v
-        yield tuple(row)
+def _step(prev: int, value: int, p: int) -> bool:
+    """One step of `is_o_sequence`: `value` at position p >= 2 after `prev`."""
+    return value == 0 or (value > 0 and prev > 0 and value <= macaulay_bound(prev, p - 1))
+
+
+def _rows(d: int, a: int, remainder: tuple) -> list:
+    """The rows Delta_a, a >= 1, that leave an O-sequence under `remainder`,
+    as (row, new remainder) pairs; no rejected row is built.
+
+    Row a of width w = d - a is fixed by v_1, ..., v_free (free = w // 2),
+    and v_i lowers remainder positions i and w - i.  Position 0 of every
+    remainder is 1, since rows a >= 1 vanish there, so `is_o_sequence` of
+    the new remainder is exactly the conjunction of its steps, and each is
+    checked once, with final values: the steps past w depend on the
+    remainder alone; the step into i bounds v_i (from above by the
+    remainder, from below by Macaulay growth when i >= 2); the step into
+    w - i + 1 is final once v_i is placed, and the middle step (into
+    free + 1) once v_free is.  So these are the symmetric rows whose
+    remainder `is_o_sequence` accepts, no more and no fewer;
+    `admissible_decompositions` sorts, so their order reaches no output.
+    """
+    w = d - a
+    out = []
+    if all(_step(remainder[p - 1], remainder[p], p) for p in range(w + 1, d + 1)):
+        _place(1, w, list(remainder), [0] * (d + 1), out)
+    return out
+
+
+def _place(i: int, w: int, new: list, row: list, out: list) -> None:
+    """Place v_i, then v_{i+1}, ..., of a row of width w (see `_rows`)."""
+    j = w - i
+    ri, rj, after = new[i], new[j], new[j + 1]
+    low = max(0, ri - macaulay_bound(new[i - 1], i - 1)) if i > 1 else 0
+    for v in range(low, min(ri, rj) + 1):
+        if not _step(rj - v, after, j + 1):
+            break  # Macaulay growth is monotone, so no larger v passes
+        if j == i + 1 and not _step(ri - v, rj - v, j):
+            continue  # the middle step of an odd width
+        new[i], new[j] = ri - v, rj - v
+        row[i] = row[j] = v
+        if i == w // 2:
+            out.append((tuple(row), tuple(new)))
+        else:
+            _place(i + 1, w, new, row, out)
+    new[i], new[j] = ri, rj
+    row[i] = row[j] = 0
 
 
 def _chains(d: int, a: int, remainder: tuple, memo: dict) -> tuple:
@@ -129,11 +157,7 @@ def _chains(d: int, a: int, remainder: tuple, memo: dict) -> tuple:
         chains = ((remainder,),) if valid else ()
     else:
         found = []
-        for row in _symmetric_rows(d, a, remainder):
-            # rows are bounded by `remainder`, so no entry goes negative
-            new_remainder = tuple(r - v for r, v in zip(remainder, row))
-            if not is_o_sequence(new_remainder):
-                continue
+        for row, new_remainder in _rows(d, a, remainder):
             found.extend(chain + (row,) for chain in _chains(d, a - 1, new_remainder, memo))
         chains = tuple(found)
     memo[key] = chains

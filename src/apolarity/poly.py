@@ -181,14 +181,6 @@ class Polynomial:
         terms = _term_product(self.terms, other.terms, self.side == PRIMAL)
         return Polynomial(self.nvars, terms, self.side)
 
-    def power(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.nvars, Fraction(1), self.side)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented

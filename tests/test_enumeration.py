@@ -8,7 +8,7 @@ import pytest
 
 from apolarity.enumeration import (
     _hilbert_candidates,
-    _symmetric_rows,
+    _rows,
     admissible_decompositions,
     nonsmoothable_filter,
 )
@@ -93,6 +93,25 @@ class TestAgainstBruteForce:
         assert got == expected
 
 
+def _symmetric_rows(d: int, a: int, ceiling):
+    """All symmetric candidate rows Delta_a bounded entrywise by `ceiling`."""
+    width = d - a
+    free = width // 2  # indices 1..free determine the row
+    if free == 0:
+        yield (0,) * (d + 1)
+        return
+    ranges = []
+    for i in range(1, free + 1):
+        mirror = width - i
+        ranges.append(range(min(ceiling[i], ceiling[mirror]) + 1))
+    for values in itertools.product(*ranges):
+        row = [0] * (d + 1)
+        for i, v in enumerate(values, start=1):
+            row[i] = v
+            row[width - i] = v
+        yield tuple(row)
+
+
 def _decompositions_for(h: tuple):
     """All valid symmetric decompositions of H with socle degree >= 3."""
     d = len(h) - 1
@@ -143,6 +162,28 @@ class TestAgainstUnsharedDescent:
         got = {(tuple(c.hilbert), c.decomposition.rows) for c in candidates}
         assert len(got) == len(candidates)
         assert got == unshared_descent(length, n)
+
+
+class TestRowBuilder:
+    def test_rows_match_filtered_symmetric_rows(self):
+        # every d <= 6, a in 1..d-2 and remainder (1, m_1, ..., m_{d-1}, 1)
+        # with m_i in 0..4, O-sequences or not: the rows `_rows` builds are
+        # the symmetric rows whose new remainder `is_o_sequence` accepts
+        cases = 0
+        for d in range(3, 7):
+            for a in range(1, d - 1):
+                for middle in itertools.product(range(5), repeat=d - 1):
+                    remainder = (1,) + middle + (1,)
+                    expected = set()
+                    for row in _symmetric_rows(d, a, remainder):
+                        new_remainder = tuple(r - v for r, v in zip(remainder, row))
+                        if is_o_sequence(new_remainder):
+                            expected.add((row, new_remainder))
+                    got = _rows(d, a, remainder)
+                    assert len(got) == len(set(got)), (d, a, remainder)
+                    assert set(got) == expected, (d, a, remainder)
+                    cases += 1
+        assert cases == 14650
 
 
 class TestWorkedInstances:

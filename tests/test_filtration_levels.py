@@ -2,8 +2,9 @@
 
 `FilteredSpace` reads the M(i, j) table, the row orders and the linear
 partials off one level-tagged echelon basis.  The oracle below is the
-construction it replaced, kept verbatim apart from the inlined snapshot
-and the kernel it runs on (the back-substituting one it was written for):
+construction it replaced, kept verbatim apart from the inlined snapshot,
+the field-typed zeros of its linear partials and the kernel it runs on
+(the back-substituting one it was written for):
 one reduced span, copied after every level, and d+1 spans rebuilt from the
 copies to find each row's order.
 """
@@ -87,7 +88,7 @@ class SnapshotFiltration:
         for row in self.order_level_rows(j):
             pivot = max(row, key=grlex_key)
             if sum(pivot) == 1:
-                vec = [0] * self.nvars
+                vec = [row[pivot] - row[pivot]] * self.nvars  # the field's zero
                 for m, c in row.items():
                     vec[m.index(1)] = c
                 out.append(vec)

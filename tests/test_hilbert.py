@@ -411,6 +411,16 @@ class TestPrimeFieldStaysPrime:
             if not modular.is_zero():
                 self.check(modular)
 
+    def test_linear_partials(self):
+        from apolarity.scalars import PrimeField
+
+        gf = PrimeField(32003)
+        space = diff_space(parse("x1^3 + x1*x2 + x3^2", 3, field=gf))
+        rows = space.linear_partials(0)
+        assert rows == [[1, 0, 0], [0, 0, 1]]
+        self.assert_prime(c for j in range(space.socle_degree + 2)
+                          for row in space.linear_partials(j) for c in row)
+
     def test_dehomogenize_and_local_scheme(self):
         from apolarity.apolar import local_scheme
         from apolarity.poly import dehomogenize
