@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
+from math import comb
 
 from .linalg import MonomialSpan
 from .poly import (
@@ -29,8 +30,10 @@ from .poly import (
     PRIMAL,
     ChangeOfBasis,
     Polynomial,
+    _apply,
     _contract_terms,
-    contract,
+    _contractions,
+    contract,  # noqa: F401  perfbench/test_perfbench.py checks that its tracer rebinds apolar.contract
     dehomogenize,
     grlex_key,
     homogenize,
@@ -108,13 +111,9 @@ class FilteredSpace:
     def _ensure_levels(self):
         if self._levels is not None:
             return
-        f_terms = dict(self.polynomial.terms)
-        divisors = set()
-        for beta in f_terms:
-            for alpha in itertools.product(*(range(b + 1) for b in beta)):
-                divisors.add(alpha)
+        table = _contractions(self.polynomial.terms)
         by_level: dict[int, list] = {}
-        for alpha in divisors:
+        for alpha in table:
             by_level.setdefault(sum(alpha), []).append(alpha)
         pivots = self._span.by_pivot
         span = MonomialSpan()
@@ -122,7 +121,7 @@ class FilteredSpace:
         for j in range(self.socle_degree, -1, -1):
             for alpha in sorted(by_level.get(j, ()), reverse=True):
                 # coordinates in the RREF basis of Diff(f) are the entries at its pivots
-                image = {m: c for m, c in _contract_terms(f_terms, alpha).items() if m in pivots}
+                image = {m: c for m, c in table[alpha].items() if m in pivots}
                 if image and span.insert_tagged(image, alpha) is not None:
                     self._tags.append(j)
         if span.dim != self.dim:
@@ -220,9 +219,10 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
     span = MonomialSpan()
     kernel = []
     one = one_like(next(iter(f.terms.values())))
+    table = _contractions(f.terms, max_degree)
     for alpha in monomials_up_to(f.nvars, max_degree):
-        image = _contract_terms(f.terms, alpha)
-        if not image:
+        image = table.get(alpha)
+        if image is None:
             kernel.append({alpha: one})
             continue
         _, relation = span.insert_labelled(image, alpha)
@@ -243,7 +243,7 @@ def annihilator_stabilized(f: Polynomial, max_degree: int, generators=None,
         generators = annihilator_generators(f, max_degree)
     if length is None:
         length = apolar_length(f)
-    total = sum(1 for _ in monomials_up_to(f.nvars, max_degree))
+    total = comb(f.nvars + max_degree, f.nvars)  # dual monomials of degree <= max_degree
     return total - len(generators) == length
 
 
@@ -261,12 +261,10 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
     if target.side != PRIMAL or target.nvars != f.nvars:
         raise ValueError("target must be a primal polynomial in the variables of f")
     span = MonomialSpan()
-    for alpha in monomials_up_to(f.nvars, int(f.degree())):
-        if sum(alpha) < min_order:
-            continue
-        image = _contract_terms(f.terms, alpha)
-        if image:
-            span.insert_labelled(image, alpha)
+    table = _contractions(f.terms)
+    for alpha in sorted(table, key=grlex_key):
+        if sum(alpha) >= min_order:
+            span.insert_labelled(table[alpha], alpha)
     combo = span.solve(dict(target.terms))
     if combo is None:
         return None
@@ -279,7 +277,9 @@ def is_apolar(generators, F: Polynomial) -> bool:
     Generators must be homogeneous dual polynomials; every one is
     validated before any is applied, also when F is zero.  Contraction is a
     module action, (m*g)(F) = m(g(F)), so g(F) = 0 already means every
-    multiple of g kills F; checking the generators suffices.
+    multiple of g kills F; checking the generators suffices.  F is
+    contracted once, into a table by dual monomial, and each generator's
+    image is summed from it exactly.
     """
     if F.side != PRIMAL:
         raise ValueError("is_apolar expects a primal form")
@@ -291,9 +291,8 @@ def is_apolar(generators, F: Polynomial) -> bool:
             raise ValueError(f"generator {poly_str(g)} is not homogeneous")
         if g.nvars != F.nvars:
             raise ValueError("variable count mismatch")
-    if F.is_zero():
-        return True
-    return all(g.is_zero() or contract(g, F).is_zero() for g in generators)
+    table = _contractions(F.terms)
+    return all(all(c == 0 for c in _apply(g.terms, table).values()) for g in generators)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,10 @@ def _require_dims(decomposition: SymmetricDecomposition, n: int):
 
 def d_infty(decomposition: SymmetricDecomposition, n: int) -> int:
     """Dimension bound for the hidden-variable (exotic) summand family."""
-    dims = _require_dims(decomposition, n)
+    return _d_infty(decomposition, n, _require_dims(decomposition, n))
+
+
+def _d_infty(decomposition: SymmetricDecomposition, n: int, dims: tuple) -> int:
     d = decomposition.d
     total = 0
     for i in range(1, d - 1):
@@ -73,7 +76,10 @@ def d_infty(decomposition: SymmetricDecomposition, n: int) -> int:
 
 def d_flag(decomposition: SymmetricDecomposition, n: int) -> int:
     """Dimension of the flag of variable subspaces compatible with Delta."""
-    dims = _require_dims(decomposition, n)
+    return _d_flag(decomposition, n, _require_dims(decomposition, n))
+
+
+def _d_flag(decomposition: SymmetricDecomposition, n: int, dims: tuple) -> int:
     return sum(
         decomposition.entry(j, 1) * (n - dims[j]) for j in range(len(dims))
     )
@@ -127,8 +133,8 @@ def v_bound(decomposition: SymmetricDecomposition, n: int) -> DimBoundReport:
         raise ValueError("the bound needs socle degree at least 3")
     dims = _require_dims(decomposition, n)
     h = decomposition.hilbert()
-    exotic = d_infty(decomposition, n)
-    flag = d_flag(decomposition, n)
+    exotic = _d_infty(decomposition, n, dims)
+    flag = _d_flag(decomposition, n, dims)
     v_theta = comb(dims[d - 3] + 2, 3) + comb(dims[d - 2] + 1, 2) + dims[d - 2] + 1 + exotic
     v_theta_alt = comb(dims[d - 3] + 3, 3) + comb(dims[d - 2] + 1, 2) + dims[d - 2] + 1 + exotic
     closed = (

@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import sub
 from typing import Iterator, Mapping, Sequence
 
 from .scalars import RATIONALS, one_like
@@ -228,11 +229,18 @@ def contract(psi: Polynomial, f: Polynomial) -> Polynomial:
         raise ValueError("contract expects a primal polynomial as the argument")
     if psi.nvars != f.nvars:
         raise ValueError(f"variable count mismatch: {psi.nvars} vs {f.nvars}")
+    images = {alpha: _contract_terms(f.terms, alpha) for alpha in psi.terms}
+    return Polynomial(f.nvars, _apply(psi.terms, images), PRIMAL)
+
+
+def _apply(psi_terms: Mapping[Exponents, object], images: Mapping[Exponents, dict]) -> dict:
+    """Term dict of psi(f), given images[alpha] = y^alpha(f) for the alphas
+    of psi; a missing alpha contracts f to 0.  Zero sums are kept."""
     terms: dict = {}
-    for alpha, c in psi.terms.items():
-        for beta, e in _contract_terms(f.terms, alpha).items():
+    for alpha, c in psi_terms.items():
+        for beta, e in images.get(alpha, {}).items():
             terms[beta] = terms.get(beta, 0) + c * e
-    return Polynomial(f.nvars, terms, PRIMAL)
+    return terms
 
 
 def _contract_terms(terms: Mapping[Exponents, object], alpha: Exponents) -> dict:
@@ -247,6 +255,44 @@ def _contract_terms(terms: Mapping[Exponents, object], alpha: Exponents) -> dict
         else:
             out[tuple(shifted)] = coeff
     return out
+
+
+def _contractions(terms: Mapping[Exponents, object], max_degree: int | None = None) -> dict:
+    """Every nonzero contraction of a term dict by a dual monomial y^alpha
+    with |alpha| <= max_degree (no bound for None), keyed by alpha.
+
+    Each (term beta, divisor alpha <= beta) pair is visited once, so the
+    table costs the number of such pairs, where scanning the terms once per
+    alpha costs #alphas * #terms.  An alpha missing from the table contracts
+    the terms to 0.  Each image lists its terms in the order of `terms`, as
+    `_contract_terms` does.
+    """
+    table: dict = {}
+    if max_degree is not None and max_degree < 0:
+        return table
+    for beta, coeff in terms.items():
+        # divisors of beta with the degree left in the budget, grown over the
+        # support of beta only: a zero exponent adds no choice
+        budget = sum(beta) if max_degree is None else max_degree
+        divisors = [([0] * len(beta), budget)]
+        for i, b in enumerate(beta):
+            if b:
+                grown = []
+                for alpha, left in divisors:
+                    for a in range(1, min(b, left) + 1):
+                        longer = alpha.copy()
+                        longer[i] = a
+                        grown.append((longer, left - a))
+                divisors += grown
+        for alpha, _ in divisors:
+            alpha = tuple(alpha)
+            shift = tuple(map(sub, beta, alpha))
+            image = table.get(alpha)
+            if image is None:
+                table[alpha] = {shift: coeff}
+            else:
+                image[shift] = coeff
+    return table
 
 
 # -- tails and homogeneous components -----------------------------------

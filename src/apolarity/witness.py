@@ -34,6 +34,8 @@ from .poly import (
     DUAL,
     PRIMAL,
     Polynomial,
+    _apply,
+    _contractions,
     _drop_first,
     contract,
     homogenize,
@@ -81,18 +83,17 @@ def exotic_extend(f: Polynomial, phis) -> Polynomial:
     total: dict = {}
     bound = d // 2
     one = one_like(next(iter(f.terms.values())))
+    table = _contractions(f.terms)
     for powers in product(range(bound + 1), repeat=m):
         operator = Polynomial.constant(k, one, DUAL)
         for phi, e in zip(phis, powers):
             for _ in range(e):
                 operator = operator * phi
-        image = contract(operator, f)
-        if image.is_zero():
-            continue
         suffix = tuple(powers)
-        for exponents, coeff in image.terms.items():
-            key = exponents + suffix
-            total[key] = total.get(key, 0) + coeff
+        for exponents, coeff in _apply(operator.terms, table).items():
+            if coeff != 0:
+                key = exponents + suffix
+                total[key] = total.get(key, 0) + coeff
     return Polynomial(nvars, total, PRIMAL)
 
 

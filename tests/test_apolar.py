@@ -162,6 +162,18 @@ class TestAnnihilator:
         assert not annihilator_stabilized(f, 2)
         assert annihilator_stabilized(f, 7)
 
+    def test_stabilization_counts_every_dual_monomial(self):
+        # the count of dual monomials of degree <= max_degree, by enumeration
+        for nvars in range(6):
+            f = Polynomial.constant(nvars, Fraction(1))
+            for max_degree in range(7):
+                total = sum(1 for _ in monomials_up_to(nvars, max_degree))
+                for kernel in range(3):
+                    generators = [None] * kernel
+                    assert annihilator_stabilized(f, max_degree, generators, total - kernel)
+                    assert not annihilator_stabilized(f, max_degree, generators, total - kernel + 1)
+                    assert not annihilator_stabilized(f, max_degree, generators, total - kernel - 1)
+
     def test_ideal_containment_under_extra_contraction(self, rng):
         # if F is a partial of G, annihilators of G kill F as well
         for _ in range(10):

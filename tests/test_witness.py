@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +103,33 @@ class TestExoticExtend:
                 lead = homogeneous_component(image, degree)
                 expected = {e + (0,): c for e, c in homogeneous_component(row, degree).terms.items()}
                 assert lead == Polynomial(3, expected, PRIMAL)
+
+    @staticmethod
+    def per_operator_extension(f, phis):
+        """The extension built by contracting f once per operator product."""
+        from itertools import product
+
+        total = {}
+        for powers in product(range(int(f.degree()) // 2 + 1), repeat=len(phis)):
+            operator = Polynomial.constant(f.nvars, Fraction(1), DUAL)
+            for phi, e in zip(phis, powers):
+                for _ in range(e):
+                    operator = operator * phi
+            for exponents, coeff in contract(operator, f).terms.items():
+                key = exponents + powers
+                total[key] = total.get(key, 0) + coeff
+        return Polynomial(f.nvars + len(phis), total, PRIMAL)
+
+    def test_matches_per_operator_contraction(self, rng):
+        for _ in range(15):
+            nvars = rng.randint(1, 3)
+            f = spanning_polynomial(rng, nvars, rng.randint(2, 6))
+            phis = [random_dual_operator(rng, nvars, int(f.degree()))
+                    for _ in range(rng.randint(1, 3))]
+            extended = exotic_extend(f, phis)
+            expected = self.per_operator_extension(f, phis)
+            # same terms, inserted in the same order
+            assert list(extended.terms.items()) == list(expected.terms.items())
 
     def test_rejects_low_order_operator(self):
         f = parse("x1^6 + x1^3*x2", 2)
