@@ -168,7 +168,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_annihilator(args) -> int:
     f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
-    max_degree = args.max_degree if args.max_degree is not None else int(f.degree()) + 1
+    max_degree = args.max_degree if args.max_degree is not None else f.degree() + 1
     generators = annihilator_generators(f, max_degree)
     stabilized = annihilator_stabilized(f, max_degree, generators)
     lines = [f"kernel dimension (degree <= {max_degree}) = {len(generators)}",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hilbert import HilbertFunction, SymmetricDecomposition
-from .macaulay import macaulay_bound
+from .macaulay import _step, macaulay_bound
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,6 @@ def _hilbert_candidates(length: int, n: int, d: int):
 
     for middle in fill([], interior, 0):
         yield (1,) + middle + (1,)
-
-
-def _step(prev: int, value: int, p: int) -> bool:
-    """One step of `is_o_sequence`: `value` at position p >= 2 after `prev`."""
-    return value == 0 or (value > 0 and prev > 0 and value <= macaulay_bound(prev, p - 1))
 
 
 def _rows(d: int, a: int, remainder: tuple) -> list:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .apolar import diff_space
 from .linalg import MonomialSpan
-from .poly import ChangeOfBasis, Polynomial, _invert_matrix, dp_substitute
+from .poly import ChangeOfBasis, Polynomial, dp_substitute
 from .scalars import one_like
 
 
@@ -195,7 +195,14 @@ def adapt_coordinates(f: Polynomial):
             choose({units[i]: one})
     if len(new_to_old) != n:
         raise AssertionError("could not complete the linear-partial flag to a basis")
-    old_to_new = _invert_matrix(new_to_old)
+    # old variable i is the combination of flag rows that solves for unit i
+    inverse = MonomialSpan()
+    for k, row in enumerate(new_to_old):
+        inverse.insert_labelled({units[i]: c for i, c in enumerate(row) if c != 0}, k)
+    old_to_new = []
+    for i in range(n):
+        combination = inverse.solve({units[i]: one})
+        old_to_new.append([combination.get(k, zero) for k in range(n)])
     adapted = dp_substitute(f, old_to_new)
     kept = 0
     for exponents in adapted.terms:

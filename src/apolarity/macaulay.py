@@ -61,6 +61,15 @@ def macaulay_bound(value: int, i: int) -> int:
     return bound
 
 
+def _step(prev: int, value: int, p: int) -> bool:
+    """One Macaulay growth step: `value` at position p >= 2 after `prev`.
+
+    A zero may follow anything; a positive value needs a positive `prev`,
+    since growth from zero forces zero, and at most its Macaulay bound.
+    """
+    return value == 0 or (value > 0 and prev > 0 and value <= macaulay_bound(prev, p - 1))
+
+
 def is_o_sequence(values, strictly_positive: bool = False) -> bool:
     """Whether a sequence satisfies H(0) = 1 and the Macaulay growth condition.
 
@@ -69,18 +78,8 @@ def is_o_sequence(values, strictly_positive: bool = False) -> bool:
     zero values are rejected outright (the socle-degree Hilbert-function
     mode); without it, zero tails are allowed (partial-sum mode).
     """
-    seen_zero = False
-    previous = None
-    for i, v in enumerate(values):
-        if v < 0 or (i == 0 and v != 1):
-            return False
-        if v == 0:
-            if strictly_positive:
-                return False
-            seen_zero = True
-        elif seen_zero:
-            return False
-        elif i >= 2 and v > macaulay_bound(previous, i - 1):
-            return False
-        previous = v
-    return previous is not None
+    values = tuple(values)
+    return (values[:1] == (1,)
+            and (len(values) < 2 or values[1] >= 0)
+            and all(_step(values[p - 1], values[p], p) for p in range(2, len(values)))
+            and not (strictly_positive and 0 in values))

@@ -19,7 +19,6 @@ order of a dual polynomial is its least term degree (+inf for zero).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -356,23 +355,14 @@ def _linear_dp_power(coeffs: Sequence, nvars: int, k: int) -> dict:
     """
     support = [i for i, c in enumerate(coeffs) if c != 0]
     out: dict = {}
-    if not support:
-        return out
-    for split in itertools.combinations(range(k + len(support) - 1), len(support) - 1):
-        # stars-and-bars composition of k over the support
-        parts = []
-        prev = -1
-        for s in split:
-            parts.append(s - prev - 1)
-            prev = s
-        parts.append(k + len(support) - 2 - prev)
+    for parts in monomials_of_degree(len(support), k):
         exponents = [0] * nvars
         coeff = 1
         for idx, e in zip(support, parts):
             exponents[idx] = e
             if e:
                 coeff = coeff * (coeffs[idx] ** e)
-        out[tuple(exponents)] = out.get(tuple(exponents), 0) + coeff
+        out[tuple(exponents)] = coeff
     return out
 
 
@@ -440,26 +430,6 @@ class ChangeOfBasis:
         return dp_substitute(f, self.new_to_old)
 
 
-def _invert_matrix(rows: Sequence[Sequence]) -> list:
-    """Invert a small square matrix over the coefficient field."""
-    n = len(rows)
-    one = one_like(next((x for r in rows for x in r if x != 0), 1))
-    zero = one - one
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def dehomogenize(F: Polynomial, l: Polynomial):
     """Dehomogenize the form F at the linear form l.
 
@@ -486,11 +456,14 @@ def dehomogenize(F: Polynomial, l: Polynomial):
     for exponents, coeff in l.terms.items():
         coeffs[exponents.index(1)] = coeff
     pivot = next(i for i in range(n) if coeffs[i] != 0)
-    # new coordinates: z_0 = l, then the other x_i in index order
-    new_to_old = [coeffs] + [[one if j == i else zero for j in range(n)]
-                             for i in range(n) if i != pivot]
-    # rows of old_to_new express old variables in the z's already
-    old_to_new = _invert_matrix(new_to_old)
+    units = [[one if j == i else zero for j in range(n)] for i in range(n)]
+    # new coordinates: z_0 = l, then the other x_i in index order, so
+    # x_i = z_k(i) for i != pivot (k(i) = i + 1 below the pivot, i above)
+    # and x_pivot = (z_0 - sum_{i != pivot} c_i z_k(i)) / c_pivot
+    new_to_old = [coeffs] + units[:pivot] + units[pivot + 1:]
+    inverse = one / coeffs[pivot]
+    solved = [inverse] + [-c * inverse for i, c in enumerate(coeffs) if i != pivot]
+    old_to_new = units[1:pivot + 1] + [solved] + units[pivot + 1:]
     record = ChangeOfBasis(old_to_new=tuple(map(tuple, old_to_new)),
                            new_to_old=tuple(map(tuple, new_to_old)))
     return _drop_first(dp_substitute(F, old_to_new)), record

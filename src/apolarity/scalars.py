@@ -28,10 +28,6 @@ class Rationals:
     def zero(self) -> Fraction:
         return Fraction(0)
 
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
     def __repr__(self) -> str:
         return "QQ"
 
@@ -183,10 +179,6 @@ class PrimeField:
     @property
     def zero(self) -> PrimeFieldElement:
         return PrimeFieldElement(0, self.p)
-
-    @property
-    def one(self) -> PrimeFieldElement:
-        return PrimeFieldElement(1, self.p)
 
     def __repr__(self) -> str:
         return self.name

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from apolarity.poly import DUAL, PRIMAL, Polynomial, grlex_key
+from apolarity.scalars import one_like
 
 
 def random_coefficient(rng: random.Random) -> Fraction:
@@ -93,6 +95,30 @@ def dense_substitution_oracle(f: Polynomial, images) -> Polynomial:
             value = sympy.Rational(coeff) * factorial
             terms[tuple(monomial)] = Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
     return Polynomial(n_new, terms, PRIMAL)
+
+
+# -- the dense Gauss-Jordan inverse that once computed the inverse change of
+# variables in `dehomogenize` and `adapt_coordinates`, kept verbatim as the
+# reference inverse for their change-of-basis records --------------------------
+
+def _invert_matrix(rows: Sequence[Sequence]) -> list:
+    """Invert a small square matrix over the coefficient field."""
+    n = len(rows)
+    one = one_like(next((x for r in rows for x in r if x != 0), 1))
+    zero = one - one
+    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        aug[col] = [x / inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 # -- the sparse elimination kernel as it was while every insert back-

@@ -226,6 +226,14 @@ class TestErrorsAndPlumbing:
         status, out, err = capture(capsys, argv)
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_zero_polynomial_annihilator_is_a_usage_error(self, capsys, mode):
+        argv = ["annihilator", "--f", "0", "--nvars", "2"] + mode
+        status, out, err = capture(capsys, argv)
+        assert (status, out) == (2, "")
+        assert err == "error: annihilator of the zero polynomial is the whole ring\n"
+        assert "Traceback" not in err
+
     def test_unwritable_selftest_out_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "report.txt"
         status, out, err = capture(capsys, ["selftest", "--out", str(target)])

@@ -16,9 +16,9 @@ from apolarity.hilbert import (
     symmetric_decomposition,
 )
 from apolarity.macaulay import is_o_sequence
-from apolarity.poly import Polynomial, _invert_matrix, homogeneous_component, parse, poly_str
+from apolarity.poly import Polynomial, homogeneous_component, parse, poly_str
 
-from conftest import random_polynomial
+from conftest import _invert_matrix, random_polynomial
 
 
 class TestHilbertFunction:

@@ -23,9 +23,9 @@ from apolarity.poly import (
     poly_str,
     tail,
 )
-from apolarity.scalars import PrimeField
+from apolarity.scalars import RATIONALS, PrimeField
 
-from conftest import dense_substitution_oracle, random_polynomial
+from conftest import _invert_matrix, dense_substitution_oracle, random_polynomial
 
 
 class TestParse:
@@ -250,6 +250,19 @@ class TestDehomogenize:
             l = parse(" + ".join(f"{rng.randint(1, 3)}*x{i}" for i in range(n)), n, base=0)
             f, record = dehomogenize(F, l)
             assert homogenize(f, int(F.degree())) == dp_substitute(F, record.old_to_new)
+
+    @pytest.mark.parametrize("field", [RATIONALS, PrimeField(32003)], ids=["QQ", "GF32003"])
+    @pytest.mark.parametrize("support", ["2*x0 - x1 + 3*x3", "3*x1 - x2 + 2*x3", "-2*x3"],
+                             ids=["pivot-first", "pivot-middle", "pivot-last"])
+    def test_record_is_an_inverse_pair_at_every_pivot(self, field, support):
+        F = parse("x0^3 + 2*x0*x1*x2 - x1^2*x3 + 3*x2^3 + x0*x3^2", 4, base=0, field=field)
+        f, record = dehomogenize(F, parse(support, 4, base=0, field=field))
+
+        def typed(matrix):
+            return [[(type(c), c) for c in row] for row in matrix]
+
+        assert typed(record.old_to_new) == typed(_invert_matrix(record.new_to_old))
+        assert record.unapply(homogenize(f, int(F.degree()))) == F
 
     def test_divisible_case_loses_top_degree(self):
         # x0 + x1 divides x0^3 + x1^3, so the cubic part of the image vanishes
