@@ -12,15 +12,14 @@ The order filtration is one echelon basis, built from level j = deg f down
 to 0 and never back-substituted, each row tagged with its level and written
 in coordinates over the reduced basis of Diff(f) (its entries at the
 pivots, which keeps leading monomials).  The rows tagged >= j span O_j, so
-those with pivot degree <= i count M(i, j) = dim(Diff(f)_i  ∩ O_j) for the
-symmetric decomposition, and a partial's order is the lowest tag among the
-rows it combines: coordinates in an echelon basis are unique.
+their (level, pivot degree) pairs, `bidegrees`, count
+M(i, j) = dim(Diff(f)_i  ∩ O_j) as the pairs with level >= j and degree
+<= i, and a partial's order is the lowest tag among the rows it combines:
+coordinates in an echelon basis are unique.
 """
 
 from __future__ import annotations
 
-import itertools
-from array import array
 from dataclasses import dataclass, field
 from math import comb
 
@@ -63,7 +62,6 @@ class FilteredSpace:
         self.degrees = tuple(sum(p) for p in self._pivots)
         self.dim = len(self._rows)
         self._levels = None  # built on demand: tagged basis of the order filtration
-        self._m_table = None
         self._orders = None
 
     # -- phase 1: contraction closure ----------------------------------
@@ -117,41 +115,27 @@ class FilteredSpace:
             by_level.setdefault(sum(alpha), []).append(alpha)
         pivots = self._span.by_pivot
         span = MonomialSpan()
-        self._tags = []
+        self._bidegrees = []
         for j in range(self.socle_degree, -1, -1):
             for alpha in sorted(by_level.get(j, ()), reverse=True):
                 # coordinates in the RREF basis of Diff(f) are the entries at its pivots
                 image = {m: c for m, c in table[alpha].items() if m in pivots}
-                if image and span.insert_tagged(image, alpha) is not None:
-                    self._tags.append(j)
+                if image and (index := span.insert_tagged(image, alpha)) is not None:
+                    self._bidegrees.append((j, sum(span.pivots[index])))
         if span.dim != self.dim:
             raise AssertionError("order filtration does not exhaust Diff(f)")
         self._levels = span
-        self._linear = [(tag, row) for tag, row, pivot in zip(self._tags, span.rows, span.pivots)
-                        if sum(pivot) <= 1]
+        self._linear = [(j, row) for (j, i), row in zip(self._bidegrees, span.rows) if i <= 1]
+
+    def bidegrees(self) -> list:
+        """(level j, pivot degree i) of each tagged row: the rows of level
+        >= j and degree <= i span Diff(f)_i ∩ O_j."""
+        self._ensure_levels()
+        return self._bidegrees
 
     def m_table(self, i: int, j: int) -> int:
         """dim (Diff(f)_i  ∩ O_j) for the degree/order double filtration."""
-        d = self.socle_degree
-        if i < 0 or j > d:
-            return 0
-        return self.m_table_rows()[j if j > 0 else 0][i if i < d else d]
-
-    def m_table_rows(self) -> list:
-        """The M-table by level: row j holds M(0, j), ..., M(d, j) for
-        j = 0..d, and row d + 1 is all 0."""
-        d = self.socle_degree
-        if self._m_table is None:
-            self._ensure_levels()
-            # rows tagged >= j with pivot degree <= i span Diff(f)_i ∩ O_j
-            table = [[0] * (d + 1) for _ in range(d + 2)]
-            for tag, pivot in zip(self._tags, self._levels.pivots):
-                table[tag][sum(pivot)] += 1
-            for k in range(d, -1, -1):
-                row = itertools.accumulate(table[k])
-                table[k] = array("q", [a + b for a, b in zip(row, table[k + 1])])
-            self._m_table = table
-        return self._m_table
+        return sum(1 for level, degree in self.bidegrees() if level >= j and degree <= i)
 
     def linear_partials(self, j: int) -> list:
         """Variable-coefficient rows spanning degree-1 partials of order >= j.

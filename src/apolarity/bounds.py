@@ -53,9 +53,8 @@ def w_bound(length: int, n: int) -> int:
 
 def _require_dims(decomposition: SymmetricDecomposition, n: int):
     dims = embedding_dims(decomposition)
-    h1 = sum(decomposition.entry(a, 1) for a in range(len(decomposition.rows)))
-    if n < h1:
-        raise ValueError(f"n = {n} is smaller than H(1) = {h1}")
+    if n < dims[-1]:  # n_{d-2} sums Delta_a(1) over every row: H(1)
+        raise ValueError(f"n = {n} is smaller than H(1) = {dims[-1]}")
     return dims
 
 

@@ -97,18 +97,18 @@ def _rows(d: int, a: int, remainder: tuple) -> list:
     and v_i lowers remainder positions i and w - i.  Position 0 of every
     remainder is 1, since rows a >= 1 vanish there, so `is_o_sequence` of
     the new remainder is exactly the conjunction of its steps, and each is
-    checked once, with final values: the steps past w depend on the
-    remainder alone; the step into i bounds v_i (from above by the
-    remainder, from below by Macaulay growth when i >= 2); the step into
-    w - i + 1 is final once v_i is placed, and the middle step (into
-    free + 1) once v_free is.  So these are the symmetric rows whose
-    remainder `is_o_sequence` accepts, no more and no fewer;
-    `admissible_decompositions` sorts, so their order reaches no output.
+    checked once, with final values: the steps past w are H's own, since
+    the rows a' > a before it touch only positions <= w - 2, and H is an
+    O-sequence; the step into i bounds v_i (from above by the remainder,
+    from below by Macaulay growth when i >= 2); the step into w - i + 1 is
+    final once v_i is placed, and the middle step (into free + 1) once
+    v_free is.  So on the O-sequence remainders the program passes, these
+    are the symmetric rows whose remainder `is_o_sequence` accepts, no more
+    and no fewer; `admissible_decompositions` sorts, so their order reaches
+    no output.
     """
-    w = d - a
     out = []
-    if all(_step(remainder[p - 1], remainder[p], p) for p in range(w + 1, d + 1)):
-        _place(1, w, list(remainder), [0] * (d + 1), out)
+    _place(1, d - a, list(remainder), [0] * (d + 1), out)
     return out
 
 
@@ -144,11 +144,8 @@ def _chains(d: int, a: int, remainder: tuple, memo: dict) -> tuple:
     if chains is not None:
         return chains
     if a == 0:
-        valid = (
-            remainder[0] == 1
-            and remainder[d] == 1
-            and all(remainder[i] == remainder[d - i] for i in range(d + 1))
-        )
+        # the remainder's ends are H(0) = H(d) = 1: no row a >= 1 reaches them
+        valid = all(remainder[i] == remainder[d - i] for i in range(d + 1))
         chains = ((remainder,),) if valid else ()
     else:
         found = []

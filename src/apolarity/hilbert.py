@@ -14,8 +14,10 @@ the rank form of the successive quotients C_a / C_{a+1} of the Loewy/
 m-adic double filtration.  Dropping the second bracket (the naive quotient
 of partials of degree <= i by lower-degree and lower-level ones) would
 overcount: a partial of low degree and low order would be charged to every
-larger i as well.  Each row is symmetric about (d - a) / 2, and the rows
-sum to H.
+larger i as well.  The level-tagged basis of Diff(f) has M(i, j) rows of
+level >= j and pivot degree <= i, so the difference is the number of its
+rows of level exactly j and degree exactly i, and Delta is that count.
+Each row is symmetric about (d - a) / 2, and the rows sum to H.
 """
 
 from __future__ import annotations
@@ -134,17 +136,12 @@ def symmetric_decomposition(f: Polynomial) -> SymmetricDecomposition:
         raise ValueError("decomposition of the zero polynomial is undefined")
     space = diff_space(f)
     d = space.socle_degree
-    table = space.m_table_rows()
-    rows = []
-    for a in range(max(d - 1, 1)):
-        # [M(i, j) - M(i, j+1)] - [M(i-1, j) - M(i-1, j+1)] at j = d - a - i,
-        # with M(-1, .) = 0; past i = d - a both levels read level 0 in
-        # m_table, so those entries are 0
-        row = [table[d - a][0] - table[d - a + 1][0]]
-        for i in range(1, d - a + 1):
-            upper, lower = table[d - a - i], table[d - a - i + 1]
-            row.append(upper[i] - lower[i] - upper[i - 1] + lower[i - 1])
-        rows.append(tuple(row) + (0,) * a)
+    rows = [[0] * (d + 1) for _ in range(max(d - 1, 1))]
+    for j, i in space.bidegrees():
+        # the bracket difference counts the tagged rows of level exactly j and
+        # degree exactly i; a = d - j - i lies in 0..max(d-2, 0) since order +
+        # degree <= d, and the constant and f sit at levels d and 0
+        rows[d - j - i][i] += 1
     decomposition = SymmetricDecomposition(d=d, rows=tuple(rows))
     if tuple(decomposition.hilbert()) != space.hilbert_values():
         raise AssertionError("decomposition rows do not sum to the Hilbert function")

@@ -54,7 +54,7 @@ class MonomialSpan:
         """Fully reduce vec against the span; returns a fresh dict.
 
         When `used` is given, the label combination of the subtracted rows
-        accumulates in it, so that vec = remainder - sum(used[L] * g_L).
+        is summed into it, so that vec = remainder - sum(used[L] * g_L).
         """
         out = dict(vec)
         while True:

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from apolarity import enumeration
 from apolarity.enumeration import (
     _hilbert_candidates,
     _rows,
@@ -166,14 +167,17 @@ class TestAgainstUnsharedDescent:
 
 class TestRowBuilder:
     def test_rows_match_filtered_symmetric_rows(self):
-        # every d <= 6, a in 1..d-2 and remainder (1, m_1, ..., m_{d-1}, 1)
-        # with m_i in 0..4, O-sequences or not: the rows `_rows` builds are
-        # the symmetric rows whose new remainder `is_o_sequence` accepts
+        # every d <= 6, a in 1..d-2 and O-sequence remainder
+        # (1, m_1, ..., m_{d-1}, 1) with m_i in 0..4, the only remainders
+        # the search passes: the rows `_rows` builds are the symmetric rows
+        # whose new remainder `is_o_sequence` accepts
         cases = 0
         for d in range(3, 7):
             for a in range(1, d - 1):
                 for middle in itertools.product(range(5), repeat=d - 1):
                     remainder = (1,) + middle + (1,)
+                    if not is_o_sequence(remainder):
+                        continue
                     expected = set()
                     for row in _symmetric_rows(d, a, remainder):
                         new_remainder = tuple(r - v for r, v in zip(remainder, row))
@@ -183,7 +187,20 @@ class TestRowBuilder:
                     assert len(got) == len(set(got)), (d, a, remainder)
                     assert set(got) == expected, (d, a, remainder)
                     cases += 1
-        assert cases == 14650
+        assert cases == 725
+
+    @pytest.mark.parametrize("length", [14, 15, 16, 17])
+    def test_program_passes_only_o_sequence_remainders(self, length, monkeypatch):
+        seen = []
+
+        def recording_rows(d, a, remainder):
+            seen.append(remainder)
+            return _rows(d, a, remainder)
+
+        monkeypatch.setattr(enumeration, "_rows", recording_rows)
+        admissible_decompositions(length, 8)
+        assert seen
+        assert all(is_o_sequence(remainder) for remainder in seen)
 
 
 class TestWorkedInstances:

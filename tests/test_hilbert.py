@@ -17,6 +17,7 @@ from apolarity.hilbert import (
 )
 from apolarity.macaulay import is_o_sequence
 from apolarity.poly import Polynomial, homogeneous_component, parse, poly_str
+from apolarity.scalars import PrimeField
 
 from conftest import _invert_matrix, random_polynomial
 
@@ -194,9 +195,15 @@ def delta_by_m_table(space, a: int, i: int) -> int:
 
 class TestDecompositionAgainstMTableLookups:
     def test_rows_equal_per_entry_lookups(self, rng):
-        inputs = [parse(text, n) for text, n in (("1", 1), ("x1", 1), ("x1^2 + x2", 2),
-                                                  ("x1^6 + x1^3*x2", 2))]
+        texts = [("1", 1), ("x1", 1), ("x1^2 + x2", 2), ("x1^6 + x1^3*x2", 2),
+                 ("x1^12 + x2^11 + x3^10 + x1^3*x2^3*x3^2", 3)]
+        # the filtration benchmark's shapes at small socle degree
+        texts += [(f"x1^{e} + x2^{e}", 2) for e in (2, 3, 6, 12, 18, 24, 30)]
+        texts += [(f"x1^{e} + x1^{e // 2}*x2 + x2^{e // 3}", 2) for e in (6, 12, 18, 24, 30)]
+        inputs = [parse(text, n) for text, n in texts]
         inputs += [random_polynomial(rng, rng.randint(1, 3), rng.randint(1, 6)) for _ in range(12)]
+        gf = PrimeField(32003)
+        inputs += [Polynomial(f.nvars, {e: gf(c) for e, c in f.terms.items()}) for f in inputs]
         for f in inputs:
             space = diff_space(f)
             d = space.socle_degree
