@@ -110,22 +110,18 @@ class FilteredSpace:
         if self._levels is not None:
             return
         table = _contractions(self.polynomial.terms)
-        by_level: dict[int, list] = {}
-        for alpha in table:
-            by_level.setdefault(sum(alpha), []).append(alpha)
         pivots = self._span.by_pivot
         span = MonomialSpan()
         self._bidegrees = []
-        for j in range(self.socle_degree, -1, -1):
-            for alpha in sorted(by_level.get(j, ()), reverse=True):
-                # coordinates in the RREF basis of Diff(f) are the entries at its pivots
-                image = {m: c for m, c in table[alpha].items() if m in pivots}
-                if image and (index := span.insert_tagged(image, alpha)) is not None:
-                    self._bidegrees.append((j, sum(span.pivots[index])))
+        # grlex-descending: level |alpha| descending, then alpha descending
+        for alpha in sorted(table, key=grlex_key, reverse=True):
+            # coordinates in the RREF basis of Diff(f) are the entries at its pivots
+            image = {m: c for m, c in table[alpha].items() if m in pivots}
+            if image and (index := span.insert_tagged(image, alpha)) is not None:
+                self._bidegrees.append((sum(alpha), sum(span.pivots[index])))
         if span.dim != self.dim:
             raise AssertionError("order filtration does not exhaust Diff(f)")
         self._levels = span
-        self._linear = [(j, row) for (j, i), row in zip(self._bidegrees, span.rows) if i <= 1]
 
     def bidegrees(self) -> list:
         """(level j, pivot degree i) of each tagged row: the rows of level
@@ -145,8 +141,8 @@ class FilteredSpace:
         """
         self._ensure_levels()
         span = MonomialSpan()
-        for tag, row in self._linear:
-            if tag >= j:
+        for (level, degree), row in zip(self._bidegrees, self._levels.rows):
+            if degree <= 1 and level >= j:
                 span.insert(row)
         span.back_substitute()
         out = []

@@ -23,6 +23,7 @@ Each row is symmetric about (d - a) / 2, and the rows sum to H.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 
 from .apolar import diff_space
 from .linalg import MonomialSpan
@@ -37,7 +38,10 @@ class HilbertFunction:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        raw = tuple(self.values)
+        values = tuple(map(int, raw))
+        if values != raw:
+            raise ValueError("Hilbert function values must be integers")
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("empty Hilbert function")
@@ -87,6 +91,9 @@ class SymmetricDecomposition:
 
     def __post_init__(self):
         rows = tuple(tuple(map(int, row)) for row in self.rows)
+        # row by row: a second copy of all the rows would raise the peak memory
+        if any(map(ne, rows, map(tuple, self.rows))):
+            raise ValueError("decomposition entries must be integers")
         object.__setattr__(self, "rows", rows)
         expected = max(self.d - 1, 1)
         if len(rows) != expected:
@@ -170,7 +177,6 @@ def adapt_coordinates(f: Polynomial):
     if f.is_zero():
         raise ValueError("cannot adapt the zero polynomial")
     space = diff_space(f)
-    d = space.socle_degree
     n = f.nvars
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     one = one_like(next(iter(f.terms.values())))
@@ -184,8 +190,9 @@ def adapt_coordinates(f: Polynomial):
         if index is not None:
             new_to_old.append([span.rows[index].get(unit, zero) for unit in units])
 
-    for a in range(max(d - 1, 1)):
-        for vec in space.linear_partials(d - 1 - a):
+    # a level without a degree-1 pair adds no row, so its partials are already chosen
+    for j in sorted({j for j, i in space.bidegrees() if i == 1}, reverse=True):
+        for vec in space.linear_partials(j):
             choose({units[i]: c for i, c in enumerate(vec) if c != 0})
     for i in range(n):
         if units[i] not in span.by_pivot:

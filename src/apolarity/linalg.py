@@ -66,15 +66,9 @@ class MonomialSpan:
                 return out
             factor = out[lead]
             index = self.by_pivot[lead]
-            for m, c in self.rows[index].items():
-                new = out.get(m, 0) - factor * c
-                if new == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = new
+            _subtract(out, factor, self.rows[index])
             if used is not None:
                 _subtract(used, factor, self._combos[index])
-        # unreachable
 
     def _append(self, rem: dict, combo: dict | None) -> int:
         """Normalise a nonzero remainder and store it as a new row."""

@@ -161,6 +161,35 @@ class TestBoundsCommand:
         assert "v=" in out
 
 
+def rename_to_base_0(text: str) -> str:
+    """x1, x2, x3 -> x0, x1, x2 (single-digit indices)."""
+    for i in range(1, 4):
+        text = text.replace(f"x{i}", f"x{i - 1}")
+    return text
+
+
+class TestBase:
+    @pytest.mark.parametrize("command", ["diff", "hilbert"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_base_0_renames_the_base_1_output(self, capsys, command, mode):
+        f = "x1^3*x2 + x2^2*x3 + x1^2"
+        _, base_1, _ = capture(capsys, [command, "--f", f, "--nvars", "3"] + mode)
+        status, base_0, _ = capture(
+            capsys, [command, "--f", rename_to_base_0(f), "--nvars", "3", "--base", "0"] + mode)
+        assert status == 0
+        assert base_0 == rename_to_base_0(base_1)
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_local_length_base_1_matches_the_default(self, capsys, mode):
+        default = ["local-length", "--f", "x0^2*x1 + x1^2*x2", "--nvars", "3", "--at", "x0"]
+        _, expected, _ = capture(capsys, default + mode)
+        status, out, _ = capture(
+            capsys, ["local-length", "--f", "x1^2*x2 + x2^2*x3", "--nvars", "3", "--at", "x1",
+                     "--base", "1"] + mode)
+        assert status == 0
+        assert out == expected
+
+
 class TestErrorsAndPlumbing:
     def test_usage_error_exit_2(self, capsys):
         assert run(["diff", "--nvars", "2"]) == 2  # --f missing
@@ -221,10 +250,48 @@ class TestErrorsAndPlumbing:
         (["bounds", "--n", "7"], "one of --length or --f is required"),
         (["bounds", "--n", "7", "--f", "x1^3"], "--nvars is required with --f"),
         (["cusp-witness"], "provide --f and/or --trials N"),
+        (["cusp-witness", "--trials", "0"], "provide --f and/or --trials N"),
+        (["diff", "--f", "0", "--nvars", "2"], "diff_space of the zero polynomial is undefined"),
+        (["hilbert", "--f", "0", "--nvars", "2"],
+         "decomposition of the zero polynomial is undefined"),
+        (["annihilator", "--f", "x1^2", "--nvars", "2", "--max-degree", "0"],
+         "max_degree must be at least 1"),
+        (["local-length", "--f", "0", "--nvars", "2", "--at", "x0"], "F must be nonzero"),
+        (["local-length", "--f", "x0^2*x1", "--nvars", "2", "--at", "x0^2"], "l must be linear"),
+        (["enumerate", "--length", "14", "--n", "0"], "length and n must be positive"),
+        (["enumerate", "--length", "0", "--n", "7"], "length and n must be positive"),
+        (["bounds", "--n", "7", "--length", "0"], "length and n must be positive"),
+        (["bounds", "--n", "7", "--f", "5", "--nvars", "2"],
+         "the bound needs socle degree at least 3"),
+        (["verify-theorem", "--n", "0"], "n must be positive"),
+        (["exotic-extend", "--f", "0", "--nvars", "2", "--phi", "y1^2"], "f must be nonzero"),
     ])
     def test_checked_usage_errors(self, capsys, argv, message):
         status, out, err = capture(capsys, argv)
         assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    # degenerate inputs without a fixed message; the rest are pinned above
+    @pytest.mark.parametrize("argv", [
+        [command, "--f", text, "--nvars", "2"] + extra
+        for command, extra in (("diff", []), ("hilbert", []), ("annihilator", []),
+                               ("bounds", ["--n", "7"]),
+                               ("exotic-extend", ["--phi", "y1^2"]))
+        for text in ("5", "x3")
+    ] + [
+        ["local-length", "--f", text, "--nvars", "2", "--at", "x0"] for text in ("5", "x2")
+    ] + [
+        ["cusp-witness", "--f", text] for text in ("0", "5", "x3^3")
+    ] + [
+        ["bounds", "--n", "7", "--f", "0", "--nvars", "2"],
+        ["bounds", "--n", "0", "--length", "14"],
+        ["bounds", "--n", "0", "--f", "x1^3", "--nvars", "2"],
+        ["local-length", "--f", "x0^2*x1", "--nvars", "2", "--at", "x0*x1"],
+        ["exotic-extend", "--f", "x1^6 + x1^3*x2", "--nvars", "2", "--phi", "x1^2"],
+    ], ids=" ".join)
+    def test_degenerate_inputs_are_never_internal_errors(self, capsys, argv):
+        status, _, err = capture(capsys, argv)
+        assert status != 3
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     def test_zero_polynomial_annihilator_is_a_usage_error(self, capsys, mode):

@@ -46,6 +46,11 @@ class TestHilbertFunction:
             HilbertFunction((1, 0, 1))
         with pytest.raises(ValueError):
             HilbertFunction((1, 3, 2))
+        with pytest.raises(ValueError, match="integers"):
+            HilbertFunction((1, 2.7, 1))  # not truncated to (1, 2, 1)
+        accepted = HilbertFunction([1, 2.0, Fraction(2), 1])
+        assert accepted.values == (1, 2, 2, 1)
+        assert all(type(v) is int for v in accepted.values)
 
 
 class TestSymmetricDecomposition:
@@ -159,6 +164,11 @@ class TestSymmetricDecomposition:
             SymmetricDecomposition(d=3, rows=((1, 2, 1, 1), (0, 0, 0, 0)))  # asymmetric
         with pytest.raises(ValueError):
             SymmetricDecomposition(d=3, rows=((1, 1, 1, 1), (1, 0, 0, 0)))  # a>=1 at 0
+        with pytest.raises(ValueError, match="integers"):
+            # not truncated to the symmetric row (1, 2, 2, 1)
+            SymmetricDecomposition(d=3, rows=((1, 2.9, 2, 1), (0, 0, 0, 0)))
+        accepted = SymmetricDecomposition(d=3, rows=([1, 2.0, Fraction(2), 1], (0, 0, 0, 0)))
+        assert accepted.rows == ((1, 2, 2, 1), (0, 0, 0, 0))
 
     def test_validation_messages(self):
         row0 = (1, 1, 1, 1, 1)
@@ -369,6 +379,20 @@ class TestAdaptCoordinatesDenseOracle:
             modular = Polynomial(f.nvars, {e: gf(c) for e, c in f.terms.items()}, f.side)
             if not modular.is_zero():
                 self.check(modular)
+
+    def test_high_socle_degree_inputs_over_both_fields(self):
+        # at these socle degrees most levels hold no degree-1 partial
+        gf = PrimeField(32003)
+        inputs = [(f"x1^{e} + x2^{e}", 2) for e in range(1, 31)]
+        inputs += [(f"x1^{e} + x1^{e // 2}*x2 + x2^{e // 3}", 2) for e in range(1, 31)]
+        inputs.append(("x1^12 + x2^11 + x3^10 + x1^3*x2^3*x3^2", 3))
+        # (x1 + x2)^[e] + x2^[3]: the flag starts at x1 + x2, not at a variable,
+        # so its levels must be walked from the top
+        inputs += [(" + ".join(f"x1^{a}*x2^{e - a}" for a in range(e + 1)) + " + x2^3", 2)
+                   for e in (6, 12, 30)]
+        for text, n in inputs:
+            self.check(parse(text, n))
+            self.check(parse(text, n, field=gf))
 
 
 class TestIntInputStaysExact:
