@@ -164,9 +164,8 @@ class FilteredSpace:
             self._ensure_levels()
             orders = []
             for row, pivot in zip(self._rows, self._pivots):
-                used: dict = {}
-                self._levels.reduce({pivot: row[pivot]}, used)
-                orders.append(min(sum(alpha) for alpha in used))
+                tags = self._levels.labels({pivot: row[pivot]})
+                orders.append(min(sum(alpha) for alpha in tags))
             self._orders = tuple(orders)
         return self._orders
 

@@ -18,37 +18,268 @@ generators, which yields kernel vectors (a dependent insert) and preimages
 under the generator map (`solve`); a relation's coefficients over the
 independent labels are unique.  A tagged row is labelled {tag: 1}, so a
 reduction names the tagged rows it combines.  One kind per span.
+
+Rows are held as Python ints; field scalars exist only at the boundary.  A
+span takes its field from the first scalar it sees: a `PrimeFieldElement`
+fixes GF(p), anything else means the rationals.  Over GF(p) a row holds
+residues in [0, p) with leading coefficient 1, and an int or a `Fraction`
+given to the span is coerced as `PrimeFieldElement` coerces it.  Over the
+rationals a vector enters as integers over a common denominator; a stored
+row has a positive leading coefficient, and no factor is common to all of
+its entries (and, for a labelled row, of its combination).  Reducing an
+entry a of the working vector by a row with leading coefficient b
+multiplies the vector by b/g and subtracts a/g times the row, g = gcd(a, b)
+(fraction-free elimination, Bareiss, Math. Comp. 22, 1968).  The scale s by
+which the input has been multiplied is kept, and from time to time the
+factor common to s and the vector is divided out of both.  The working
+vector is thus at every step a positive multiple of the one a
+division-based elimination holds: it has the same entries, so the same
+pivot is reduced next and the same decision comes out, and dividing it by
+s gives the same remainder.  The rows a caller reads are normalised to
+leading coefficient 1, so after `back_substitute` they are the unique
+reduced echelon rows.  A label combination is kept as integers over
+integer multiples of the generators, with the multiple recorded once per
+label; dividing the multiples and s back out gives a field vector, and a
+relation or a `solve` result is unique, so it is the one a field
+elimination gives.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import neg
+
 from .poly import grlex_key
-from .scalars import one_like
+from .scalars import PrimeFieldElement
 
 
-def _subtract(target: dict, factor, source: dict):
-    """target -= factor * source, in place, dropping zero entries."""
-    for k, c in source.items():
-        new = target.get(k, 0) - factor * c
-        if new == 0:
-            target.pop(k, None)
-        else:
-            target[k] = new
+_CONTENT_BITS = 512  # see MonomialSpan._reduce
+
+
+def _descending(m: tuple) -> tuple:
+    """Heap entry of monomial m; the least entry has the grlex-greatest m."""
+    return (-sum(m), tuple(map(neg, m)), m)
 
 
 class MonomialSpan:
     """Row-echelon span maintained under row insertion; see the module docstring."""
 
     def __init__(self):
-        self.rows: list[dict] = []
         self.pivots: list[tuple] = []
         self.by_pivot: dict[tuple, int] = {}
-        # label combinations parallel to rows: row = sum coeff * g_label
+        self._p = None  # 0 for the rationals, p for GF(p); fixed by the first scalar
+        self._coerce = None  # GF(p): scalar -> int, as PrimeFieldElement coerces
+        self._rows: list[dict] = []  # int rows, parallel to pivots
+        # int label combinations parallel to _rows: row = sum coeff * w_label
         self._combos: list[dict] = []
+        # rationals only: label -> (num, den) with w_label = num/den * g_label,
+        # w_label being the integer multiple of generator g_label that the
+        # combinations combine
+        self._multiples: dict = {}
+        self._view: list[dict] = []  # rows as field scalars, converted when read
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> list:
+        """The rows as dicts of field scalars, leading coefficient 1."""
+        view = self._view
+        while len(view) < self.dim:
+            view.append(self._field_row(len(view)))
+        return view
+
+    # -- the boundary: field scalars in and out --------------------------
+
+    def _integral(self, vec: dict):
+        """(w, den): vec = w / den with w an int dict without zeros; den = 1
+        over GF(p), where w holds residues."""
+        p = self._p
+        if p is None:
+            for c in vec.values():
+                p = self._p = c.p if isinstance(c, PrimeFieldElement) else 0
+                if p:
+                    self._coerce = PrimeFieldElement(0, p)._coerce
+                break
+        if p:
+            coerce = self._coerce
+            w = {}
+            for m, c in vec.items():
+                if v := coerce(c) % p:
+                    w[m] = v
+            return w, 1
+        den = 1
+        for c in vec.values():
+            if (d := c.denominator) != 1:
+                den = lcm(den, d)
+        if den == 1:
+            return {m: c.numerator for m, c in vec.items() if c}, 1
+        return {m: c.numerator * (den // c.denominator) for m, c in vec.items() if c}, den
+
+    def _field_row(self, index: int) -> dict:
+        """Row `index` over the field, divided by its leading coefficient."""
+        row = self._rows[index]
+        return self._scalars(row, 1 if self._p else row[self.pivots[index]])
+
+    def _scalars(self, w: dict, den: int) -> dict:
+        """The field dict w / den."""
+        if self._p:
+            return {m: PrimeFieldElement(c, self._p) for m, c in w.items()}
+        if den == 1:
+            return {m: Fraction(c) for m, c in w.items()}
+        return {m: Fraction(c, den) for m, c in w.items()}
+
+    def _combination(self, combo: dict, den: int) -> dict:
+        """The field coefficients of g_label in combo / den."""
+        if self._p:
+            return {k: PrimeFieldElement(c, self._p) for k, c in combo.items()}
+        multiples = self._multiples
+        return {k: Fraction(c * multiples[k][0], den * multiples[k][1]) for k, c in combo.items()}
+
+    # -- the kernel: int rows only ---------------------------------------
+
+    def _reduce(self, w: dict, combo: dict | None) -> int:
+        """Fully reduce the int vector w in place; returns a positive int s
+        such that the reduced w is s * (w as given) + the integer
+        combination of stored rows that `combo` (if given) gathers, as label
+        coefficients over the multiples w_label.
+
+        Over the rationals, once the multipliers since the last time reach
+        _CONTENT_BITS bits, the factor common to s, w and combo is divided
+        out.  A labelled reduction's combination otherwise grows with every
+        step, although the relation it ends in is far smaller: for a dense
+        binary form of degree 24 the combinations reached about 7,000 bits
+        and the relations about 270.  Dividing at every step costs more in
+        gcds than it saves; 512 and 1024 bits were the fastest of 32..4096.
+        """
+        pivots = self.by_pivot
+        heap = [_descending(m) for m in w if m in pivots]
+        heapify(heap)
+        p = self._p
+        scale = 1
+        grown = 0  # bits of the multipliers since the content was last taken out
+        while heap:
+            lead = heappop(heap)[2]
+            a = w.get(lead)
+            if a is None:  # cancelled since it was pushed, or pushed twice
+                continue
+            index = pivots[lead]
+            row = self._rows[index]
+            if p:
+                for m, c in row.items():
+                    v = w.get(m)
+                    if v is None:
+                        w[m] = -a * c % p
+                        if m in pivots:
+                            heappush(heap, _descending(m))
+                    elif v := (v - a * c) % p:
+                        w[m] = v
+                    else:
+                        del w[m]
+                if combo is not None:
+                    for k, c in self._combos[index].items():
+                        if v := (combo.get(k, 0) - a * c) % p:
+                            combo[k] = v
+                        else:
+                            combo.pop(k, None)
+                continue
+            b = row[lead]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if b != 1:
+                scale *= b
+                grown += b.bit_length()
+                for m, v in w.items():
+                    w[m] = v * b
+                if combo is not None:
+                    for k, v in combo.items():
+                        combo[k] = v * b
+            for m, c in row.items():
+                v = w.get(m)
+                if v is None:
+                    w[m] = -a * c
+                    if m in pivots:
+                        heappush(heap, _descending(m))
+                elif v := v - a * c:
+                    w[m] = v
+                else:
+                    del w[m]
+            if combo is not None:
+                for k, c in self._combos[index].items():
+                    if v := combo.get(k, 0) - a * c:
+                        combo[k] = v
+                    else:
+                        combo.pop(k, None)
+            if grown >= _CONTENT_BITS:
+                grown = 0
+                g = gcd(scale, *w.values(), *(combo.values() if combo is not None else ()))
+                if g != 1:
+                    scale //= g
+                    for m, v in w.items():
+                        w[m] = v // g
+                    if combo is not None:
+                        for k, v in combo.items():
+                            combo[k] = v // g
+        return scale
+
+    def _append(self, w: dict, combo: dict | None) -> int:
+        """Store a nonzero reduced int vector, normalised, as a new row.
+
+        Over GF(p) the row and its combination are divided by the leading
+        entry; over the rationals by the common factor of both, signed so
+        that the leading coefficient is positive.
+        """
+        lead = max(w, key=grlex_key)
+        p = self._p
+        if p:
+            inv = pow(w[lead], -1, p)
+            w = {m: c * inv % p for m, c in w.items()}
+            if combo is not None:
+                combo = {k: c * inv % p for k, c in combo.items()}
+        else:
+            g = gcd(*w.values(), *(combo.values() if combo is not None else ()))
+            if w[lead] < 0:
+                g = -g
+            if g != 1:
+                w = {m: c // g for m, c in w.items()}
+                if combo is not None:
+                    combo = {k: c // g for k, c in combo.items()}
+        index = len(self._rows)
+        self.by_pivot[lead] = index
+        self._rows.append(w)
+        self.pivots.append(lead)
+        if combo is not None:
+            self._combos.append(combo)
+        return index
+
+    def back_substitute(self):
+        """Bring an unlabelled span to reduced echelon form in place.
+
+        Rows go lowest pivot first; each reduces its entries below its pivot
+        by the already reduced rows, which subtracts only the rows whose
+        pivots are among its entries, so the pass costs in proportion to the
+        entries it clears, not to the square of the dimension.
+        """
+        for index in sorted(range(self.dim), key=lambda i: grlex_key(self.pivots[i])):
+            row = self._rows[index]
+            pivot = self.pivots[index]
+            rest = {m: c for m, c in row.items() if m != pivot}
+            if not any(m in self.by_pivot for m in rest):
+                continue
+            rest[pivot] = row[pivot] * self._reduce(rest, None)
+            if not self._p:
+                g = gcd(*rest.values())
+                rest = {m: c // g for m, c in rest.items()}
+            self._rows[index] = rest
+            if index < len(self._view):
+                self._view[index] = self._field_row(index)
+
+    # -- public operations -------------------------------------------------
 
     def reduce(self, vec: dict, used: dict | None = None) -> dict:
         """Fully reduce vec against the span; returns a fresh dict.
@@ -56,47 +287,30 @@ class MonomialSpan:
         When `used` is given, the label combination of the subtracted rows
         is summed into it, so that vec = remainder - sum(used[L] * g_L).
         """
-        out = dict(vec)
-        while True:
-            lead = None
-            for m in out:
-                if m in self.by_pivot and (lead is None or grlex_key(m) > grlex_key(lead)):
-                    lead = m
-            if lead is None:
-                return out
-            factor = out[lead]
-            index = self.by_pivot[lead]
-            _subtract(out, factor, self.rows[index])
-            if used is not None:
-                _subtract(used, factor, self._combos[index])
+        w, den = self._integral(vec)
+        combo = None if used is None else {}
+        den *= self._reduce(w, combo)
+        if combo:
+            for k, c in self._combination(combo, den).items():
+                if total := used.get(k, 0) + c:
+                    used[k] = total
+                else:
+                    used.pop(k, None)
+        return self._scalars(w, den)
 
-    def _append(self, rem: dict, combo: dict | None) -> int:
-        """Normalise a nonzero remainder and store it as a new row."""
-        lead = max(rem, key=grlex_key)
-        inv = rem[lead]
-        self.by_pivot[lead] = len(self.rows)
-        self.rows.append({m: c / inv for m, c in rem.items()})
-        self.pivots.append(lead)
-        if combo is not None:
-            self._combos.append({k: c / inv for k, c in combo.items()})
-        return len(self.rows) - 1
-
-    def back_substitute(self):
-        """Bring an unlabelled span to reduced echelon form in place.
-
-        Rows go lowest pivot first; each subtracts only the already reduced
-        rows whose pivots are among its own entries, so the pass costs in
-        proportion to the entries it clears, not to the square of the dimension.
-        """
-        for index in sorted(range(self.dim), key=lambda i: grlex_key(self.pivots[i])):
-            row = self.rows[index]
-            for m in [m for m in row if m in self.by_pivot and m != self.pivots[index]]:
-                _subtract(row, row[m], self.rows[self.by_pivot[m]])
+    def labels(self, vec: dict) -> set:
+        """The labels that a full reduction of vec combines with a nonzero
+        coefficient: the keys that `reduce(vec, {})` puts in `used`."""
+        w, _ = self._integral(vec)
+        combo: dict = {}
+        self._reduce(w, combo)
+        return set(combo)
 
     def insert(self, vec: dict):
         """Insert vec; returns the new row index, or None if dependent."""
-        rem = self.reduce(vec)
-        return self._append(rem, None) if rem else None
+        w, _ = self._integral(vec)
+        self._reduce(w, None)
+        return self._append(w, None) if w else None
 
     def insert_labelled(self, vec: dict, label):
         """Insert generator `vec` named `label`.
@@ -105,26 +319,48 @@ class MonomialSpan:
         relation maps labels to the coefficients of a vanishing combination
         that includes the new label with the field's one.
         """
-        used: dict = {}
-        rem = self.reduce(vec, used)
-        # the one of vec's field; int 1 for a zero vec
-        used[label] = used.get(label, 0) + one_like(next(iter(vec.values()), 1))
-        used = {k: c for k, c in used.items() if c != 0}
-        if not rem:
-            return None, used
-        return self._append(rem, used), None
+        if not vec:
+            return None, {label: 1}  # the one of no field, as `one_like(1)` gives
+        w, den = self._integral(vec)
+        if not self._p:
+            self._multiples[label] = (den, 1)
+        combo: dict = {}
+        combo[label] = self._reduce(w, combo)
+        if not w:
+            # sum combo[L] * w_L = 0, and the new label's entry is s * den
+            return None, self._combination(combo, combo[label] * den)
+        return self._append(w, combo), None
 
     def insert_tagged(self, vec: dict, tag):
-        """Insert vec labelled {tag: 1}, tags distinct; index or None."""
-        rem = self.reduce(vec)
-        return self._append(rem, {tag: 1}) if rem else None
+        """Insert vec labelled {tag: 1}, tags distinct; index or None.
+
+        The tag's generator is the remainder of vec, the row before it is
+        normalised.
+        """
+        w, den = self._integral(vec)
+        den *= self._reduce(w, None)
+        if not w:
+            return None
+        index = self._append(w, None)
+        pivot = self.pivots[index]
+        if self._p:
+            self._combos.append({tag: pow(w[pivot], -1, self._p)})
+        else:
+            # the stored row is the remainder w / den times den / content
+            self._combos.append({tag: 1})
+            self._multiples[tag] = (den * self._rows[index][pivot], w[pivot])
+        return index
 
     def solve(self, vec: dict):
         """Express vec in the span; returns the label combination or None."""
-        used: dict = {}
-        if self.reduce(vec, used):
+        w, den = self._integral(vec)
+        combo: dict = {}
+        den *= self._reduce(w, combo)
+        if w:
             return None
-        return {k: -c for k, c in used.items()}
+        return {k: -c for k, c in self._combination(combo, den).items()}
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        w, _ = self._integral(vec)
+        self._reduce(w, None)
+        return not w

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 
 import apolarity
 from apolarity.cli import run
+
+from test_readme import readme_cli_examples
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -300,6 +303,47 @@ class TestErrorsAndPlumbing:
         assert (status, out) == (2, "")
         assert err == "error: annihilator of the zero polynomial is the whole ring\n"
         assert "Traceback" not in err
+
+    def test_seeded_mutations_of_readme_examples_are_never_internal_errors(self, capsys):
+        """Drop, duplicate or replace tokens of README's example lines.
+
+        Sizes that are slow by design (a million variables, length 100) are
+        capped by the generator, so no case needs a timeout.  An error is one
+        line on stderr; argparse prints its usage lines before it.
+        """
+        rng = random.Random(20241018)
+        examples = readme_cli_examples()
+        pool = sorted({token for argv in examples for token in argv} | {
+            "", "0", "-1", "1", "3", "x0", "x9", "y1", "x1^", "x1*", "+", "1/0", "2.5",
+            "--json", "--base", "--nvars", "--f", "--n", "--length", "--trials", "--seed",
+            "--max-degree", "--at", "--phi", "--no-filter", "--nonsmoothable-only"})
+        caps = {"--nvars": 6, "--length": 20, "--n": 9, "--trials": 3, "--max-degree": 10}
+        seen = {}
+        for _ in range(300):
+            argv = list(rng.choice(examples))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(argv))
+                action = rng.choice(("drop", "duplicate", "replace"))
+                if action == "drop" and len(argv) > 1:
+                    del argv[i]
+                elif action == "duplicate":
+                    argv.insert(i, argv[i])
+                else:
+                    argv[i] = rng.choice(pool)
+            for i in range(1, len(argv)):
+                cap = caps.get(argv[i - 1])
+                if cap is not None and argv[i].lstrip("-").isdigit() and int(argv[i]) > cap:
+                    argv[i] = str(cap)
+            status, _, err = capture(capsys, argv)
+            seen[status] = seen.get(status, 0) + 1
+            assert status in (0, 1, 2), (argv, err)
+            assert "Traceback" not in err, argv
+            if status == 2:
+                lines = err.splitlines()
+                message = lines[-1]
+                assert message.startswith("error: ") or ": error: " in message, (argv, err)
+                assert lines[:-1] == [] or lines[0].startswith("usage: "), (argv, err)
+        assert seen.get(0) and seen.get(2)  # the mutations reach both outcomes
 
     def test_unwritable_selftest_out_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "report.txt"

@@ -497,3 +497,41 @@ class TestPrimeFieldStaysPrime:
         assert report.length_g <= 7 and report.apolar_ok
         for g in (report.cubic, report.form, report.quartic):
             self.assert_prime(g.terms.values())
+
+
+class TestRationalsStayFractions:
+    """Over QQ, rows, kernels and coordinate changes hold only `Fraction`
+    values, never a bare int: the benchmark digests encode an int 1 as `1`
+    and `Fraction(1)` as `"1"`."""
+
+    @staticmethod
+    def assert_fractions(values):
+        values = list(values)
+        assert values and all(type(c) is Fraction for c in values)
+
+    def check(self, f):
+        from apolarity.apolar import representative_operator
+
+        space = diff_space(f)
+        self.assert_fractions(c for row in space.rows for c in row.terms.values())
+        self.assert_fractions(c for j in range(space.socle_degree + 2)
+                              for row in space.linear_partials(j) for c in row)
+        kernel = annihilator_generators(f, int(f.degree()) + 1)
+        self.assert_fractions(c for g in kernel for c in g.terms.values())
+        for row in space.rows:
+            psi = representative_operator(f, row)
+            self.assert_fractions(psi.terms.values())
+        _, change = adapt_coordinates(f)
+        for matrix in (change.new_to_old, change.old_to_new):
+            self.assert_fractions(c for row in matrix for c in row)
+
+    def test_worked_inputs(self):
+        self.check(parse("x1^2*x2 + 3*x2^3", 2))
+        self.check(parse("x1^3 + x2^2", 3))
+        self.check(parse("x1^3 + x1*x2 + x3^2", 3))
+
+    def test_random_inputs(self, rng):
+        for _ in range(15):
+            f = random_polynomial(rng, rng.randint(1, 4), rng.randint(1, 5))
+            if f.degree() >= 1:
+                self.check(f)

@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+from apolarity.apolar import diff_space
 from apolarity.linalg import MonomialSpan
-from apolarity.poly import grlex_key, monomials_up_to
+from apolarity.poly import PRIMAL, Polynomial, _contractions, grlex_key, monomials_up_to
 from apolarity.scalars import PrimeField
 
 from conftest import BackSubstitutingSpan
@@ -44,11 +47,13 @@ def gauss_jordan(vectors: list) -> dict:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
         inv = matrix[rank][col]
-        matrix[rank] = [x / inv for x in matrix[rank]]
+        # zeros are skipped, not divided or multiplied: the dense 2-variable
+        # closure below is mostly zeros
+        matrix[rank] = [x / inv if x else x for x in matrix[rank]]
         for r in range(len(matrix)):
             if r != rank and matrix[r][col] != 0:
                 factor = matrix[r][col]
-                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[rank])]
+                matrix[r] = [x - factor * y if y else x for x, y in zip(matrix[r], matrix[rank])]
         rank += 1
     out = {}
     for row in matrix[:rank]:
@@ -59,6 +64,24 @@ def gauss_jordan(vectors: list) -> dict:
 
 def typed(row: dict) -> list:
     return sorted((grlex_key(m), type(c).__name__, str(c)) for m, c in row.items())
+
+
+def labelled_typed(combination: dict | None):
+    if combination is None:
+        return None
+    return sorted((label, type(c).__name__, str(c)) for label, c in combination.items())
+
+
+def fractional(n: int) -> Fraction:
+    """n over a denominator of 1 to 4, so vectors need a common denominator."""
+    return Fraction(n, 1 + abs(n) % 4)
+
+
+def dense_binary(degree: int) -> Polynomial:
+    """Every monomial of degree <= `degree` in 2 variables, coefficients +-1..5."""
+    rng = random.Random(5)
+    return Polynomial(2, {m: Fraction(rng.randint(1, 5) * rng.choice((1, -1)))
+                          for m in monomials_up_to(2, degree)}, PRIMAL)
 
 
 class TestBackSubstitute:
@@ -76,6 +99,30 @@ class TestBackSubstitute:
                 assert sorted(span.pivots, key=grlex_key) == sorted(expected, key=grlex_key)
                 for row, pivot in zip(span.rows, span.pivots):
                     assert typed(row) == typed(expected[pivot])
+
+    def test_fractional_entries_match_dense_gauss_jordan(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            vectors = random_vectors(rng, fractional, rng.randint(1, 14))
+            span = MonomialSpan()
+            for vec in vectors:
+                span.insert(vec)
+            span.back_substitute()
+            expected = gauss_jordan(vectors)
+            assert {p: typed(row) for p, row in zip(span.pivots, span.rows)} == \
+                {p: typed(row) for p, row in expected.items()}
+
+    def test_dense_closure_with_wide_entries_matches_gauss_jordan(self):
+        f = dense_binary(16)
+        expected = gauss_jordan(list(_contractions(f.terms).values()))
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   for row in expected.values() for c in row.values())
+        assert bits > 64  # past any machine word
+        rows = diff_space(f).rows
+        assert len(rows) == len(expected)
+        for row in rows:
+            terms = dict(row.terms)
+            assert typed(terms) == typed(expected[max(terms, key=grlex_key)])
 
     def test_one_pass_on_a_reduced_span_changes_nothing(self):
         rng = random.Random(8)
@@ -120,6 +167,55 @@ class TestAgainstBackSubstitutingKernel:
                     assert got == oracle.insert_labelled(vec, label)
                 for vec in random_vectors(rng, coerce, 6):
                     assert span.solve(vec) == oracle.solve(vec)
+
+    def test_fractional_entries(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            vectors = random_vectors(rng, fractional, 12)
+            span, oracle = MonomialSpan(), BackSubstitutingSpan()
+            labelled, labelled_oracle = MonomialSpan(), BackSubstitutingSpan()
+            for label, vec in enumerate(vectors):
+                probe = random_vectors(rng, fractional, 1)[0]
+                assert typed(span.reduce(probe)) == typed(oracle.reduce(probe))
+                index = span.insert(vec)
+                assert index == oracle.insert(vec)
+                if index is not None:
+                    assert typed(span.rows[index]) == typed(oracle.rows[index])
+                got = labelled.insert_labelled(vec, label)
+                assert got == labelled_oracle.insert_labelled(vec, label)
+            for vec in random_vectors(rng, fractional, 6):
+                assert labelled.solve(vec) == labelled_oracle.solve(vec)
+
+    def test_prime_field_coerces_ints_and_fractions(self):
+        rng = random.Random(13)
+        for coerce in (int, fractional):
+            for _ in range(10):
+                vectors = random_vectors(rng, coerce, 12)
+                fields = [{m: GF(c) for m, c in vec.items()} for vec in vectors]
+                # a span takes its field from the first scalar it sees
+                given = fields[:1] + vectors[1:]
+                given_span, field_span = MonomialSpan(), MonomialSpan()
+                for label, (vec, field_vec) in enumerate(zip(given, fields)):
+                    got = given_span.insert_labelled(vec, label)
+                    expected = field_span.insert_labelled(field_vec, label)
+                    assert got[0] == expected[0]
+                    assert labelled_typed(got[1]) == labelled_typed(expected[1])
+                for vec in random_vectors(rng, coerce, 6):
+                    field_vec = {m: GF(c) for m, c in vec.items()}
+                    assert typed(given_span.reduce(vec)) == typed(field_span.reduce(field_vec))
+                    assert labelled_typed(given_span.solve(vec)) == \
+                        labelled_typed(field_span.solve(field_vec))
+                    assert given_span.contains(vec) == field_span.contains(field_vec)
+                assert [typed(r) for r in given_span.rows] == [typed(r) for r in field_span.rows]
+
+    def test_a_denominator_divisible_by_p_raises(self):
+        span = MonomialSpan()
+        span.insert({(1,): GF(1)})
+        for call in (span.insert, span.reduce, span.contains, span.solve):
+            with pytest.raises(ZeroDivisionError):
+                call({(0,): Fraction(1, 32003)})
+        with pytest.raises(ZeroDivisionError):
+            span.insert_labelled({(0,): Fraction(2, 3 * 32003)}, "a")
 
     def test_relation_coefficients_stay_in_the_field(self):
         span = MonomialSpan()
