@@ -39,7 +39,7 @@ from .poly import (
     monomials_up_to,
     poly_str,
 )
-from .scalars import one_like
+from .scalars import characteristic, one_like, to_integers
 
 
 class FilteredSpace:
@@ -69,8 +69,9 @@ class FilteredSpace:
     def _closure(self):
         span = self._span
         units = [tuple(int(i == k) for i in range(self.nvars)) for k in range(self.nvars)]
-        queue = [dict(self.polynomial.terms)]
-        span.insert(queue[0])
+        # the queue holds the span's int rows, which fix the same spans as
+        # the field rows: f's row fixes the field, ints are then read in it
+        queue = [span.int_row(span.insert(self.polynomial.terms))]
         head = 0
         while head < len(queue):
             current = queue[head]
@@ -81,7 +82,7 @@ class FilteredSpace:
                     continue
                 index = span.insert(image)
                 if index is not None:
-                    queue.append(span.rows[index])
+                    queue.append(span.int_row(index))
         # the rows, the pivot coordinates of _ensure_levels and
         # linear_partials read the reduced basis
         span.back_substitute()
@@ -258,7 +259,7 @@ def is_apolar(generators, F: Polynomial) -> bool:
     module action, (m*g)(F) = m(g(F)), so g(F) = 0 already means every
     multiple of g kills F; checking the generators suffices.  F is
     contracted once, into a table by dual monomial, and each generator's
-    image is summed from it exactly.
+    image is summed from it exactly, over the ints of `scalars`.
     """
     if F.side != PRIMAL:
         raise ValueError("is_apolar expects a primal form")
@@ -270,8 +271,21 @@ def is_apolar(generators, F: Polynomial) -> bool:
             raise ValueError(f"generator {poly_str(g)} is not homogeneous")
         if g.nvars != F.nvars:
             raise ValueError("variable count mismatch")
-    table = _contractions(F.terms)
-    return all(all(c == 0 for c in _apply(g.terms, table).values()) for g in generators)
+    # one field for F and the generators together; a zero test over the
+    # ints is one over the field, whatever the denominators
+    p = characteristic(F.terms.values(), *(g.terms.values() for g in generators))
+    table = _contractions(_int_terms(F.terms, p))
+    for g in generators:
+        image = _apply(_int_terms(g.terms, p), table).values()
+        if any(c % p for c in image) if p else any(image):
+            return False
+    return True
+
+
+def _int_terms(terms: dict, p: int) -> dict:
+    """The term dict as ints in the field of characteristic p, up to one
+    nonzero factor."""
+    return dict(zip(terms, to_integers(terms.values(), p)[0]))
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,13 @@ under the generator map (`solve`); a relation's coefficients over the
 independent labels are unique.  A tagged row is labelled {tag: 1}, so a
 reduction names the tagged rows it combines.  One kind per span.
 
-Rows are held as Python ints; field scalars exist only at the boundary.  A
-span takes its field from the first scalar it sees: a `PrimeFieldElement`
-fixes GF(p), anything else means the rationals.  Over GF(p) a row holds
-residues in [0, p) with leading coefficient 1, and an int or a `Fraction`
-given to the span is coerced as `PrimeFieldElement` coerces it.  Over the
-rationals a vector enters as integers over a common denominator; a stored
+Rows are held as Python ints; field scalars exist only at the boundary,
+crossed by the rule of `scalars`.  A span takes its field from the first
+nonzero vector it is given: a `PrimeFieldElement` in it fixes GF(p),
+otherwise the field is the rationals.  Over GF(p) a row holds residues in
+[0, p) with leading coefficient 1, and an int or a `Fraction` given to the
+span is coerced as `PrimeFieldElement` coerces it.  Over the rationals a
+vector enters as integers over a common denominator; a stored
 row has a positive leading coefficient, and no factor is common to all of
 its entries (and, for a labelled row, of its combination).  Reducing an
 entry a of the working vector by a row with leading coefficient b
@@ -48,11 +49,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import neg
 
 from .poly import grlex_key
-from .scalars import PrimeFieldElement
+from .scalars import characteristic, from_integers, to_integers
 
 
 _CONTENT_BITS = 512  # see MonomialSpan._reduce
@@ -69,8 +70,7 @@ class MonomialSpan:
     def __init__(self):
         self.pivots: list[tuple] = []
         self.by_pivot: dict[tuple, int] = {}
-        self._p = None  # 0 for the rationals, p for GF(p); fixed by the first scalar
-        self._coerce = None  # GF(p): scalar -> int, as PrimeFieldElement coerces
+        self._p = None  # 0 for the rationals, p for GF(p); fixed by the first vector
         self._rows: list[dict] = []  # int rows, parallel to pivots
         # int label combinations parallel to _rows: row = sum coeff * w_label
         self._combos: list[dict] = []
@@ -84,6 +84,12 @@ class MonomialSpan:
     def dim(self) -> int:
         return len(self._rows)
 
+    def int_row(self, index: int) -> dict:
+        """Row `index` as the span holds it, not to be modified: over the
+        rationals a positive int multiple of the field row, over GF(p) its
+        residues."""
+        return self._rows[index]
+
     @property
     def rows(self) -> list:
         """The rows as dicts of field scalars, leading coefficient 1."""
@@ -96,28 +102,12 @@ class MonomialSpan:
 
     def _integral(self, vec: dict):
         """(w, den): vec = w / den with w an int dict without zeros; den = 1
-        over GF(p), where w holds residues."""
-        p = self._p
-        if p is None:
-            for c in vec.values():
-                p = self._p = c.p if isinstance(c, PrimeFieldElement) else 0
-                if p:
-                    self._coerce = PrimeFieldElement(0, p)._coerce
-                break
-        if p:
-            coerce = self._coerce
-            w = {}
-            for m, c in vec.items():
-                if v := coerce(c) % p:
-                    w[m] = v
-            return w, 1
-        den = 1
-        for c in vec.values():
-            if (d := c.denominator) != 1:
-                den = lcm(den, d)
-        if den == 1:
-            return {m: c.numerator for m, c in vec.items() if c}, 1
-        return {m: c.numerator * (den // c.denominator) for m, c in vec.items() if c}, den
+        over GF(p), where w holds residues.  The first nonzero vector fixes
+        the field."""
+        if self._p is None and vec:
+            self._p = characteristic(vec.values())
+        ints, den = to_integers(vec.values(), self._p)
+        return {m: c for m, c in zip(vec, ints) if c}, den
 
     def _field_row(self, index: int) -> dict:
         """Row `index` over the field, divided by its leading coefficient."""
@@ -126,16 +116,12 @@ class MonomialSpan:
 
     def _scalars(self, w: dict, den: int) -> dict:
         """The field dict w / den."""
-        if self._p:
-            return {m: PrimeFieldElement(c, self._p) for m, c in w.items()}
-        if den == 1:
-            return {m: Fraction(c) for m, c in w.items()}
-        return {m: Fraction(c, den) for m, c in w.items()}
+        return dict(zip(w, from_integers(w.values(), den, self._p)))
 
     def _combination(self, combo: dict, den: int) -> dict:
         """The field coefficients of g_label in combo / den."""
         if self._p:
-            return {k: PrimeFieldElement(c, self._p) for k, c in combo.items()}
+            return self._scalars(combo, 1)
         multiples = self._multiples
         return {k: Fraction(c * multiples[k][0], den * multiples[k][1]) for k, c in combo.items()}
 

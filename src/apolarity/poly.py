@@ -25,7 +25,7 @@ from math import comb
 from operator import sub
 from typing import Iterator, Mapping, Sequence
 
-from .scalars import RATIONALS, one_like
+from .scalars import RATIONALS, characteristic, from_integers, one_like, to_integers
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -74,7 +74,7 @@ class Polynomial:
                 raise ValueError(
                     f"exponent vector {exponents} has length {len(exponents)}, expected {nvars}"
                 )
-            if any(e < 0 for e in exponents):
+            if exponents and min(exponents) < 0:
                 raise ValueError(f"negative exponent in {exponents}")
             if type(coeff) is int:
                 coeff = Fraction(coeff)
@@ -244,14 +244,16 @@ def _apply(psi_terms: Mapping[Exponents, object], images: Mapping[Exponents, dic
 
 def _contract_terms(terms: Mapping[Exponents, object], alpha: Exponents) -> dict:
     """Contraction of a term dict by the dual monomial y^alpha."""
+    support = [(i, a) for i, a in enumerate(alpha) if a]
     out = {}
     for beta, coeff in terms.items():
-        shifted = []
-        for b, a in zip(beta, alpha):
-            if b < a:
+        for i, a in support:
+            if beta[i] < a:
                 break
-            shifted.append(b - a)
         else:
+            shifted = list(beta)
+            for i, a in support:
+                shifted[i] -= a
             out[tuple(shifted)] = coeff
     return out
 
@@ -395,21 +397,41 @@ def dp_substitute(f: Polynomial, images: Sequence[Sequence]) -> Polynomial:
     monomial x^[b] maps to the divided-power product of the images' divided
     powers, which is the unique extension of the linear map to a map of
     divided-power rings.
+
+    The map runs on ints (`scalars`): f = w / den and images = rows / D,
+    and the divided power of degree k of a row / D is D^-k times that of
+    the row, so x^[b] contributes w_b D^(top - |b|) / (den D^top), top
+    being deg f.
     """
     if f.side != PRIMAL:
         raise ValueError("dp_substitute acts on primal polynomials")
     if len(images) != f.nvars:
         raise ValueError("one image per variable required")
     new_nvars = len(images[0]) if images else 0
+    if any(len(row) != new_nvars for row in images):
+        raise ValueError("image rows must have equal length")
+    p = characteristic(f.terms.values(), *images)
+    coeffs, den = to_integers(f.terms.values(), p)
+    flat, D = to_integers([c for row in images for c in row], p)
+    rows = [flat[i * new_nvars:(i + 1) * new_nvars] for i in range(len(images))]
+    top = max(map(sum, f.terms), default=0)
+    powers: dict = {}  # (i, k) -> divided k-th power of rows[i]
     total: dict = {}
-    for exponents, coeff in f.terms.items():
-        term = {(0,) * new_nvars: coeff}
+    for exponents, coeff in zip(f.terms, coeffs):
+        term = {(0,) * new_nvars: coeff * D ** (top - sum(exponents))}
         for i, e in enumerate(exponents):
             if e:
-                term = _term_product(term, _linear_dp_power(images[i], new_nvars, e), True)
+                power = powers.get((i, e))
+                if power is None:
+                    power = _linear_dp_power(rows[i], new_nvars, e)
+                    if p:
+                        power = {m: c % p for m, c in power.items()}
+                    powers[i, e] = power
+                term = _term_product(term, power, True)
         for key, c in term.items():
             total[key] = total.get(key, 0) + c
-    return Polynomial(new_nvars, total, PRIMAL)
+    scalars = from_integers(total.values(), den * D ** top, p)
+    return Polynomial(new_nvars, dict(zip(total, scalars)), PRIMAL)
 
 
 @dataclass(frozen=True)

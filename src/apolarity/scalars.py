@@ -6,11 +6,24 @@ works as a coefficient.
 `fractions.Fraction` is the default.  Characteristics 2 and 3 are rejected
 because divided-power arithmetic in those characteristics is outside the
 supported scope.
+
+The exact kernels (`linalg.MonomialSpan`, `poly.dp_substitute`,
+`apolar.is_apolar` and the closure of `apolar.diff_space`) compute with
+Python ints; field scalars exist only at their boundary, and the one rule
+for crossing it lives here.  `characteristic` takes the field from the
+values together: a `PrimeFieldElement` anywhere fixes GF(p), otherwise the
+values are rationals.  `to_integers` then writes them as ints over one
+denominator: over GF(p) residues in [0, p) over 1, an int or a `Fraction`
+coerced as `PrimeFieldElement` coerces it (a denominator divisible by p
+raises `ZeroDivisionError`); over the rationals numerators over the least
+common denominator.  `from_integers` turns ints over a denominator back
+into field scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class Rationals:
@@ -182,3 +195,39 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return self.name
+
+
+def characteristic(*groups) -> int:
+    """p when a `PrimeFieldElement` of GF(p) is among the values of the
+    iterables `groups` (the first one found), else 0, the rationals."""
+    for values in groups:
+        for c in values:
+            if isinstance(c, PrimeFieldElement):
+                return c.p
+    return 0
+
+
+def to_integers(values, p: int) -> tuple:
+    """(ints, den): the list of ints w with values[k] = w[k] / den in the
+    field of characteristic p.  Over GF(p) den = 1 and w holds residues."""
+    if p:
+        coerce = PrimeFieldElement(0, p)._coerce
+        return [coerce(c) % p for c in values], 1
+    values = list(values)
+    den = 1
+    for c in values:
+        if (d := c.denominator) != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return [c.numerator for c in values], 1
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def from_integers(ints, den: int, p: int) -> list:
+    """The field scalars ints[k] / den in the field of characteristic p;
+    den is 1 over GF(p), as `to_integers` gives it."""
+    if p:
+        return [PrimeFieldElement(c, p) for c in ints]
+    if den == 1:
+        return [Fraction(c) for c in ints]
+    return [Fraction(c, den) for c in ints]

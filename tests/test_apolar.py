@@ -27,6 +27,7 @@ from apolarity.poly import (
     monomials_up_to,
     parse,
 )
+from apolarity.scalars import RATIONALS, PrimeField
 
 from conftest import BackSubstitutingSpan, random_polynomial
 
@@ -237,29 +238,60 @@ class TestIsApolar:
                     return False
         return True
 
-    def test_generator_check_agrees_with_all_multiples(self, rng):
+    @classmethod
+    def check_agreement(cls, rng, field):
+        """The generator check against all multiples, over `field`."""
+        def to_field(p):
+            return Polynomial(p.nvars, {e: field(c) for e, c in p.terms.items()}, p.side)
+
         outcomes = []
         for _ in range(12):
-            f = random_polynomial(rng, rng.randint(2, 3), 3)
+            f = to_field(random_polynomial(rng, rng.randint(2, 3), 3))
             F = homogenize(f, int(f.degree()))
             generators = annihilator_generators(f, int(f.degree()) + 1)
             homogenized = [homogenize(g, int(g.degree())) for g in generators]
-            expected = self.brute_force_is_apolar(homogenized, F)
+            expected = cls.brute_force_is_apolar(homogenized, F)
             assert expected
             assert is_apolar(homogenized, F) == expected
             outcomes.append(expected)
         for _ in range(40):
             nvars = rng.randint(2, 4)
-            F = random_polynomial(rng, nvars, rng.randint(1, 4), homogeneous=True)
+            F = to_field(random_polynomial(rng, nvars, rng.randint(1, 4), homogeneous=True))
             duals = [
-                random_polynomial(rng, nvars, rng.randint(1, 3), max_terms=3,
-                                  side=DUAL, homogeneous=True)
+                to_field(random_polynomial(rng, nvars, rng.randint(1, 3), max_terms=3,
+                                           side=DUAL, homogeneous=True))
                 for _ in range(rng.randint(1, 3))
             ]
-            expected = self.brute_force_is_apolar(duals, F)
+            expected = cls.brute_force_is_apolar(duals, F)
             assert is_apolar(duals, F) == expected, (F, duals)
             outcomes.append(expected)
         assert True in outcomes and outcomes.count(False) > 20
+
+    def test_generator_check_agrees_with_all_multiples(self, rng):
+        self.check_agreement(rng, RATIONALS)
+
+    def test_generator_check_agrees_with_all_multiples_over_gf(self, rng):
+        gf = PrimeField(32003)
+        self.check_agreement(rng, gf)
+        # images that vanish mod p only: 32003 from a QQ generator, and
+        # 1 + 32002 from the residues of 1 and -1
+        F = parse("x0^3 + x1^3", 2, base=0, field=gf)
+        assert is_apolar([parse("y0*y1 + 32003*y0^2", 2, side=DUAL, base=0)], F)
+        assert is_apolar([parse("y0^2 - y1^2", 2, side=DUAL, base=0, field=gf)],
+                         parse("x0^2 + x1^2", 2, base=0, field=gf))
+
+    def test_mixed_fields(self):
+        gf7 = PrimeField(7)
+        F_text, g_text = "x0^3 + x1^3", "y0*y1 + 7*y0^2"
+        F_qq, F_gf = parse(F_text, 2, base=0), parse(F_text, 2, base=0, field=gf7)
+        g_qq = parse(g_text, 2, side=DUAL, base=0)
+        g_gf = parse(g_text, 2, side=DUAL, base=0, field=gf7)
+        assert is_apolar([g_qq], F_gf)
+        assert is_apolar([g_gf], F_qq)
+        assert is_apolar([g_qq], Polynomial.zero(2))
+        assert not is_apolar([g_qq], F_qq)
+        with pytest.raises(ZeroDivisionError):
+            is_apolar([parse("y0*y1 + 1/7*y0^2", 2, side=DUAL, base=0)], F_gf)
 
 
 class TestLocalScheme:

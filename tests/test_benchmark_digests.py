@@ -3,8 +3,10 @@
 `perfbench/expected.json` records, per workload, the sha256 of each item's
 canonical output at the workload's recorded seed.  The benchmark compares
 them only in its own long runs; here each item is computed once in-process,
-so a change that moves any output fails tier-1.  The files under
-`perfbench/` are read, never written.
+so a change that moves any output fails tier-1.  The generic workload's
+checks hold at every seed, so its items are also checked at a second seed,
+where no digest is recorded.  The files under `perfbench/` are read, never
+written.
 """
 
 from __future__ import annotations
@@ -43,6 +45,14 @@ def test_items_match_recorded_digests_and_pass_their_checks(name):
     mismatched = [item.name for item in workload.items
                   if workloads.digest(item.canonical(results[item.name])) != digests[item.name]]
     assert mismatched == []
+    problems = [(item.name, p) for item in workload.items
+                for p in item.check(results[item.name], results)]
+    assert problems == []
+
+
+def test_generic_items_pass_their_checks_at_a_second_seed():
+    workload = workloads.build("generic", 1)
+    results = {item.name: item.compute() for item in workload.items}
     problems = [(item.name, p) for item in workload.items
                 for p in item.check(results[item.name], results)]
     assert problems == []

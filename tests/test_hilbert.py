@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from apolarity.apolar import annihilator_generators, diff_space
+from apolarity.apolar import annihilator_generators, diff_space, local_scheme
 from apolarity.hilbert import (
     HilbertFunction,
     SymmetricDecomposition,
@@ -16,8 +16,16 @@ from apolarity.hilbert import (
     symmetric_decomposition,
 )
 from apolarity.macaulay import is_o_sequence
-from apolarity.poly import Polynomial, homogeneous_component, parse, poly_str
-from apolarity.scalars import PrimeField
+from apolarity.poly import (
+    PRIMAL,
+    Polynomial,
+    dehomogenize,
+    homogeneous_component,
+    homogenize,
+    parse,
+    poly_str,
+)
+from apolarity.scalars import PrimeField, one_like
 
 from conftest import _invert_matrix, random_polynomial
 
@@ -408,6 +416,17 @@ class TestIntInputStaysExact:
             assert all(type(c) is Fraction for row in matrix for c in row)
 
 
+def _dehomogenized_and_scheme(f: Polynomial):
+    """`dehomogenize`'s f and the `local_scheme` of the homogenization of f,
+    at the linear form with coefficients 2, 3, ... (not a variable, so the
+    substitution images have denominators)."""
+    F = homogenize(f, int(f.degree()))
+    one = one_like(next(iter(f.terms.values())))
+    l = Polynomial(F.nvars, {tuple(int(i == k) for i in range(F.nvars)): (k + 2) * one
+                             for k in range(F.nvars)}, PRIMAL)
+    return dehomogenize(F, l)[0], local_scheme(F, l)
+
+
 class TestPrimeFieldStaysPrime:
     """Over GF(p), kernels and coordinate changes hold only field elements."""
 
@@ -424,6 +443,10 @@ class TestPrimeFieldStaysPrime:
         _, change = adapt_coordinates(f)
         for matrix in (change.new_to_old, change.old_to_new):
             self.assert_prime(c for row in matrix for c in row)
+        dehomogenized, scheme = _dehomogenized_and_scheme(f)
+        self.assert_prime(dehomogenized.terms.values())
+        self.assert_prime(scheme.defining.terms.values())
+        self.assert_prime(c for g in scheme.annihilator for c in g.terms.values())
 
     def test_worked_inputs(self):
         from apolarity.scalars import PrimeField
@@ -524,6 +547,10 @@ class TestRationalsStayFractions:
         _, change = adapt_coordinates(f)
         for matrix in (change.new_to_old, change.old_to_new):
             self.assert_fractions(c for row in matrix for c in row)
+        dehomogenized, scheme = _dehomogenized_and_scheme(f)
+        self.assert_fractions(dehomogenized.terms.values())
+        self.assert_fractions(scheme.defining.terms.values())
+        self.assert_fractions(c for g in scheme.annihilator for c in g.terms.values())
 
     def test_worked_inputs(self):
         self.check(parse("x1^2*x2 + 3*x2^3", 2))

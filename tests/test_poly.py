@@ -23,7 +23,7 @@ from apolarity.poly import (
     poly_str,
     tail,
 )
-from apolarity.scalars import RATIONALS, PrimeField
+from apolarity.scalars import RATIONALS, PrimeField, PrimeFieldElement
 
 from conftest import _invert_matrix, dense_substitution_oracle, random_polynomial
 
@@ -327,6 +327,10 @@ class TestTailLemma:
                     assert contract(Psi, F).is_zero()
 
 
+def _in_field(f: Polynomial, field) -> Polynomial:
+    return Polynomial(f.nvars, {e: field(c) for e, c in f.terms.items()}, f.side)
+
+
 def _pi(F: Polynomial) -> Polynomial:
     terms = {}
     for exponents, coeff in F.terms.items():
@@ -388,6 +392,40 @@ class TestDpSubstitute:
                 [Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)
             ]
             assert dp_substitute(f, images) == dense_substitution_oracle(f, images)
+        # images with denominators, f up to degree 6 and mostly not
+        # homogeneous (terms below the top degree are scaled up by the
+        # images' denominator), and the GF(32003) twin against the oracle
+        # reduced mod p
+        gf = PrimeField(32003)
+        homogeneous = 0
+        for _ in range(15):
+            n = rng.randint(1, 3)
+            m = rng.randint(1, 3)
+            f = random_polynomial(rng, n, 6)
+            homogeneous += f.is_homogeneous()
+            images = [
+                [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5])) for _ in range(m)]
+                for _ in range(n)
+            ]
+            expected = dense_substitution_oracle(f, images)
+            assert dp_substitute(f, images) == expected
+            modular = [[gf(c) for c in row] for row in images]
+            assert dp_substitute(_in_field(f, gf), modular) == _in_field(expected, gf)
+        assert homogeneous < 5
+
+    def test_ragged_images_are_rejected(self):
+        f = parse("x1*x2 + x2^2", 2)
+        for images in ([[1, 0], [1]], [[1], [1, 2]]):
+            with pytest.raises(ValueError, match="equal length"):
+                dp_substitute(f, images)
+
+    def test_mixed_fields_give_the_prime_field(self):
+        gf = PrimeField(7)
+        f = parse("x1*x2 + x2^2", 2)
+        image = dp_substitute(f, [[gf(1), Fraction(1, 2)], [1, 0]])
+        # x1 -> x1 + 4*x2 (1/2 = 4 in GF(7)), x2 -> x1
+        assert image == parse("3*x1^2 + 4*x1*x2", 2, field=gf)
+        assert all(type(c) is PrimeFieldElement for c in image.terms.values())
 
     def test_identity(self, rng):
         f = random_polynomial(rng, 3, 4)
