@@ -53,7 +53,8 @@ class FilteredSpace:
         self.polynomial = f
         self.nvars = f.nvars
         self.socle_degree = f.degree()
-        self._span = MonomialSpan()
+        self._p = characteristic(f.terms.values())
+        self._span = MonomialSpan(self._p)
         self._closure()
         order = sorted(range(self._span.dim),
                        key=lambda i: grlex_key(self._span.pivots[i]), reverse=True)
@@ -70,7 +71,7 @@ class FilteredSpace:
         span = self._span
         units = [tuple(int(i == k) for i in range(self.nvars)) for k in range(self.nvars)]
         # the queue holds the span's int rows, which fix the same spans as
-        # the field rows: f's row fixes the field, ints are then read in it
+        # the field rows
         queue = [span.int_row(span.insert(self.polynomial.terms))]
         head = 0
         while head < len(queue):
@@ -110,9 +111,9 @@ class FilteredSpace:
     def _ensure_levels(self):
         if self._levels is not None:
             return
-        table = _contractions(self.polynomial.terms)
+        table = _contractions(_int_terms(self.polynomial.terms, self._p))
         pivots = self._span.by_pivot
-        span = MonomialSpan()
+        span = MonomialSpan(self._p)
         self._bidegrees = []
         # grlex-descending: level |alpha| descending, then alpha descending
         for alpha in sorted(table, key=grlex_key, reverse=True):
@@ -141,7 +142,7 @@ class FilteredSpace:
         row, which full reduction keeps out of the degree-1 rows.
         """
         self._ensure_levels()
-        span = MonomialSpan()
+        span = MonomialSpan(self._p)
         for (level, degree), row in zip(self._bidegrees, self._levels.rows):
             if degree <= 1 and level >= j:
                 span.insert(row)
@@ -196,10 +197,11 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
         raise ValueError("annihilator of the zero polynomial is the whole ring")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    span = MonomialSpan()
+    p = characteristic(f.terms.values())
+    span = MonomialSpan(p)
     kernel = []
     one = one_like(next(iter(f.terms.values())))
-    table = _contractions(f.terms, max_degree)
+    table = _contractions(_int_terms(f.terms, p), max_degree)
     for alpha in monomials_up_to(f.nvars, max_degree):
         image = table.get(alpha)
         if image is None:
@@ -240,15 +242,18 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
         raise ValueError("f must be nonzero")
     if target.side != PRIMAL or target.nvars != f.nvars:
         raise ValueError("target must be a primal polynomial in the variables of f")
-    span = MonomialSpan()
-    table = _contractions(f.terms)
+    p = characteristic(f.terms.values())
+    span = MonomialSpan(p)
+    ints, den = to_integers(f.terms.values(), p)
+    table = _contractions(dict(zip(f.terms, ints)))
     for alpha in sorted(table, key=grlex_key):
         if sum(alpha) >= min_order:
             span.insert_labelled(table[alpha], alpha)
     combo = span.solve(dict(target.terms))
     if combo is None:
         return None
-    return Polynomial(f.nvars, combo, DUAL)
+    # the table contracts den * f
+    return Polynomial(f.nvars, {alpha: c * den for alpha, c in combo.items()}, DUAL)
 
 
 def is_apolar(generators, F: Polynomial) -> bool:
@@ -284,7 +289,7 @@ def is_apolar(generators, F: Polynomial) -> bool:
 
 def _int_terms(terms: dict, p: int) -> dict:
     """The term dict as ints in the field of characteristic p, up to one
-    nonzero factor."""
+    nonzero factor, which moves no relation, tag set or normalised row."""
     return dict(zip(terms, to_integers(terms.values(), p)[0]))
 
 

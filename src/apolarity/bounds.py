@@ -18,8 +18,9 @@ alongside for audit.
 
 The verifier compares v against the thresholds
 C(n+3, 3) - n - (n+1)(l - r) for all 14 <= r <= l <= c(n) - 1; strict
-inequality everywhere forces the cactus rank of a generic cubic to equal
-c(n) = min(ceil(C(n+3,3) / (n+1)), 2n+2).
+inequality everywhere bounds the cactus rank of a generic cubic below by
+c(n) = min(ceil(C(n+3,3) / (n+1)), 2n+2), which for n = 7 and 8 is also an
+established upper bound (see `c_bound`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ BINOMIAL_GROUPING_NOTE = (
 
 
 def c_bound(n: int) -> int:
-    """Upper bound min(ceil(C(n+3,3)/(n+1)), 2n+2) for the cactus rank."""
+    """c(n) = min(ceil(C(n+3,3)/(n+1)), 2n+2), the paper's cactus rank of a
+    general cubic in n+1 variables.  The upper half is cited, not computed,
+    and established for n = 7 (15 is the generic Waring rank of cubics in 8
+    variables, Alexander-Hirschowitz, J. Algebraic Geom. 4, 1995) and n = 8
+    (2n+2 = 18 is the length of the paper's local scheme, H <= (1, n, n, 1)).
+    It is no upper bound at n = 4, where it gives 7: the tangent spaces at 7
+    general points of v_3(P^4) span only 34 of the 35 cubics (Terracini).
+    """
     if n < 1:
         raise ValueError("n must be positive")
     return min(ceil(comb(n + 3, 3) / (n + 1)), 2 * n + 2)

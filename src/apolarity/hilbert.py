@@ -28,7 +28,7 @@ from operator import ne
 from .apolar import diff_space
 from .linalg import MonomialSpan
 from .poly import ChangeOfBasis, Polynomial, dp_substitute
-from .scalars import one_like
+from .scalars import characteristic, one_like
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,8 @@ def adapt_coordinates(f: Polynomial):
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     one = one_like(next(iter(f.terms.values())))
     zero = one - one
-    span = MonomialSpan()
+    p = characteristic(f.terms.values())
+    span = MonomialSpan(p)
     new_to_old: list = []
 
     def choose(vec: dict):
@@ -200,7 +201,7 @@ def adapt_coordinates(f: Polynomial):
     if len(new_to_old) != n:
         raise AssertionError("could not complete the linear-partial flag to a basis")
     # old variable i is the combination of flag rows that solves for unit i
-    inverse = MonomialSpan()
+    inverse = MonomialSpan(p)
     for k, row in enumerate(new_to_old):
         inverse.insert_labelled({units[i]: c for i, c in enumerate(row) if c != 0}, k)
     old_to_new = []

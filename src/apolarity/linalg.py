@@ -20,14 +20,15 @@ independent labels are unique.  A tagged row is labelled {tag: 1}, so a
 reduction names the tagged rows it combines.  One kind per span.
 
 Rows are held as Python ints; field scalars exist only at the boundary,
-crossed by the rule of `scalars`.  A span takes its field from the first
-nonzero vector it is given: a `PrimeFieldElement` in it fixes GF(p),
-otherwise the field is the rationals.  Over GF(p) a row holds residues in
-[0, p) with leading coefficient 1, and an int or a `Fraction` given to the
-span is coerced as `PrimeFieldElement` coerces it.  Over the rationals a
-vector enters as integers over a common denominator; a stored
-row has a positive leading coefficient, and no factor is common to all of
-its entries (and, for a labelled row, of its combination).  Reducing an
+crossed by the rule of `scalars`.  A span is built over the field its
+caller names by its characteristic, 0 for the rationals and p for GF(p),
+and reads every vector in that field, so a vector of ints goes in as it
+is.  Over GF(p) a row holds residues in [0, p) with leading coefficient 1,
+and an int or a `Fraction` given to the span is coerced as
+`PrimeFieldElement` coerces it.  Over the rationals a vector enters as
+integers over a common denominator; a stored row has a positive leading
+coefficient, and no factor is common to all of its entries (and, for a
+labelled row, of its combination).  Reducing an
 entry a of the working vector by a row with leading coefficient b
 multiplies the vector by b/g and subtracts a/g times the row, g = gcd(a, b)
 (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).  The scale s by
@@ -53,7 +54,7 @@ from math import gcd
 from operator import neg
 
 from .poly import grlex_key
-from .scalars import characteristic, from_integers, to_integers
+from .scalars import from_integers, to_integers
 
 
 _CONTENT_BITS = 512  # see MonomialSpan._reduce
@@ -65,12 +66,13 @@ def _descending(m: tuple) -> tuple:
 
 
 class MonomialSpan:
-    """Row-echelon span maintained under row insertion; see the module docstring."""
+    """Row-echelon span over the field of characteristic p, maintained under
+    row insertion; see the module docstring."""
 
-    def __init__(self):
+    def __init__(self, p: int):
         self.pivots: list[tuple] = []
         self.by_pivot: dict[tuple, int] = {}
-        self._p = None  # 0 for the rationals, p for GF(p); fixed by the first vector
+        self._p = p  # the characteristic: 0 for the rationals, p for GF(p)
         self._rows: list[dict] = []  # int rows, parallel to pivots
         # int label combinations parallel to _rows: row = sum coeff * w_label
         self._combos: list[dict] = []
@@ -102,10 +104,7 @@ class MonomialSpan:
 
     def _integral(self, vec: dict):
         """(w, den): vec = w / den with w an int dict without zeros; den = 1
-        over GF(p), where w holds residues.  The first nonzero vector fixes
-        the field."""
-        if self._p is None and vec:
-            self._p = characteristic(vec.values())
+        over GF(p), where w holds residues."""
         ints, den = to_integers(vec.values(), self._p)
         return {m: c for m, c in zip(vec, ints) if c}, den
 
@@ -267,26 +266,15 @@ class MonomialSpan:
 
     # -- public operations -------------------------------------------------
 
-    def reduce(self, vec: dict, used: dict | None = None) -> dict:
-        """Fully reduce vec against the span; returns a fresh dict.
-
-        When `used` is given, the label combination of the subtracted rows
-        is summed into it, so that vec = remainder - sum(used[L] * g_L).
-        """
+    def reduce(self, vec: dict) -> dict:
+        """Fully reduce vec against the span; returns a fresh dict."""
         w, den = self._integral(vec)
-        combo = None if used is None else {}
-        den *= self._reduce(w, combo)
-        if combo:
-            for k, c in self._combination(combo, den).items():
-                if total := used.get(k, 0) + c:
-                    used[k] = total
-                else:
-                    used.pop(k, None)
+        den *= self._reduce(w, None)
         return self._scalars(w, den)
 
     def labels(self, vec: dict) -> set:
         """The labels that a full reduction of vec combines with a nonzero
-        coefficient: the keys that `reduce(vec, {})` puts in `used`."""
+        coefficient."""
         w, _ = self._integral(vec)
         combo: dict = {}
         self._reduce(w, combo)
@@ -305,8 +293,6 @@ class MonomialSpan:
         relation maps labels to the coefficients of a vanishing combination
         that includes the new label with the field's one.
         """
-        if not vec:
-            return None, {label: 1}  # the one of no field, as `one_like(1)` gives
         w, den = self._integral(vec)
         if not self._p:
             self._multiples[label] = (den, 1)

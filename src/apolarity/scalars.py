@@ -8,16 +8,17 @@ because divided-power arithmetic in those characteristics is outside the
 supported scope.
 
 The exact kernels (`linalg.MonomialSpan`, `poly.dp_substitute`,
-`apolar.is_apolar` and the closure of `apolar.diff_space`) compute with
+`apolar.is_apolar` and the contraction tables of `apolar`) compute with
 Python ints; field scalars exist only at their boundary, and the one rule
 for crossing it lives here.  `characteristic` takes the field from the
 values together: a `PrimeFieldElement` anywhere fixes GF(p), otherwise the
-values are rationals.  `to_integers` then writes them as ints over one
-denominator: over GF(p) residues in [0, p) over 1, an int or a `Fraction`
-coerced as `PrimeFieldElement` coerces it (a denominator divisible by p
-raises `ZeroDivisionError`); over the rationals numerators over the least
-common denominator.  `from_integers` turns ints over a denominator back
-into field scalars.
+values are rationals.  Each computation reads it once from its inputs and
+names it to the spans it builds.  `to_integers` then writes the values as
+ints over one denominator: over GF(p) residues in [0, p) over 1, an int or
+a `Fraction` coerced by `PrimeFieldElement._coerce`, as `PrimeField` does
+(a denominator divisible by p raises `ZeroDivisionError`); over the
+rationals numerators over the least common denominator.  `from_integers`
+turns ints over a denominator back into field scalars.
 """
 
 from __future__ import annotations
@@ -178,16 +179,9 @@ class PrimeField:
     def __call__(self, value) -> PrimeFieldElement:
         if isinstance(value, float):
             raise TypeError("floating-point input rejected; use Fraction or int")
-        if isinstance(value, PrimeFieldElement):
-            if value.p != self.p:
-                raise ValueError(f"element of GF({value.p}) given to GF({self.p})")
-            return value
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return PrimeFieldElement(value.numerator * pow(den, self.p - 2, self.p), self.p)
-        return PrimeFieldElement(int(value), self.p)
+        if isinstance(value, PrimeFieldElement) and value.p != self.p:
+            raise ValueError(f"element of GF({value.p}) given to GF({self.p})")
+        return self.zero + value  # coerced by `PrimeFieldElement._coerce`
 
     @property
     def zero(self) -> PrimeFieldElement:

@@ -24,47 +24,51 @@ from .poly import DUAL, contract, parse, poly_str
 from .witness import cusp_witness, exotic_extend, random_general_cubic
 
 
+def _expect(what: str, got, expected):
+    """Raise naming `what` unless got == expected, also under `python -O`."""
+    if got != expected:
+        raise AssertionError(f"{what}: got {got!r}, expected {expected!r}")
+
+
 def _check_contraction():
     f = parse("x1^2*x2 + x2^2", 2)
-    assert poly_str(contract(parse("y2", 2, side=DUAL), f)) == "x1^2 + x2"
+    _expect("y2(f)", poly_str(contract(parse("y2", 2, side=DUAL), f)), "x1^2 + x2")
     g = parse("x1^6 + x1^3*x2", 2)
-    assert poly_str(contract(parse("-y2 + y1^3", 2, side=DUAL), g)) == "x2"
+    _expect("(-y2 + y1^3)(g)", poly_str(contract(parse("-y2 + y1^3", 2, side=DUAL), g)), "x2")
 
 
 def _check_diff_dimensions():
-    assert diff_space(parse("x1^2*x2 + x2^2", 2)).dim == 6
-    assert diff_space(parse("x1^4 + x1^2*x2 + x2^2", 2)).dim == 5
-    assert apolar_length(parse("x1^6 + x1^3*x2", 2)) == 8
+    _expect("dim Diff", diff_space(parse("x1^2*x2 + x2^2", 2)).dim, 6)
+    _expect("dim Diff", diff_space(parse("x1^4 + x1^2*x2 + x2^2", 2)).dim, 5)
+    _expect("apolar length", apolar_length(parse("x1^6 + x1^3*x2", 2)), 8)
 
 
 def _check_hilbert_tables():
     dec = symmetric_decomposition(parse("x1^6 + x1^3*x2", 2))
-    assert tuple(dec.hilbert()) == (1, 2, 1, 1, 1, 1, 1)
-    assert dec.rows[0] == (1, 1, 1, 1, 1, 1, 1)
-    assert dec.rows[4] == (0, 1, 0, 0, 0, 0, 0)
-    assert all(not any(dec.rows[a]) for a in (1, 2, 3))
-    assert embedding_dims(dec) == (1, 1, 1, 1, 2)
+    _expect("H", tuple(dec.hilbert()), (1, 2, 1, 1, 1, 1, 1))
+    _expect("Delta", dec.rows, ((1,) * 7, (0,) * 7, (0,) * 7, (0,) * 7, (0, 1, 0, 0, 0, 0, 0)))
+    _expect("embedding dimensions", embedding_dims(dec), (1, 1, 1, 1, 2))
     dec2 = symmetric_decomposition(parse("x1^7 + x2^6 + x1^2*x2^2", 2))
-    assert tuple(dec2.hilbert()) == (1, 2, 3, 2, 2, 2, 1, 1)
-    assert dec2.rows[0] == (1, 1, 1, 1, 1, 1, 1, 1)
-    assert dec2.rows[1] == (0, 1, 1, 1, 1, 1, 0, 0)
-    assert dec2.rows[3] == (0, 0, 1, 0, 0, 0, 0, 0)
+    _expect("H", tuple(dec2.hilbert()), (1, 2, 3, 2, 2, 2, 1, 1))
+    _expect("Delta_0", dec2.rows[0], (1, 1, 1, 1, 1, 1, 1, 1))
+    _expect("Delta_1", dec2.rows[1], (0, 1, 1, 1, 1, 1, 0, 0))
+    _expect("Delta_3", dec2.rows[3], (0, 0, 1, 0, 0, 0, 0, 0))
 
 
 def _check_adapted_coordinates():
     f = parse("x1^6 + x1^3*x2", 2)
     adapted, change = adapt_coordinates(f)
-    assert adapted == f and change.dropped == 0
+    _expect("adapted form, dropped variables", (adapted, change.dropped), (f, 0))
 
 
 def _check_macaulay():
-    assert is_o_sequence((1, 8, 7, 1), strictly_positive=True)
+    _expect("O-sequence", is_o_sequence((1, 8, 7, 1), strictly_positive=True), True)
 
 
 def _check_enumeration():
     candidates = admissible_decompositions(17, 8)
     selected = [c for c in candidates if c.hilbert[1] == 8 and c.hilbert[2] >= 5]
-    assert len(selected) == 5
+    _expect("candidates with H(1) = 8, H(2) >= 5", len(selected), 5)
     expected = {
         ((1, 8, 7, 1), ((1, 7, 7, 1), (0, 1, 0, 0))),
         ((1, 8, 6, 1, 1), ((1, 1, 1, 1, 1), (0, 5, 5, 0, 0), (0, 2, 0, 0, 0))),
@@ -76,59 +80,59 @@ def _check_enumeration():
         ((1, 8, 5, 2, 1), ((1, 2, 2, 2, 1), (0, 3, 3, 0, 0), (0, 3, 0, 0, 0))),
     }
     got = {(tuple(c.hilbert), c.decomposition.rows) for c in selected}
-    assert got == expected
+    _expect("their (H, Delta)", got, expected)
     only = admissible_decompositions(14, 7, nonsmoothable_only=True)
-    assert len(only) == 1 and tuple(only[0].hilbert) == (1, 6, 6, 1)
-    assert nonsmoothable_filter((1, 6, 6, 1))
-    assert not nonsmoothable_filter((1, 8, 5, 2, 1))
+    _expect("nonsmoothable length-14 H", [tuple(c.hilbert) for c in only], [(1, 6, 6, 1)])
+    _expect("filter on (1,6,6,1)", nonsmoothable_filter((1, 6, 6, 1)), True)
+    _expect("filter on (1,8,5,2,1)", nonsmoothable_filter((1, 8, 5, 2, 1)), False)
 
 
 def _check_bounds():
-    assert c_bound(7) == 15 and c_bound(8) == 18
-    assert [w_bound(l, 8) for l in (14, 15, 16, 17)] == [130, 139, 148, 157]
-    assert w_bound(14, 7) == 113
+    _expect("c(7), c(8)", (c_bound(7), c_bound(8)), (15, 18))
+    _expect("w(14..17, 8)", [w_bound(l, 8) for l in (14, 15, 16, 17)], [130, 139, 148, 157])
+    _expect("w(14, 7)", w_bound(14, 7), 113)
     worked = SymmetricDecomposition(
         d=6,
         rows=((1, 1, 1, 1, 1, 1, 1), (0,) * 7, (0, 3, 4, 3, 0, 0, 0), (0,) * 7, (0,) * 7),
     )
     report = v_bound(worked, 8)
-    assert report.v == 105 and report.d_flag == 19 and report.v_theta == 86
+    _expect("v, d_flag, v_theta", (report.v, report.d_flag, report.v_theta), (105, 19, 86))
     trivial = SymmetricDecomposition(d=3, rows=((1, 6, 6, 1), (0, 0, 0, 0)))
-    assert v_bound(trivial, 7).v == 97
+    _expect("v", v_bound(trivial, 7).v, 97)
 
 
 def _check_verifier_n7():
     report = verify_theorem(7)
-    assert report.passed and report.cactus_rank == 15
-    assert len(report.rows) == 1
-    assert report.rows[0].v == 97 and report.rows[0].threshold == 113
+    _expect("verdict, rank", (report.passed, report.cactus_rank), (True, 15))
+    _expect("rows", len(report.rows), 1)
+    _expect("v, threshold", (report.rows[0].v, report.rows[0].threshold), (97, 113))
 
 
 def _check_verifier_n8():
     report = verify_theorem(8)
-    assert report.passed and report.cactus_rank == 18
+    _expect("verdict, rank", (report.passed, report.cactus_rank), (True, 18))
 
 
 def _check_exotic_extension():
     f = parse("x1^6 + x1^3*x2", 2)
     extended = exotic_extend(f, [parse("y1^2", 2, side=DUAL)])
     expected = parse("x1^6 + x1^4*x3 + x1^3*x2 + x1^2*x3^2 + x1*x2*x3 + x3^3", 3)
-    assert extended == expected
-    assert hilbert_function(extended).values == hilbert_function(f).values
+    _expect("extension", extended, expected)
+    _expect("its H", hilbert_function(extended).values, hilbert_function(f).values)
 
 
 def _check_cusp_witness():
     report = cusp_witness(parse("x0^3 + x1^3 + x2^3", 3, base=0))
-    assert report.length_g <= 7 and report.apolar_ok
-    assert report.general_signature and report.length_f == 8
+    _expect("length(g) <= 7, apolar", (report.length_g <= 7, report.apolar_ok), (True, True))
+    _expect("general, length(f)", (report.general_signature, report.length_f), (True, 8))
     h = report.local_hilbert_g
-    assert len(h) == 5 and h[0] == h[3] == h[4] == 1 and h[2] <= h[1] <= 2
+    _expect("local H", (len(h), h[0] == h[3] == h[4] == 1, h[2] <= h[1] <= 2), (5, True, True))
     rng = random.Random(2024)
     cubic = random_general_cubic(rng)
     scheme = local_scheme(report.form, parse("x0", 4, base=0))
-    assert scheme.length == 8 and scheme.apolarity_checked
+    _expect("length, apolar", (scheme.length, scheme.apolarity_checked), (8, True))
     second = cusp_witness(cubic)
-    assert second.length_g <= 7 and second.apolar_ok
+    _expect("length(g) <= 7, apolar", (second.length_g <= 7, second.apolar_ok), (True, True))
 
 
 CHECKS = (

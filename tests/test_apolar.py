@@ -94,7 +94,7 @@ class TestDiffSpace:
             space = diff_space(f)
             top = int(f.degree())
             for j in range(top + 1):
-                level = MonomialSpan()
+                level = MonomialSpan(0)
                 for alpha in monomials_up_to(2, top):
                     if sum(alpha) >= j:
                         image = contract(Polynomial.monomial(alpha, Fraction(1), DUAL), f)
@@ -143,7 +143,7 @@ class TestAnnihilator:
             f = random_polynomial(rng, 2, 4)
             bound = int(f.degree()) + 1
             generators = annihilator_generators(f, bound)
-            span = MonomialSpan()
+            span = MonomialSpan(0)
             total = 0
             for alpha in monomials_up_to(2, bound):
                 total += 1
@@ -192,8 +192,12 @@ def set_of(polys):
 
 class TestRepresentativeOperator:
     def test_reaches_each_basis_row_at_its_order(self, rng):
-        for _ in range(6):
-            f = random_polynomial(rng, 2, 4, max_terms=3)
+        forms = [random_polynomial(rng, 2, 4, max_terms=3) for _ in range(6)]
+        # the contraction table holds den * f, den = 2 for the first form
+        # below, so a solution not multiplied back by den misses every row
+        forms.append(parse("1/2*x1^3 + 3/2*x1*x2^2 - 5/2*x2^2", 2))
+        forms.append(parse("1/2*x1^4 + 3*x1*x2^2 - 5*x2^3", 2, field=PrimeField(32003)))
+        for f in forms:
             space = diff_space(f)
             for row, order in zip(space.rows, space.orders):
                 psi = representative_operator(f, row, min_order=order)

@@ -19,9 +19,9 @@ from conftest import random_polynomial
 
 def explicit_m_table(f: Polynomial, i: int, j: int) -> int:
     """dim(Diff_i ∩ O_j) via dim A + dim B - dim(A + B)."""
-    degree_span = MonomialSpan()
-    order_span = MonomialSpan()
-    joint_span = MonomialSpan()
+    degree_span = MonomialSpan(0)
+    order_span = MonomialSpan(0)
+    joint_span = MonomialSpan(0)
     top = int(f.degree())
     for alpha in monomials_up_to(f.nvars, top):
         image = contract(Polynomial.monomial(alpha, Fraction(1), DUAL), f)

@@ -10,7 +10,7 @@ import pytest
 from apolarity.apolar import diff_space
 from apolarity.linalg import MonomialSpan
 from apolarity.poly import PRIMAL, Polynomial, _contractions, grlex_key, monomials_up_to
-from apolarity.scalars import PrimeField
+from apolarity.scalars import RATIONALS, PrimeField
 
 from conftest import BackSubstitutingSpan
 
@@ -87,11 +87,11 @@ def dense_binary(degree: int) -> Polynomial:
 class TestBackSubstitute:
     def test_random_order_matches_dense_gauss_jordan(self):
         rng = random.Random(7)
-        for coerce in (Fraction, GF):
+        for field in (RATIONALS, GF):
             for _ in range(25):
-                vectors = random_vectors(rng, coerce, rng.randint(1, 14))
+                vectors = random_vectors(rng, field, rng.randint(1, 14))
                 rng.shuffle(vectors)
-                span = MonomialSpan()
+                span = MonomialSpan(field.characteristic)
                 for vec in vectors:
                     span.insert(vec)
                 span.back_substitute()
@@ -104,7 +104,7 @@ class TestBackSubstitute:
         rng = random.Random(11)
         for _ in range(25):
             vectors = random_vectors(rng, fractional, rng.randint(1, 14))
-            span = MonomialSpan()
+            span = MonomialSpan(0)
             for vec in vectors:
                 span.insert(vec)
             span.back_substitute()
@@ -127,7 +127,7 @@ class TestBackSubstitute:
     def test_one_pass_on_a_reduced_span_changes_nothing(self):
         rng = random.Random(8)
         vectors = random_vectors(rng, Fraction, 12)
-        span = MonomialSpan()
+        span = MonomialSpan(0)
         for vec in vectors:
             span.insert(vec)
         span.back_substitute()
@@ -143,12 +143,12 @@ class TestAgainstBackSubstitutingKernel:
 
     def test_unlabelled_decisions_and_remainders(self):
         rng = random.Random(9)
-        for coerce in (Fraction, GF):
+        for field in (RATIONALS, GF):
             for _ in range(20):
-                vectors = random_vectors(rng, coerce, 12)
-                span, oracle = MonomialSpan(), BackSubstitutingSpan()
+                vectors = random_vectors(rng, field, 12)
+                span, oracle = MonomialSpan(field.characteristic), BackSubstitutingSpan()
                 for vec in vectors:
-                    probe = random_vectors(rng, coerce, 1)[0]
+                    probe = random_vectors(rng, field, 1)[0]
                     assert typed(span.reduce(probe)) == typed(oracle.reduce(probe))
                     index = span.insert(vec)
                     assert index == oracle.insert(vec)
@@ -158,22 +158,22 @@ class TestAgainstBackSubstitutingKernel:
 
     def test_labelled_relations_and_solutions(self):
         rng = random.Random(10)
-        for coerce in (Fraction, GF):
+        for field in (RATIONALS, GF):
             for _ in range(20):
-                vectors = random_vectors(rng, coerce, 12)
-                span, oracle = MonomialSpan(), BackSubstitutingSpan()
+                vectors = random_vectors(rng, field, 12)
+                span, oracle = MonomialSpan(field.characteristic), BackSubstitutingSpan()
                 for label, vec in enumerate(vectors):
                     got = span.insert_labelled(vec, label)
                     assert got == oracle.insert_labelled(vec, label)
-                for vec in random_vectors(rng, coerce, 6):
+                for vec in random_vectors(rng, field, 6):
                     assert span.solve(vec) == oracle.solve(vec)
 
     def test_fractional_entries(self):
         rng = random.Random(12)
         for _ in range(20):
             vectors = random_vectors(rng, fractional, 12)
-            span, oracle = MonomialSpan(), BackSubstitutingSpan()
-            labelled, labelled_oracle = MonomialSpan(), BackSubstitutingSpan()
+            span, oracle = MonomialSpan(0), BackSubstitutingSpan()
+            labelled, labelled_oracle = MonomialSpan(0), BackSubstitutingSpan()
             for label, vec in enumerate(vectors):
                 probe = random_vectors(rng, fractional, 1)[0]
                 assert typed(span.reduce(probe)) == typed(oracle.reduce(probe))
@@ -192,10 +192,10 @@ class TestAgainstBackSubstitutingKernel:
             for _ in range(10):
                 vectors = random_vectors(rng, coerce, 12)
                 fields = [{m: GF(c) for m, c in vec.items()} for vec in vectors]
-                # a span takes its field from the first scalar it sees
-                given = fields[:1] + vectors[1:]
-                given_span, field_span = MonomialSpan(), MonomialSpan()
-                for label, (vec, field_vec) in enumerate(zip(given, fields)):
+                # the span is told its field, so ints and Fractions are read
+                # in GF(p) from the first vector on
+                given_span, field_span = MonomialSpan(GF.p), MonomialSpan(GF.p)
+                for label, (vec, field_vec) in enumerate(zip(vectors, fields)):
                     got = given_span.insert_labelled(vec, label)
                     expected = field_span.insert_labelled(field_vec, label)
                     assert got[0] == expected[0]
@@ -209,7 +209,7 @@ class TestAgainstBackSubstitutingKernel:
                 assert [typed(r) for r in given_span.rows] == [typed(r) for r in field_span.rows]
 
     def test_a_denominator_divisible_by_p_raises(self):
-        span = MonomialSpan()
+        span = MonomialSpan(GF.p)
         span.insert({(1,): GF(1)})
         for call in (span.insert, span.reduce, span.contains, span.solve):
             with pytest.raises(ZeroDivisionError):
@@ -218,8 +218,12 @@ class TestAgainstBackSubstitutingKernel:
             span.insert_labelled({(0,): Fraction(2, 3 * 32003)}, "a")
 
     def test_relation_coefficients_stay_in_the_field(self):
-        span = MonomialSpan()
+        span = MonomialSpan(GF.p)
         span.insert_labelled({(1,): GF(2)}, "a")
         _, relation = span.insert_labelled({(1,): GF(4)}, "b")
         assert relation == {"a": GF(-2), "b": GF(1)}
         assert all(type(c) is type(GF(1)) for c in relation.values())
+        # an empty generator is a relation by itself, with the field's one
+        assert labelled_typed(span.insert_labelled({}, "c")[1]) == labelled_typed({"c": GF(1)})
+        assert labelled_typed(MonomialSpan(0).insert_labelled({}, "c")[1]) == \
+            labelled_typed({"c": Fraction(1)})
