@@ -132,35 +132,34 @@ def _place(i: int, w: int, new: list, row: list, out: list) -> None:
     row[i] = row[j] = 0
 
 
-def _chains(d: int, a: int, remainder: tuple, memo: dict) -> tuple:
+# (a, remainder) -> `_chains(a, remainder)`, keyed by ints and kept for the
+# process, so it grows with the largest length asked for.
+_CHAINS: dict = {}
+
+
+def _chains(a: int, remainder: tuple) -> tuple:
     """All row chains (Delta_0, ..., Delta_a) summing to `remainder`.
 
     Every partial sum below Delta_a is the Hilbert function of a quotient
-    Q(a), so the chains depend only on (a, remainder): `memo` stores them,
-    dead ends as (), for every H of socle degree d.
+    Q(a), so the chains depend only on (a, remainder), not on the length,
+    n or the filter: `_CHAINS` keeps them, dead ends as (), across calls.
     """
     key = (a, remainder)
-    chains = memo.get(key)
+    chains = _CHAINS.get(key)
     if chains is not None:
         return chains
     if a == 0:
         # the remainder's ends are H(0) = H(d) = 1: no row a >= 1 reaches them
-        valid = all(remainder[i] == remainder[d - i] for i in range(d + 1))
-        chains = ((remainder,),) if valid else ()
+        chains = ((remainder,),) if remainder == remainder[::-1] else ()
     else:
-        found = []
-        for row, new_remainder in _rows(d, a, remainder):
-            found.extend(chain + (row,) for chain in _chains(d, a - 1, new_remainder, memo))
-        chains = tuple(found)
-    memo[key] = chains
+        chains = tuple(chain + (row,)
+                       for row, new_remainder in _rows(len(remainder) - 1, a, remainder)
+                       for chain in _chains(a - 1, new_remainder))
+    _CHAINS[key] = chains
     return chains
 
 
-def admissible_decompositions(
-    length: int,
-    n: int,
-    nonsmoothable_only: bool = False,
-) -> list:
+def admissible_decompositions(length: int, n: int, nonsmoothable_only: bool = False) -> list:
     """All admissible (H, Delta) candidates of the given length.
 
     Complete and duplicate-free over socle degrees 3 <= d <= length - 1,
@@ -171,13 +170,12 @@ def admissible_decompositions(
         raise ValueError("length and n must be positive")
     candidates = []
     for d in range(3, length):
-        memo = {}  # row chains, shared by every H of socle degree d
         for h in _hilbert_candidates(length, n, d):
             if nonsmoothable_only and not nonsmoothable_filter(h):
                 continue
             candidates.extend(
                 DecompositionCandidate(HilbertFunction(h), SymmetricDecomposition(d=d, rows=rows))
-                for rows in _chains(d, d - 2, h, memo)
+                for rows in _chains(d - 2, h)  # memoized in _CHAINS
             )
     candidates.sort(key=DecompositionCandidate.sort_key)
     return candidates

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from apolarity import enumeration
+from apolarity.bounds import verify_theorem
 from apolarity.enumeration import (
     _hilbert_candidates,
     _rows,
@@ -198,9 +199,63 @@ class TestRowBuilder:
             return _rows(d, a, remainder)
 
         monkeypatch.setattr(enumeration, "_rows", recording_rows)
+        monkeypatch.setattr(enumeration, "_CHAINS", {})  # a warm memo calls no `_rows`
         admissible_decompositions(length, 8)
         assert seen
         assert all(is_o_sequence(remainder) for remainder in seen)
+
+
+class TestChainMemo:
+    """The process-wide `_CHAINS` memo changes no output, only the work."""
+
+    GRID = [(14, 7, True), (15, 8, False), (17, 8, False), (16, 9, True)]
+
+    @staticmethod
+    def payload(length, n, filtered):
+        return [c.as_dict() for c in admissible_decompositions(length, n, filtered)]
+
+    def test_output_does_not_depend_on_memo_state(self, monkeypatch):
+        cold = {}
+        for case in self.GRID:
+            monkeypatch.setattr(enumeration, "_CHAINS", {})
+            cold[case] = self.payload(*case)
+        monkeypatch.setattr(enumeration, "_CHAINS", {})
+        verify_theorem(9)
+        for length in (13, 16, 18):
+            admissible_decompositions(length, 8)
+        assert enumeration._CHAINS
+        for case in self.GRID:
+            assert self.payload(*case) == cold[case], case
+
+    def test_repeat_call_builds_no_rows(self, monkeypatch):
+        calls = []
+
+        def counting_rows(d, a, remainder):
+            calls.append((d, a, remainder))
+            return _rows(d, a, remainder)
+
+        monkeypatch.setattr(enumeration, "_rows", counting_rows)
+        monkeypatch.setattr(enumeration, "_CHAINS", {})
+        first = self.payload(16, 8, False)
+        assert calls
+        calls.clear()
+        assert self.payload(16, 8, False) == first
+        self.payload(16, 7, True)  # a smaller n and the filter ask only for stored chains
+        assert calls == []
+
+    @pytest.mark.parametrize("length", [14, 15, 16, 17])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_n_only_caps_h1(self, length, n, monkeypatch):
+        # why n is not part of the memo key: the candidates for n are exactly
+        # those for n + 1 whose H(1) is at most n
+        def pairs(m):
+            monkeypatch.setattr(enumeration, "_CHAINS", {})
+            return {(tuple(c.hilbert), c.decomposition.rows)
+                    for c in admissible_decompositions(length, m)}
+
+        wider = pairs(n + 1)
+        assert pairs(n) == {(h, rows) for h, rows in wider if h[1] <= n}
+        assert any(h[1] == n + 1 for h, _ in wider)
 
 
 class TestWorkedInstances:
@@ -291,6 +346,7 @@ class TestNonsmoothableFilter:
         assert not nonsmoothable_filter((1, 3, 6, 3, 1))  # length 14, wrong shape
         assert nonsmoothable_filter((1, 6, 6, 1, 1))  # length 15, b = 6
         assert nonsmoothable_filter((1, 5, 5, 3, 1))  # length 15, c = 3
+        assert not nonsmoothable_filter((1, 12, 1))  # length 14, socle degree 2
 
     def test_all_length_13_rejected(self):
         for c in admissible_decompositions(13, 8):
