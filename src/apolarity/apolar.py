@@ -1,11 +1,12 @@
 """Spaces of partials, annihilator ideals, apolarity checks, local schemes.
 
-Diff(f) is the closure of {f} under contraction by the dual variables.  It
-carries two filtrations:
+Diff(f) is the span of the partials y^alpha(f) of f, the images of its
+contraction table.  It carries two filtrations:
 
 * degree: Diff(f)_i = partials of degree <= i, read off the row-echelon
-  basis because pivots are grlex-greatest monomials (the closure inserts
-  into an echelon basis and reduces it once, when it is complete);
+  basis because pivots are grlex-greatest monomials (every image of the
+  table is inserted into an echelon basis, which is reduced once, after
+  the last insert);
 * order: O_j = span of contractions of f by dual monomials of degree >= j.
 
 The order filtration is one echelon basis, built from level j = deg f down
@@ -30,7 +31,6 @@ from .poly import (
     ChangeOfBasis,
     Polynomial,
     _apply,
-    _contract_terms,
     _contractions,
     contract,  # noqa: F401  perfbench/test_perfbench.py checks that its tracer rebinds apolar.contract
     dehomogenize,
@@ -54,46 +54,35 @@ class FilteredSpace:
         self.nvars = f.nvars
         self.socle_degree = f.degree()
         self._p = characteristic(f.terms.values())
+        # Diff(f) is spanned by the images y^alpha(f): contraction is a module
+        # action, y^beta(y^alpha f) = y^(alpha + beta) f, so no partial of a
+        # partial is missing from the table
         self._span = MonomialSpan(self._p)
-        self._closure()
-        order = sorted(range(self._span.dim),
-                       key=lambda i: grlex_key(self._span.pivots[i]), reverse=True)
-        self._rows = [self._span.rows[i] for i in order]
-        self._pivots = [self._span.pivots[i] for i in order]
+        for _, image in self._table():
+            self._span.insert(image)
+        # the rows, the pivot coordinates of _ensure_levels and
+        # linear_partials read the reduced basis
+        self._span.back_substitute()
+        self._pivots = sorted(self._span.pivots, key=grlex_key, reverse=True)
         self.degrees = tuple(sum(p) for p in self._pivots)
-        self.dim = len(self._rows)
+        self.dim = len(self._pivots)
         self._levels = None  # built on demand: tagged basis of the order filtration
         self._orders = None
 
-    # -- phase 1: contraction closure ----------------------------------
-
-    def _closure(self):
-        span = self._span
-        units = [tuple(int(i == k) for i in range(self.nvars)) for k in range(self.nvars)]
-        # the queue holds the span's int rows, which fix the same spans as
-        # the field rows
-        queue = [span.int_row(span.insert(self.polynomial.terms))]
-        head = 0
-        while head < len(queue):
-            current = queue[head]
-            head += 1
-            for unit in units:
-                image = _contract_terms(current, unit)
-                if not image:
-                    continue
-                index = span.insert(image)
-                if index is not None:
-                    queue.append(span.int_row(index))
-        # the rows, the pivot coordinates of _ensure_levels and
-        # linear_partials read the reduced basis
-        span.back_substitute()
+    def _table(self) -> list:
+        """f's contraction table over the ints of its field, as (alpha, image)
+        pairs, grlex-descending: level |alpha| descending, then alpha
+        descending."""
+        table = _contractions(_int_terms(self.polynomial.terms, self._p))
+        return sorted(table.items(), key=lambda item: grlex_key(item[0]), reverse=True)
 
     # -- public views ----------------------------------------------------
 
     @property
     def rows(self) -> tuple:
         """Basis partials as polynomials, pivot-descending (RREF order)."""
-        return tuple(Polynomial(self.nvars, row, PRIMAL) for row in self._rows)
+        rows, by_pivot = self._span.rows, self._span.by_pivot
+        return tuple(Polynomial(self.nvars, rows[by_pivot[p]], PRIMAL) for p in self._pivots)
 
     def contains(self, g: Polynomial) -> bool:
         if g.nvars != self.nvars or g.side != PRIMAL:
@@ -106,19 +95,17 @@ class FilteredSpace:
             values[d] += 1
         return tuple(values)
 
-    # -- phase 2: order filtration ----------------------------------------
+    # -- order filtration ------------------------------------------------
 
     def _ensure_levels(self):
         if self._levels is not None:
             return
-        table = _contractions(_int_terms(self.polynomial.terms, self._p))
         pivots = self._span.by_pivot
         span = MonomialSpan(self._p)
         self._bidegrees = []
-        # grlex-descending: level |alpha| descending, then alpha descending
-        for alpha in sorted(table, key=grlex_key, reverse=True):
+        for alpha, image in self._table():
             # coordinates in the RREF basis of Diff(f) are the entries at its pivots
-            image = {m: c for m, c in table[alpha].items() if m in pivots}
+            image = {m: c for m, c in image.items() if m in pivots}
             if image and (index := span.insert_tagged(image, alpha)) is not None:
                 self._bidegrees.append((sum(alpha), sum(span.pivots[index])))
         if span.dim != self.dim:
@@ -143,9 +130,9 @@ class FilteredSpace:
         """
         self._ensure_levels()
         span = MonomialSpan(self._p)
-        for (level, degree), row in zip(self._bidegrees, self._levels.rows):
+        for index, (level, degree) in enumerate(self._bidegrees):
             if degree <= 1 and level >= j:
-                span.insert(row)
+                span.insert(self._levels.int_row(index))
         span.back_substitute()
         out = []
         for row, pivot in zip(span.rows, span.pivots):
@@ -165,8 +152,9 @@ class FilteredSpace:
         if self._orders is None:
             self._ensure_levels()
             orders = []
-            for row, pivot in zip(self._rows, self._pivots):
-                tags = self._levels.labels({pivot: row[pivot]})
+            for pivot in self._pivots:
+                # a reduced row's coordinates over the reduced basis: 1 at its pivot
+                tags = self._levels.labels({pivot: 1})
                 orders.append(min(sum(alpha) for alpha in tags))
             self._orders = tuple(orders)
         return self._orders
@@ -242,7 +230,7 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
         raise ValueError("f must be nonzero")
     if target.side != PRIMAL or target.nvars != f.nvars:
         raise ValueError("target must be a primal polynomial in the variables of f")
-    p = characteristic(f.terms.values())
+    p = characteristic(f.terms.values(), target.terms.values())
     span = MonomialSpan(p)
     ints, den = to_integers(f.terms.values(), p)
     table = _contractions(dict(zip(f.terms, ints)))

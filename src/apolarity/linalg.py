@@ -89,7 +89,8 @@ class MonomialSpan:
     def int_row(self, index: int) -> dict:
         """Row `index` as the span holds it, not to be modified: over the
         rationals a positive int multiple of the field row, over GF(p) its
-        residues."""
+        residues.  A span over the same field reads it as that row, so it is
+        inserted there as it is, with no field scalars in between."""
         return self._rows[index]
 
     @property

@@ -203,15 +203,21 @@ def characteristic(*groups) -> int:
 
 def to_integers(values, p: int) -> tuple:
     """(ints, den): the list of ints w with values[k] = w[k] / den in the
-    field of characteristic p.  Over GF(p) den = 1 and w holds residues."""
+    field of characteristic p.  Over GF(p) den = 1 and w holds residues;
+    over the rationals a GF(q) value raises `ValueError`."""
     if p:
         coerce = PrimeFieldElement(0, p)._coerce
         return [coerce(c) % p for c in values], 1
     values = list(values)
     den = 1
-    for c in values:
-        if (d := c.denominator) != 1:
-            den = lcm(den, d)
+    try:
+        for c in values:
+            if (d := c.denominator) != 1:
+                den = lcm(den, d)
+    except AttributeError:
+        if q := characteristic(values):
+            raise ValueError(f"an element of GF({q}) given to a computation over QQ") from None
+        raise
     if den == 1:
         return [c.numerator for c in values], 1
     return [c.numerator * (den // c.denominator) for c in values], den

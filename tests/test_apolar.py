@@ -27,7 +27,7 @@ from apolarity.poly import (
     monomials_up_to,
     parse,
 )
-from apolarity.scalars import RATIONALS, PrimeField
+from apolarity.scalars import RATIONALS, PrimeField, PrimeFieldElement
 
 from conftest import BackSubstitutingSpan, random_polynomial
 
@@ -53,6 +53,11 @@ class TestDiffSpace:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             diff_space(Polynomial.zero(2))
+
+    def test_a_prime_field_target_in_a_rational_space_is_rejected(self):
+        space = diff_space(parse("x1^3 + x1*x2", 2))
+        with pytest.raises(ValueError, match=r"GF\(32003\)"):
+            space.contains(parse("x1", 2, field=PrimeField(32003)))
 
     def test_contraction_closed(self, rng):
         for _ in range(10):
@@ -209,6 +214,17 @@ class TestRepresentativeOperator:
         f = parse("x1^2", 1)
         target = parse("x1^2 + x1", 1)
         assert representative_operator(f, target, min_order=1) is None
+
+    def test_mixed_fields_give_the_prime_field(self):
+        # f and the target fix one field together, as in is_apolar; y2 is
+        # found before y1^2, which contracts f to x1 too
+        gf = PrimeField(32003)
+        text = "x1^3 + x1*x2"
+        for f, target in ((parse(text, 2), parse("x1", 2, field=gf)),
+                          (parse(text, 2, field=gf), parse("x1", 2))):
+            psi = representative_operator(f, target)
+            assert [(m, type(c), c) for m, c in psi.terms.items()] == \
+                [((0, 1), PrimeFieldElement, gf(1))]
 
 
 class TestIsApolar:
@@ -549,15 +565,16 @@ class TestLabelledSpanOracle:
 
 
 # -- diff_space, annihilator_generators and representative_operator against
-# kernels that back-substituted on every insert (the closure on the parent's
-# MonomialSpan, the labelled calls on WitnessSpan above) ----------------------
+# kernels that back-substituted on every insert (a closure of f under the
+# dual variables for diff_space, the labelled calls on WitnessSpan above) -----
 #
-# The echelon-only kernel cannot change them: a full reduction's remainder is
-# unique (two remainders differ by a span vector with no entry at any pivot,
-# which is 0), so the closure queue, the pivots and every independence
-# decision agree; a relation's coefficients over the independent labels are
-# unique, so the kernel and `solve` agree; and the reduced echelon form is
-# unique, so the rows agree once diff_space runs its one reduction pass.
+# Neither the echelon-only kernel nor the way Diff(f) is reached can change
+# them: a full reduction's remainder is unique (two remainders differ by a
+# span vector with no entry at any pivot, which is 0), so every independence
+# decision agrees; a relation's coefficients over the independent labels are
+# unique, so the kernel and `solve` agree; and the reduced echelon form of a
+# space is unique, so the rows of diff_space, which inserts f's contraction
+# table in grlex-descending order and reduces once, agree with the closure's.
 
 def oracle_diff_rows(f: Polynomial) -> list:
     span = BackSubstitutingSpan()
@@ -589,9 +606,15 @@ def seeded_inputs(rng):
             yield from over_fields(f)
 
 
+# the filtration benchmark's shapes: high socle degree, few terms
+FILTRATION_SHAPED = (("x1^40 + x2^40", 2), ("x1^40 + x1^20*x2 + x2^13", 2),
+                     ("x1^12 + x2^11 + x3^10 + x1^3*x2^3*x3^2", 3))
+
+
 class TestEchelonOnlyKernelOracle:
     def test_diff_space_rows(self, rng):
-        for f in seeded_inputs(rng):
+        shaped = [f for text, nvars in FILTRATION_SHAPED for f in over_fields(parse(text, nvars))]
+        for f in [*seeded_inputs(rng), *shaped]:
             rows = diff_space(f).rows
             assert [typed_terms(r) for r in rows] == [typed_terms(r) for r in oracle_diff_rows(f)]
 

@@ -4,7 +4,8 @@
 dict by a dual monomial of degree <= k.  It is checked against a scan of all
 terms per dual monomial, the way each alpha was contracted before the table.
 `is_apolar` sums each generator's image from one table of F; it is checked
-against contracting F by every generator.
+against contracting F by every generator.  `contract`, which scans f once per
+term of its operator instead, is checked against the same scan.
 """
 
 from __future__ import annotations
@@ -92,6 +93,45 @@ class TestTableAgainstScan:
             (1, 0): {(1, 1): 1},
             (0, 1): {(2, 0): 1, (0, 1): 1},
         }
+
+
+def random_operator(rng: random.Random, nvars: int, field, top: int) -> Polynomial:
+    """A dual polynomial of up to 4 terms with at least one of degree above top."""
+    terms = {alpha: field(random_coefficient(rng)) for alpha in
+             (tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(0, 3)))}
+    high = [0] * nvars
+    for _ in range(top + 1):
+        high[rng.randrange(nvars)] += 1
+    terms[tuple(high)] = field(rng.randint(1, 4))
+    return Polynomial(nvars, terms, DUAL)
+
+
+def scan_apply(psi: Polynomial, terms: dict) -> dict:
+    """psi applied to a term dict by scanning it once per term of psi."""
+    out: dict = {}
+    for alpha, c in psi.terms.items():
+        for beta, e in scan(terms, alpha).items():
+            out[beta] = out.get(beta, 0) + c * e
+    return {beta: c for beta, c in out.items() if c != 0}
+
+
+def typed(terms: dict) -> dict:
+    return {m: (type(c).__name__, c) for m, c in terms.items()}
+
+
+class TestContractAgainstScan:
+    """`contract` scans f once per term of psi, with no table."""
+
+    @pytest.mark.parametrize("field", [Fraction, GF], ids=["QQ", "GF32003"])
+    def test_random_operators(self, rng, field):
+        for _ in range(40):
+            nvars = rng.randint(1, 4)
+            f = Polynomial(nvars, random_terms(rng, nvars, field))
+            top = max((sum(beta) for beta in f.terms), default=0)
+            for psi in (Polynomial.zero(nvars, DUAL),
+                        Polynomial.constant(nvars, field(rng.randint(1, 4)), DUAL),
+                        random_operator(rng, nvars, field, top)):
+                assert typed(contract(psi, f).terms) == typed(scan_apply(psi, f.terms))
 
 
 def homogeneous_duals(rng: random.Random, nvars: int, count: int, max_degree: int) -> list:

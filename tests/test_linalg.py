@@ -217,6 +217,17 @@ class TestAgainstBackSubstitutingKernel:
         with pytest.raises(ZeroDivisionError):
             span.insert_labelled({(0,): Fraction(2, 3 * 32003)}, "a")
 
+    def test_a_prime_field_value_in_a_rational_span_raises(self):
+        span = MonomialSpan(0)
+        span.insert({(0,): Fraction(1)})
+        for call in (span.insert, span.reduce, span.contains, span.solve, span.labels):
+            with pytest.raises(ValueError, match=r"GF\(32003\)"):
+                call({(1,): GF(1)})
+        with pytest.raises(ValueError, match=r"GF\(32003\)"):
+            span.insert_labelled({(1,): Fraction(1, 2), (0,): GF(1)}, "a")
+        with pytest.raises(ValueError, match=r"GF\(32003\)"):
+            MonomialSpan(0).insert({(1,): GF(1)})
+
     def test_relation_coefficients_stay_in_the_field(self):
         span = MonomialSpan(GF.p)
         span.insert_labelled({(1,): GF(2)}, "a")
