@@ -4,19 +4,18 @@ Diff(f) is the span of the partials y^alpha(f) of f, the images of its
 contraction table.  It carries two filtrations:
 
 * degree: Diff(f)_i = partials of degree <= i, read off the row-echelon
-  basis because pivots are grlex-greatest monomials (every image of the
-  table is inserted into an echelon basis, which is reduced once, after
-  the last insert);
+  basis because pivots are grlex-greatest monomials;
 * order: O_j = span of contractions of f by dual monomials of degree >= j.
 
-The order filtration is one echelon basis, built from level j = deg f down
-to 0 and never back-substituted, each row tagged with its level and written
-in coordinates over the reduced basis of Diff(f) (its entries at the
-pivots, which keeps leading monomials).  The rows tagged >= j span O_j, so
-their (level, pivot degree) pairs, `bidegrees`, count
-M(i, j) = dim(Diff(f)_i  ∩ O_j) as the pairs with level >= j and degree
-<= i, and a partial's order is the lowest tag among the rows it combines:
-coordinates in an echelon basis are unique.
+Both are read off one echelon basis, the only elimination of the table:
+every image is inserted, from level j = deg f down to 0, in monomial
+coordinates, tagged with its dual monomial and never back-substituted.  The
+rows tagged >= j span O_j, so their (level, pivot degree) pairs,
+`bidegrees`, count M(i, j) = dim(Diff(f)_i  ∩ O_j) as the pairs with level
+>= j and degree <= i, and a partial's order is the lowest tag among the rows
+it combines: coordinates in an echelon basis are unique.  The reduced basis
+(`rows`, and the rows whose orders `orders` reads) is built on first read,
+from a back-substituted copy of the tagged rows.
 """
 
 from __future__ import annotations
@@ -43,7 +42,8 @@ from .scalars import characteristic, one_like, to_integers
 
 
 class FilteredSpace:
-    """Row-reduced basis of Diff(f) with its degree and order filtrations."""
+    """Diff(f) as one level-tagged echelon basis, with its degree and order
+    filtrations."""
 
     def __init__(self, f: Polynomial):
         if f.side != PRIMAL:
@@ -56,32 +56,37 @@ class FilteredSpace:
         self._p = characteristic(f.terms.values())
         # Diff(f) is spanned by the images y^alpha(f): contraction is a module
         # action, y^beta(y^alpha f) = y^(alpha + beta) f, so no partial of a
-        # partial is missing from the table
+        # partial is missing from the table.  They go in grlex-descending,
+        # level |alpha| descending first, so the rows tagged >= j span O_j
+        table = _contractions(_int_terms(f.terms, self._p))
         self._span = MonomialSpan(self._p)
-        for _, image in self._table():
-            self._span.insert(image)
-        # the rows, the pivot coordinates of _ensure_levels and
-        # linear_partials read the reduced basis
-        self._span.back_substitute()
+        self._bidegrees = []
+        for alpha in sorted(table, key=grlex_key, reverse=True):
+            if (index := self._span.insert_tagged(table[alpha], alpha)) is not None:
+                self._bidegrees.append((sum(alpha), sum(self._span.pivots[index])))
         self._pivots = sorted(self._span.pivots, key=grlex_key, reverse=True)
         self.degrees = tuple(sum(p) for p in self._pivots)
         self.dim = len(self._pivots)
-        self._levels = None  # built on demand: tagged basis of the order filtration
+        self._reduced = None  # built on demand: the reduced basis
         self._orders = None
 
-    def _table(self) -> list:
-        """f's contraction table over the ints of its field, as (alpha, image)
-        pairs, grlex-descending: level |alpha| descending, then alpha
-        descending."""
-        table = _contractions(_int_terms(self.polynomial.terms, self._p))
-        return sorted(table.items(), key=lambda item: grlex_key(item[0]), reverse=True)
+    def _reduced_span(self) -> MonomialSpan:
+        """The reduced echelon basis of Diff(f): a back-substituted copy of
+        the tagged rows, which stay as they are for the tags to hold."""
+        if self._reduced is None:
+            self._reduced = MonomialSpan(self._p)
+            for index in range(self.dim):
+                self._reduced.insert(self._span.int_row(index))
+            self._reduced.back_substitute()
+        return self._reduced
 
     # -- public views ----------------------------------------------------
 
     @property
     def rows(self) -> tuple:
         """Basis partials as polynomials, pivot-descending (RREF order)."""
-        rows, by_pivot = self._span.rows, self._span.by_pivot
+        reduced = self._reduced_span()
+        rows, by_pivot = reduced.rows, reduced.by_pivot
         return tuple(Polynomial(self.nvars, rows[by_pivot[p]], PRIMAL) for p in self._pivots)
 
     def contains(self, g: Polynomial) -> bool:
@@ -97,25 +102,9 @@ class FilteredSpace:
 
     # -- order filtration ------------------------------------------------
 
-    def _ensure_levels(self):
-        if self._levels is not None:
-            return
-        pivots = self._span.by_pivot
-        span = MonomialSpan(self._p)
-        self._bidegrees = []
-        for alpha, image in self._table():
-            # coordinates in the RREF basis of Diff(f) are the entries at its pivots
-            image = {m: c for m, c in image.items() if m in pivots}
-            if image and (index := span.insert_tagged(image, alpha)) is not None:
-                self._bidegrees.append((sum(alpha), sum(span.pivots[index])))
-        if span.dim != self.dim:
-            raise AssertionError("order filtration does not exhaust Diff(f)")
-        self._levels = span
-
     def bidegrees(self) -> list:
         """(level j, pivot degree i) of each tagged row: the rows of level
         >= j and degree <= i span Diff(f)_i ∩ O_j."""
-        self._ensure_levels()
         return self._bidegrees
 
     def m_table(self, i: int, j: int) -> int:
@@ -128,20 +117,17 @@ class FilteredSpace:
         The reduced echelon basis of O_j ∩ Diff(f)_1 without the constant
         row, which full reduction keeps out of the degree-1 rows.
         """
-        self._ensure_levels()
         span = MonomialSpan(self._p)
         for index, (level, degree) in enumerate(self._bidegrees):
             if degree <= 1 and level >= j:
-                span.insert(self._levels.int_row(index))
+                span.insert(self._span.int_row(index))
         span.back_substitute()
         out = []
         for row, pivot in zip(span.rows, span.pivots):
             if sum(pivot) == 1:
-                one = one_like(row[pivot])
-                vec = [one - one] * self.nvars
-                for p, c in row.items():  # back from coordinates to partials
-                    for m, b in self._span.rows[self._span.by_pivot[p]].items():
-                        vec[m.index(1)] += c * b
+                vec = [row[pivot] - row[pivot]] * self.nvars  # the field's zero
+                for m, c in row.items():
+                    vec[m.index(1)] = c
                 out.append(vec)
         return out
 
@@ -150,11 +136,12 @@ class FilteredSpace:
         """Order of each basis row: the largest j with the row inside O_j,
         which is the lowest tag among the tagged rows that it combines."""
         if self._orders is None:
-            self._ensure_levels()
+            reduced = self._reduced_span()
             orders = []
             for pivot in self._pivots:
-                # a reduced row's coordinates over the reduced basis: 1 at its pivot
-                tags = self._levels.labels({pivot: 1})
+                # a reduced row probed against the tagged rows, which are not
+                # back-substituted: a reduced basis would name the wrong tags
+                tags = self._span.labels(reduced.int_row(reduced.by_pivot[pivot]))
                 orders.append(min(sum(alpha) for alpha in tags))
             self._orders = tuple(orders)
         return self._orders

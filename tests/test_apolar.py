@@ -54,6 +54,13 @@ class TestDiffSpace:
         with pytest.raises(ValueError):
             diff_space(Polynomial.zero(2))
 
+    def test_contains_only_primal_polynomials_in_its_variables(self):
+        space = diff_space(parse("x1^2*x2 + x2^2", 2))
+        assert space.contains(parse("x1", 2))
+        # the same terms on the dual side, or in three variables, are not partials of f
+        assert not space.contains(Polynomial(2, {(1, 0): Fraction(1)}, DUAL))
+        assert not space.contains(Polynomial(3, {(1, 0, 0): Fraction(1)}, PRIMAL))
+
     def test_a_prime_field_target_in_a_rational_space_is_rejected(self):
         space = diff_space(parse("x1^3 + x1*x2", 2))
         with pytest.raises(ValueError, match=r"GF\(32003\)"):
@@ -633,6 +640,63 @@ class TestEchelonOnlyKernelOracle:
                 for min_order in (0, order, order + 1):
                     got = representative_operator(f, target, min_order=min_order)
                     assert got == oracle_representative(f, target, min_order)
+
+
+class TestTaggedBasisReadPaths:
+    """`FilteredSpace` eliminates f's table once, into a level-tagged basis
+    that is never back-substituted; `contains` reads it directly and
+    `rows`/`orders` a reduced copy built on first read.  Checked against
+    the BFS closure `oracle_diff_rows`."""
+
+    @staticmethod
+    def inputs(rng):
+        shaped = [f for text, nvars in FILTRATION_SHAPED for f in over_fields(parse(text, nvars))]
+        return [*seeded_inputs(rng), *shaped]
+
+    def test_contains(self, rng):
+        for f in self.inputs(rng):
+            space = diff_space(f)
+            oracle = oracle_diff_rows(f)
+            zero = 0 * next(iter(f.terms.values()))
+            degree = int(f.degree())
+            for alpha in monomials_up_to(f.nvars, degree):
+                image = contract_by_monomial(f.terms, alpha)
+                if image:
+                    assert space.contains(Polynomial(f.nvars, image, PRIMAL)), (str(f), alpha)
+            pivots = {max(row.terms, key=grlex_key) for row in oracle}
+            # a monomial that is no pivot of the space's echelon basis lies
+            # outside it, and so does its sum with any vector of the space
+            outside = [m for m in monomials_up_to(f.nvars, degree) if m not in pivots]
+            for _ in range(6):
+                combination: dict = {}
+                for row in rng.sample(oracle, min(len(oracle), rng.randint(1, 4))):
+                    c = rng.choice((-3, -2, -1, 1, 2, 3)) + zero
+                    for m, v in row.terms.items():
+                        combination[m] = combination.get(m, zero) + c * v
+                combination = {m: v for m, v in combination.items() if v != 0}
+                assert space.contains(Polynomial(f.nvars, combination, PRIMAL)), str(f)
+                if outside:
+                    m = rng.choice(outside)
+                    shifted = dict(combination)
+                    shifted[m] = shifted.get(m, zero) + 1
+                    assert not space.contains(Polynomial(f.nvars, shifted, PRIMAL)), (str(f), m)
+
+    def test_rows_and_orders_in_either_order(self, rng):
+        for f in self.inputs(rng):
+            oracle = oracle_diff_rows(f)
+            orders_first = diff_space(f)
+            orders = orders_first.orders
+            rows = orders_first.rows
+            rows_first = diff_space(f)
+            assert [typed_terms(r) for r in rows_first.rows] == [typed_terms(r) for r in rows]
+            assert rows_first.orders == orders
+            assert [typed_terms(r) for r in rows] == [typed_terms(r) for r in oracle]
+            # the linear partials of every order are the closure's degree-1 rows
+            zero = 0 * next(iter(f.terms.values()))
+            units = [tuple(int(i == k) for i in range(f.nvars)) for k in range(f.nvars)]
+            linear = [[row.terms.get(unit, zero) for unit in units]
+                      for row in oracle if sum(max(row.terms, key=grlex_key)) == 1]
+            assert sorted(map(repr, orders_first.linear_partials(0))) == sorted(map(repr, linear))
 
 
 class TestLocalSchemeBuildsDiffOnce:

@@ -189,3 +189,47 @@ class TestOrdersScaleLinearly:
         large = self.kernel_calls(monkeypatch, 100)
         # rebuilding a span per level made this grow quadratically
         assert large <= 2.1 * small, (small, large)
+
+
+class TestOneEliminationPerSpace:
+    """The contraction table is built once per space and eliminated once:
+    the tagged basis is the only elimination of its images."""
+
+    @staticmethod
+    def counted(monkeypatch, read, f):
+        from apolarity import apolar
+
+        spaces, tables, inserts = [], [], [0]
+        build, contractions = apolar.FilteredSpace.__init__, apolar._contractions
+
+        def counted_build(self, g):
+            build(self, g)
+            spaces.append(self)
+
+        def counted_contractions(*args, **kwargs):
+            tables.append(contractions(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(apolar.FilteredSpace, "__init__", counted_build)
+        monkeypatch.setattr(apolar, "_contractions", counted_contractions)
+        for name in ("insert", "insert_labelled", "insert_tagged"):
+
+            def counted_insert(self, *args, _method=getattr(MonomialSpan, name)):
+                inserts[0] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(MonomialSpan, name, counted_insert)
+        read(f)
+        monkeypatch.undo()
+        return spaces, tables, inserts[0]
+
+    def test_one_table_and_one_insert_per_image_or_row(self, monkeypatch):
+        from apolarity.hilbert import symmetric_decomposition
+
+        f = parse("x1^100 + x2^100", 2)
+        for read in (symmetric_decomposition, lambda g: diff_space(g).orders):
+            spaces, tables, inserts = self.counted(monkeypatch, read, f)
+            assert len(spaces) == 1
+            assert len(tables) == len(spaces)
+            # every image once, and at most one more insert per basis row
+            assert inserts <= sum(map(len, tables)) + sum(space.dim for space in spaces)

@@ -60,6 +60,12 @@ class TestHilbertFunction:
         assert accepted.values == (1, 2, 2, 1)
         assert all(type(v) is int for v in accepted.values)
 
+    def test_indexing_and_text(self):
+        h = HilbertFunction((1, 2, 1))
+        # H is 0 outside 0..d
+        assert [h[i] for i in range(-1, 5)] == [0, 1, 2, 1, 0, 0]
+        assert str(h) == "(1,2,1)"
+
 
 class TestSymmetricDecomposition:
     def test_sextic_table(self):
@@ -195,6 +201,16 @@ class TestSymmetricDecomposition:
         assert accepted.rows[1] == (0, 1, 1, 0, 0)
         assert all(type(v) is int for row in accepted.rows for v in row)
 
+    def test_rows_past_the_first_vanish_at_index_0(self):
+        # (1, 0, 1) is symmetric about 1, so only the index-0 rule rejects it
+        with pytest.raises(ValueError, match="vanish at index 0"):
+            SymmetricDecomposition(d=3, rows=((1, 1, 1, 1), (1, 0, 1, 0)))
+
+    def test_entry_is_zero_outside_the_table(self):
+        dec = SymmetricDecomposition(d=3, rows=((1, 2, 2, 1), (0, 1, 0, 0)))
+        assert [dec.entry(0, 0), dec.entry(0, 3), dec.entry(1, 1)] == [1, 1, 1]
+        assert [dec.entry(a, i) for a, i in ((-1, 0), (2, 0), (0, -1), (0, 4))] == [0, 0, 0, 0]
+
     def test_arrow_format(self):
         dec = SymmetricDecomposition(
             d=6,
@@ -242,6 +258,11 @@ class TestEmbeddingDims:
         dec = SymmetricDecomposition(d=3, rows=((1, 6, 6, 1), (0, 0, 0, 0)))
         assert embedding_dims(dec) == (6, 6)
 
+    def test_socle_degrees_one_and_two(self):
+        # one row, so one partial sum
+        assert embedding_dims(SymmetricDecomposition(d=1, rows=((1, 1),))) == (1,)
+        assert embedding_dims(SymmetricDecomposition(d=2, rows=((1, 2, 1),))) == (2,)
+
     def test_sextic(self):
         dec = symmetric_decomposition(parse("x1^6 + x1^3*x2", 2))
         assert embedding_dims(dec) == (1, 1, 1, 1, 2)
@@ -272,6 +293,10 @@ class TestAdaptCoordinates:
         adapted, change = adapt_coordinates(f)
         assert change.dropped == 1
         assert adapted.nvars == 1 and adapted == parse("x1^2", 1)
+
+    def test_a_constant_drops_every_variable(self):
+        adapted, change = adapt_coordinates(parse("3", 2))
+        assert change.dropped == 2 and adapted.nvars == 0
 
     def test_keeps_hidden_variables(self):
         # x3 enters only through a hidden-variable summand; no linear change

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -135,6 +136,30 @@ class TestBackSubstitute:
         span.back_substitute()
         assert span.rows == reduced
 
+    def test_int_rows_are_primitive_with_a_positive_lead(self):
+        # over QQ a row that `int_row` hands to another span is the field
+        # row times a positive int with no factor common to its entries,
+        # as appended and after back-substitution; an unlabelled and a
+        # tagged span normalise the row alone
+        def assert_primitive(span):
+            for index in range(span.dim):
+                row = span.int_row(index)
+                assert row[span.pivots[index]] > 0
+                assert gcd(*row.values()) == 1
+
+        rng = random.Random(15)
+        for _ in range(20):
+            vectors = [{m: rng.choice((-6, -2, 3, 4)) * c for m, c in vec.items()}
+                       for vec in random_vectors(rng, fractional, 12)]
+            plain, tagged = MonomialSpan(0), MonomialSpan(0)
+            for tag, vec in enumerate(vectors):
+                plain.insert(vec)
+                tagged.insert_tagged(vec, tag)
+            assert_primitive(tagged)
+            assert_primitive(plain)
+            plain.back_substitute()
+            assert_primitive(plain)
+
 
 class TestAgainstBackSubstitutingKernel:
     """Inserts, remainders and relations equal those of the kernel that
@@ -167,6 +192,21 @@ class TestAgainstBackSubstitutingKernel:
                     assert got == oracle.insert_labelled(vec, label)
                 for vec in random_vectors(rng, field, 6):
                     assert span.solve(vec) == oracle.solve(vec)
+
+    def test_tagged_labels_and_solutions(self):
+        # a tag's generator is the remainder that its vector left
+        rng = random.Random(14)
+        for characteristic, coerce in ((0, RATIONALS), (0, fractional), (GF.p, GF)):
+            for _ in range(20):
+                vectors = random_vectors(rng, coerce, 12)
+                span, oracle = MonomialSpan(characteristic), BackSubstitutingSpan()
+                for tag, vec in enumerate(vectors):
+                    assert span.insert_tagged(vec, tag) == oracle.insert_tagged(vec, tag)
+                for vec in random_vectors(rng, coerce, 6):
+                    assert span.solve(vec) == oracle.solve(vec)
+                    used: dict = {}
+                    oracle.reduce(vec, used)
+                    assert span.labels(vec) == {tag for tag, c in used.items() if c != 0}
 
     def test_fractional_entries(self):
         rng = random.Random(12)
