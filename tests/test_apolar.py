@@ -622,8 +622,12 @@ class TestEchelonOnlyKernelOracle:
     def test_diff_space_rows(self, rng):
         shaped = [f for text, nvars in FILTRATION_SHAPED for f in over_fields(parse(text, nvars))]
         for f in [*seeded_inputs(rng), *shaped]:
-            rows = diff_space(f).rows
+            rows_first, orders_first = diff_space(f), diff_space(f)
+            rows, orders = rows_first.rows, orders_first.orders
             assert [typed_terms(r) for r in rows] == [typed_terms(r) for r in oracle_diff_rows(f)]
+            # the reduced basis is built on first read, by either property
+            assert [typed_terms(r) for r in orders_first.rows] == [typed_terms(r) for r in rows]
+            assert rows_first.orders == orders
 
     def test_annihilator_generators(self, rng):
         for f in seeded_inputs(rng):
@@ -644,17 +648,12 @@ class TestEchelonOnlyKernelOracle:
 
 class TestTaggedBasisReadPaths:
     """`FilteredSpace` eliminates f's table once, into a level-tagged basis
-    that is never back-substituted; `contains` reads it directly and
-    `rows`/`orders` a reduced copy built on first read.  Checked against
-    the BFS closure `oracle_diff_rows`."""
-
-    @staticmethod
-    def inputs(rng):
-        shaped = [f for text, nvars in FILTRATION_SHAPED for f in over_fields(parse(text, nvars))]
-        return [*seeded_inputs(rng), *shaped]
+    that is never back-substituted; `contains` reads it directly.  Checked
+    against the BFS closure `oracle_diff_rows`."""
 
     def test_contains(self, rng):
-        for f in self.inputs(rng):
+        shaped = [f for text, nvars in FILTRATION_SHAPED for f in over_fields(parse(text, nvars))]
+        for f in [*seeded_inputs(rng), *shaped]:
             space = diff_space(f)
             oracle = oracle_diff_rows(f)
             zero = 0 * next(iter(f.terms.values()))
@@ -680,23 +679,6 @@ class TestTaggedBasisReadPaths:
                     shifted = dict(combination)
                     shifted[m] = shifted.get(m, zero) + 1
                     assert not space.contains(Polynomial(f.nvars, shifted, PRIMAL)), (str(f), m)
-
-    def test_rows_and_orders_in_either_order(self, rng):
-        for f in self.inputs(rng):
-            oracle = oracle_diff_rows(f)
-            orders_first = diff_space(f)
-            orders = orders_first.orders
-            rows = orders_first.rows
-            rows_first = diff_space(f)
-            assert [typed_terms(r) for r in rows_first.rows] == [typed_terms(r) for r in rows]
-            assert rows_first.orders == orders
-            assert [typed_terms(r) for r in rows] == [typed_terms(r) for r in oracle]
-            # the linear partials of every order are the closure's degree-1 rows
-            zero = 0 * next(iter(f.terms.values()))
-            units = [tuple(int(i == k) for i in range(f.nvars)) for k in range(f.nvars)]
-            linear = [[row.terms.get(unit, zero) for unit in units]
-                      for row in oracle if sum(max(row.terms, key=grlex_key)) == 1]
-            assert sorted(map(repr, orders_first.linear_partials(0))) == sorted(map(repr, linear))
 
 
 class TestLocalSchemeBuildsDiffOnce:

@@ -9,10 +9,11 @@ A mutant changes one node of one module under `src/apolarity`:
   `/` to `*`, `%` to `//`, `and` and `or`);
 * an int constant 0, 1 or 2 is raised by one.
 
-The tree is copied once into a work directory.  Each mutant is written into
-the copy on its own, the command runs there with `src` on `PYTHONPATH` and
-a timeout, and the module is restored.  A nonzero exit or a timeout kills
-the mutant.  Run from the root of the repository:
+The tree is copied once into a work directory, each module to mutate in its
+`ast.unparse` form, so a mutant differs from the baseline by its one change.
+Each mutant is written into the copy on its own, the command runs there with
+`src` on `PYTHONPATH` and a 120 s timeout, and the module is restored.  A
+nonzero exit or a timeout kills the mutant.  Run from the root of the repository:
 
     python3 tools/mutate.py --files apolar.py
     python3 tools/mutate.py --sample 40 --seed 7 --workdir /tmp/mut
@@ -38,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "apolarity"
+TIMEOUT = 120.0  # seconds per run of the command
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 SWAPS = {
@@ -77,14 +79,16 @@ def _mutant(source: str, index: int, slot) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def _run(command: list, cwd: Path, timeout: float) -> str:
+def _run(command: list, cwd: Path) -> str:
     """'killed', 'timeout' or 'survived'; a timed-out run loses its whole
-    process group, so no test subprocess outlives it."""
-    env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
+    process group, so no test subprocess outlives it.  No bytecode is
+    written: two mutants of one size within a second would share a stale
+    .pyc."""
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
     process = subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        status = process.wait(timeout=timeout)
+        status = process.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(process.pid, signal.SIGKILL)
         process.wait()
@@ -98,7 +102,6 @@ def main(argv=None) -> int:
                         "(default: every module)")
     parser.add_argument("--sample", type=int, help="mutate this many sites, drawn by --seed")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per run")
     parser.add_argument("--workdir", type=Path, help="where the copy goes (default: a "
                         "temporary directory, removed afterwards)")
     parser.add_argument("command", nargs="*", help="test command after `--` "
@@ -106,6 +109,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     names = args.files or sorted(p.name for p in (ROOT / PACKAGE).glob("*.py"))
     sources = {name: (ROOT / PACKAGE / name).read_text() for name in names}
+    plain = {name: ast.unparse(ast.parse(source)) + "\n" for name, source in sources.items()}
     sites = [(name, *site) for name in names for site in _sites(ast.parse(sources[name]))]
     if args.sample is not None:
         sites = random.Random(args.seed).sample(sites, min(args.sample, len(sites)))
@@ -115,10 +119,12 @@ def main(argv=None) -> int:
     shutil.rmtree(copy, ignore_errors=True)
     shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".pytest_cache"))
+    for name in names:
+        (copy / PACKAGE / name).write_text(plain[name])
     command = args.command or TIER1
     survivors = 0
     try:
-        if _run(command, copy, args.timeout) != "survived":
+        if _run(command, copy) != "survived":
             print("the command fails on the unmutated tree", file=sys.stderr)
             return 2
         for name, index, slot, line, description in sites:
@@ -126,9 +132,9 @@ def main(argv=None) -> int:
             target.write_text(_mutant(sources[name], index, slot))
             start = time.monotonic()
             try:
-                outcome = _run(command, copy, args.timeout)
+                outcome = _run(command, copy)
             finally:
-                target.write_text(sources[name])
+                target.write_text(plain[name])
             survivors += outcome == "survived"
             print(f"{outcome:8} {name}:{line} {description} "
                   f"({time.monotonic() - start:.1f} s)", flush=True)
