@@ -9,13 +9,14 @@ contraction table.  It carries two filtrations:
 
 Both are read off one echelon basis, the only elimination of the table:
 every image is inserted, from level j = deg f down to 0, in monomial
-coordinates, tagged with its dual monomial and never back-substituted.  The
-rows tagged >= j span O_j, so their (level, pivot degree) pairs,
-`bidegrees`, count M(i, j) = dim(Diff(f)_i  ∩ O_j) as the pairs with level
->= j and degree <= i, and a partial's order is the lowest tag among the rows
-it combines: coordinates in an echelon basis are unique.  The reduced basis
-(`rows`, and the rows whose orders `orders` reads) is built on first read,
-from a back-substituted copy of the tagged rows.
+coordinates, tagged with its dual monomial.  The rows tagged >= j, as
+appended, span O_j, so their (level, pivot degree) pairs, `bidegrees`,
+count M(i, j) = dim(Diff(f)_i  ∩ O_j) as the pairs with level >= j and
+degree <= i, and a partial's order is the lowest tag among the appended
+rows it combines: coordinates in an echelon basis are unique.  The first
+read of `rows` or `orders` back-substitutes the basis in place; each
+reduced row keeps its combination of the appended rows, whose tags give
+its order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .scalars import characteristic, one_like, to_integers
 
 class FilteredSpace:
     """Diff(f) as one level-tagged echelon basis, with its degree and order
-    filtrations."""
+    filtrations; the basis is back-substituted in place when `rows` or
+    `orders` is first read."""
 
     def __init__(self, f: Polynomial):
         if f.side != PRIMAL:
@@ -61,24 +63,27 @@ class FilteredSpace:
         table = _contractions(_int_terms(f.terms, self._p))
         self._span = MonomialSpan(self._p)
         self._bidegrees = []
+        # (level, int row) of the appended rows of degree <= 1; back-
+        # substitution replaces row dicts and never modifies them
+        self._linear = []
         for alpha in sorted(table, key=grlex_key, reverse=True):
             if (index := self._span.insert_tagged(table[alpha], alpha)) is not None:
-                self._bidegrees.append((sum(alpha), sum(self._span.pivots[index])))
+                degree = sum(self._span.pivots[index])
+                self._bidegrees.append((sum(alpha), degree))
+                if degree <= 1:
+                    self._linear.append((sum(alpha), self._span.int_row(index)))
         self._pivots = sorted(self._span.pivots, key=grlex_key, reverse=True)
         self.degrees = tuple(sum(p) for p in self._pivots)
         self.dim = len(self._pivots)
-        self._reduced = None  # built on demand: the reduced basis
+        self._reduced = False
         self._orders = None
 
     def _reduced_span(self) -> MonomialSpan:
-        """The reduced echelon basis of Diff(f): a back-substituted copy of
-        the tagged rows, which stay as they are for the tags to hold."""
-        if self._reduced is None:
-            self._reduced = MonomialSpan(self._p)
-            for index in range(self.dim):
-                self._reduced.insert(self._span.int_row(index))
-            self._reduced.back_substitute()
-        return self._reduced
+        """The span, back-substituted in place on first call."""
+        if not self._reduced:
+            self._span.back_substitute()
+            self._reduced = True
+        return self._span
 
     # -- public views ----------------------------------------------------
 
@@ -118,9 +123,9 @@ class FilteredSpace:
         row, which full reduction keeps out of the degree-1 rows.
         """
         span = MonomialSpan(self._p)
-        for index, (level, degree) in enumerate(self._bidegrees):
-            if degree <= 1 and level >= j:
-                span.insert(self._span.int_row(index))
+        for level, row in self._linear:
+            if level >= j:
+                span.insert(row)
         span.back_substitute()
         out = []
         for row, pivot in zip(span.rows, span.pivots):
@@ -136,12 +141,12 @@ class FilteredSpace:
         """Order of each basis row: the largest j with the row inside O_j,
         which is the lowest tag among the tagged rows that it combines."""
         if self._orders is None:
-            reduced = self._reduced_span()
+            span = self._reduced_span()
             orders = []
             for pivot in self._pivots:
-                # a reduced row probed against the tagged rows, which are not
-                # back-substituted: a reduced basis would name the wrong tags
-                tags = self._span.labels(reduced.int_row(reduced.by_pivot[pivot]))
+                # the tags name the rows as appended, not the reduced rows,
+                # whose own tags would give wrong orders
+                tags = span.labels(span.int_row(span.by_pivot[pivot]))
                 orders.append(min(sum(alpha) for alpha in tags))
             self._orders = tuple(orders)
         return self._orders

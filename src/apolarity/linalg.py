@@ -16,8 +16,9 @@ the rows to the unique reduced form, for callers that read the rows.
 Rows inserted with a label also remember how they combine the labelled
 generators, which yields kernel vectors (a dependent insert) and preimages
 under the generator map (`solve`); a relation's coefficients over the
-independent labels are unique.  A tagged row is labelled {tag: 1}, so a
-reduction names the tagged rows it combines.  One kind per span.
+independent labels are unique.  A tagged row's generator is the row as
+appended, with leading coefficient 1, so a reduction names the tagged rows
+it combines, also after `back_substitute`.  One kind per span.
 
 Rows are held as Python ints; field scalars exist only at the boundary,
 crossed by the rule of `scalars`.  A span is built over the field its
@@ -39,16 +40,15 @@ division-based elimination holds: it has the same entries, so the same
 pivot is reduced next and the same decision comes out, and dividing it by
 s gives the same remainder.  The rows a caller reads are normalised to
 leading coefficient 1, so after `back_substitute` they are the unique
-reduced echelon rows.  A label combination is kept as integers over
-integer multiples of the generators, with the multiple recorded once per
-label; dividing the multiples and s back out gives a field vector, and a
-relation or a `solve` result is unique, so it is the one a field
-elimination gives.
+reduced echelon rows.  A label combination is kept as integer coefficients
+over the generators themselves, and a stored row is that combination of
+them; dividing s and the input's denominator back out gives a field
+vector, and a relation or a `solve` result is unique, so it is the one a
+field elimination gives.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import neg
@@ -74,12 +74,8 @@ class MonomialSpan:
         self.by_pivot: dict[tuple, int] = {}
         self._p = p  # the characteristic: 0 for the rationals, p for GF(p)
         self._rows: list[dict] = []  # int rows, parallel to pivots
-        # int label combinations parallel to _rows: row = sum coeff * w_label
+        # int label combinations parallel to _rows: row = sum coeff * g_label
         self._combos: list[dict] = []
-        # rationals only: label -> (num, den) with w_label = num/den * g_label,
-        # w_label being the integer multiple of generator g_label that the
-        # combinations combine
-        self._multiples: dict = {}
         self._view: list[dict] = []  # rows as field scalars, converted when read
 
     @property
@@ -118,20 +114,14 @@ class MonomialSpan:
         """The field dict w / den."""
         return dict(zip(w, from_integers(w.values(), den, self._p)))
 
-    def _combination(self, combo: dict, den: int) -> dict:
-        """The field coefficients of g_label in combo / den."""
-        if self._p:
-            return self._scalars(combo, 1)
-        multiples = self._multiples
-        return {k: Fraction(c * multiples[k][0], den * multiples[k][1]) for k, c in combo.items()}
-
     # -- the kernel: int rows only ---------------------------------------
 
     def _reduce(self, w: dict, combo: dict | None) -> int:
         """Fully reduce the int vector w in place; returns a positive int s
-        such that the reduced w is s * (w as given) + the integer
-        combination of stored rows that `combo` (if given) gathers, as label
-        coefficients over the multiples w_label.
+        such that the reduced w is s * (w as given) minus an integer
+        combination of stored rows.  A given `combo` is scaled and reduced
+        alongside w, so if w = sum combo[L] * g_L held on entry it holds on
+        return.
 
         Over the rationals, once the multipliers since the last time reach
         _CONTENT_BITS bits, the factor common to s, w and combo is divided
@@ -244,12 +234,14 @@ class MonomialSpan:
         return index
 
     def back_substitute(self):
-        """Bring an unlabelled span to reduced echelon form in place.
+        """Bring the span to reduced echelon form in place, with each row's
+        label combination.
 
         Rows go lowest pivot first; each reduces its entries below its pivot
         by the already reduced rows, which subtracts only the rows whose
         pivots are among its entries, so the pass costs in proportion to the
-        entries it clears, not to the square of the dimension.
+        entries it clears, not to the square of the dimension.  A changed
+        row replaces the old dict, which is never modified.
         """
         for index in sorted(range(self.dim), key=lambda i: grlex_key(self.pivots[i])):
             row = self._rows[index]
@@ -257,11 +249,16 @@ class MonomialSpan:
             rest = {m: c for m, c in row.items() if m != pivot}
             if not any(m in self.by_pivot for m in rest):
                 continue
-            rest[pivot] = row[pivot] * self._reduce(rest, None)
+            combo = dict(self._combos[index]) if self._combos else None
+            rest[pivot] = row[pivot] * self._reduce(rest, combo)
             if not self._p:
-                g = gcd(*rest.values())
+                g = gcd(*rest.values(), *(combo.values() if combo is not None else ()))
                 rest = {m: c // g for m, c in rest.items()}
+                if combo is not None:
+                    combo = {k: c // g for k, c in combo.items()}
             self._rows[index] = rest
+            if combo is not None:
+                self._combos[index] = combo
             if index < len(self._view):
                 self._view[index] = self._field_row(index)
 
@@ -295,33 +292,25 @@ class MonomialSpan:
         that includes the new label with the field's one.
         """
         w, den = self._integral(vec)
-        if not self._p:
-            self._multiples[label] = (den, 1)
-        combo: dict = {}
-        combo[label] = self._reduce(w, combo)
+        combo = {label: den}  # w = den * vec
+        self._reduce(w, combo)
         if not w:
-            # sum combo[L] * w_L = 0, and the new label's entry is s * den
-            return None, self._combination(combo, combo[label] * den)
+            # sum combo[L] * g_L = 0; over GF(p) the new label's entry is 1
+            return None, self._scalars(combo, combo[label])
         return self._append(w, combo), None
 
     def insert_tagged(self, vec: dict, tag):
-        """Insert vec labelled {tag: 1}, tags distinct; index or None.
+        """Insert vec labelled by tag, tags distinct; index or None.
 
-        The tag's generator is the remainder of vec, the row before it is
-        normalised.
+        The tag's generator is the row as appended, with leading
+        coefficient 1, so the stored int row is its leading entry times it.
         """
-        w, den = self._integral(vec)
-        den *= self._reduce(w, None)
+        w, _ = self._integral(vec)
+        self._reduce(w, None)
         if not w:
             return None
         index = self._append(w, None)
-        pivot = self.pivots[index]
-        if self._p:
-            self._combos.append({tag: pow(w[pivot], -1, self._p)})
-        else:
-            # the stored row is the remainder w / den times den / content
-            self._combos.append({tag: 1})
-            self._multiples[tag] = (den * self._rows[index][pivot], w[pivot])
+        self._combos.append({tag: self._rows[index][self.pivots[index]]})
         return index
 
     def solve(self, vec: dict):
@@ -331,7 +320,8 @@ class MonomialSpan:
         den *= self._reduce(w, combo)
         if w:
             return None
-        return {k: -c for k, c in self._combination(combo, den).items()}
+        # vec = -sum combo[L] * g_L / den; den is 1 over GF(p)
+        return self._scalars({k: -c for k, c in combo.items()}, den)
 
     def contains(self, vec: dict) -> bool:
         w, _ = self._integral(vec)

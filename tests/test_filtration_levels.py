@@ -231,5 +231,6 @@ class TestOneEliminationPerSpace:
             spaces, tables, inserts = self.counted(monkeypatch, read, f)
             assert len(spaces) == 1
             assert len(tables) == len(spaces)
-            # every image once, and at most one more insert per basis row
-            assert inserts <= sum(map(len, tables)) + sum(space.dim for space in spaces)
+            # every image once, and no basis row inserted again: the
+            # reduced basis is the tagged span, back-substituted in place
+            assert inserts == sum(map(len, tables))

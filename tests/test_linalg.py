@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from apolarity.apolar import diff_space
+from apolarity.apolar import annihilator_generators, diff_space
 from apolarity.linalg import MonomialSpan
 from apolarity.poly import PRIMAL, Polynomial, _contractions, grlex_key, monomials_up_to
 from apolarity.scalars import RATIONALS, PrimeField
@@ -161,6 +161,25 @@ class TestBackSubstitute:
             assert_primitive(plain)
 
 
+class TestContentStep:
+    def test_integers_stay_small_on_a_dense_rational_form(self, monkeypatch):
+        # the reduction takes out the factor common to its scale, vector and
+        # combination; without it the integers it hands back on this input
+        # reach about 7,000 bits, with it about 760
+        peak = [0]
+        reduce = MonomialSpan._reduce
+
+        def tracked(self, w, combo):
+            scale = reduce(self, w, combo)
+            held = (scale, *w.values(), *(combo.values() if combo is not None else ()))
+            peak[0] = max(peak[0], *(abs(v).bit_length() for v in held))
+            return scale
+
+        monkeypatch.setattr(MonomialSpan, "_reduce", tracked)
+        annihilator_generators(dense_binary(24), 25)
+        assert 0 < peak[0] <= 1500
+
+
 class TestAgainstBackSubstitutingKernel:
     """Inserts, remainders and relations equal those of the kernel that
     back-substituted on every insert, although stored rows now stay as
@@ -194,19 +213,55 @@ class TestAgainstBackSubstitutingKernel:
                     assert span.solve(vec) == oracle.solve(vec)
 
     def test_tagged_labels_and_solutions(self):
-        # a tag's generator is the remainder that its vector left
+        # a tag's generator is its row as appended, with leading coefficient
+        # 1: the generator a labelled span is given for that row
         rng = random.Random(14)
         for characteristic, coerce in ((0, RATIONALS), (0, fractional), (GF.p, GF)):
             for _ in range(20):
                 vectors = random_vectors(rng, coerce, 12)
                 span, oracle = MonomialSpan(characteristic), BackSubstitutingSpan()
+                appended = BackSubstitutingSpan()
                 for tag, vec in enumerate(vectors):
-                    assert span.insert_tagged(vec, tag) == oracle.insert_tagged(vec, tag)
+                    index = span.insert_tagged(vec, tag)
+                    assert index == oracle.insert_tagged(vec, tag)
+                    if index is not None:
+                        appended.insert_labelled(span.rows[index], tag)
                 for vec in random_vectors(rng, coerce, 6):
-                    assert span.solve(vec) == oracle.solve(vec)
+                    assert span.solve(vec) == appended.solve(vec)
                     used: dict = {}
                     oracle.reduce(vec, used)
                     assert span.labels(vec) == {tag for tag, c in used.items() if c != 0}
+
+    def test_back_substitute_keeps_each_rows_combination(self):
+        # back-substituting halfway moves no relation, solution or label set,
+        # and a tag still names its row as appended
+        def assert_same(span, oracle, probes):
+            span.back_substitute()
+            assert {p: typed(r) for p, r in zip(span.pivots, span.rows)} == \
+                {p: typed(r) for p, r in zip(oracle.pivots, oracle.rows)}
+            for vec in probes:
+                assert span.solve(vec) == oracle.solve(vec)
+                used: dict = {}
+                oracle.reduce(vec, used)
+                assert span.labels(vec) == {label for label, c in used.items() if c != 0}
+
+        rng = random.Random(16)
+        for characteristic, coerce in ((0, RATIONALS), (0, fractional), (GF.p, GF)):
+            for _ in range(20):
+                vectors = random_vectors(rng, coerce, 12)
+                probes = random_vectors(rng, coerce, 6)
+                labelled, tagged = MonomialSpan(characteristic), MonomialSpan(characteristic)
+                labelled_oracle, appended = BackSubstitutingSpan(), BackSubstitutingSpan()
+                for label, vec in enumerate(vectors):
+                    if label == len(vectors) // 2:
+                        assert_same(labelled, labelled_oracle, probes)
+                        assert_same(tagged, appended, probes)
+                    got = labelled.insert_labelled(vec, label)
+                    assert got == labelled_oracle.insert_labelled(vec, label)
+                    if (index := tagged.insert_tagged(vec, label)) is not None:
+                        appended.insert_labelled(tagged.rows[index], label)
+                assert_same(labelled, labelled_oracle, probes)
+                assert_same(tagged, appended, probes)
 
     def test_fractional_entries(self):
         rng = random.Random(12)
