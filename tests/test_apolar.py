@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from apolarity import apolar
 from apolarity.apolar import (
+    _annihilator,
+    _scheme,
     annihilator_generators,
     annihilator_stabilized,
     apolar_length,
@@ -681,23 +684,39 @@ class TestTaggedBasisReadPaths:
                     assert not space.contains(Polynomial(f.nvars, shifted, PRIMAL)), (str(f), m)
 
 
+def counted_spans(monkeypatch) -> list:
+    """Record every `MonomialSpan` built from now on: one per elimination."""
+    built = []
+    original = MonomialSpan.__init__
+
+    def counted(self, p):
+        built.append(p)
+        original(self, p)
+
+    monkeypatch.setattr(MonomialSpan, "__init__", counted)
+    return built
+
+
 class TestLocalSchemeBuildsDiffOnce:
-    def test_one_filtered_space_per_scheme(self, monkeypatch):
-        from apolarity import apolar
+    def test_one_elimination_per_scheme(self, monkeypatch, capsys):
+        # length and H come from the annihilator's span: f's table is
+        # eliminated once per scheme, and a cusp witness adds f_l's space
+        from apolarity.cli import run
+        from apolarity.witness import cusp_witness
 
-        built = []
-        original = apolar.FilteredSpace.__init__
-
-        def counted(self, f):
-            built.append(f)
-            original(self, f)
-
-        monkeypatch.setattr(apolar.FilteredSpace, "__init__", counted)
+        built = counted_spans(monkeypatch)
         F = parse("x0^3 + x1^3 + x2^3", 3, base=0)
         scheme = local_scheme(F, Polynomial.variable(3, 0))
         assert len(built) == 1
         assert scheme.stabilized
         assert scheme.stabilized == annihilator_stabilized(scheme.defining, 4)
+        built.clear()
+        assert cusp_witness(F).apolar_ok
+        assert len(built) == 2
+        built.clear()
+        assert run(["annihilator", "--f", "x1^2*x2 + x2^2", "--nvars", "2"]) == 0
+        assert len(built) == 1
+        assert "stabilized = True" in capsys.readouterr().out.splitlines()
 
     def test_one_substitution_per_scheme(self, monkeypatch):
         # dehomogenize substitutes once; the form that apolarity is checked
@@ -716,3 +735,66 @@ class TestLocalSchemeBuildsDiffOnce:
         scheme = local_scheme(F, parse("x0 + x1", 3, base=0))
         assert len(calls) == 1
         assert scheme.apolarity_checked
+
+
+class TestAnnihilatorSpanIsDiff:
+    """From max_degree = deg f on, the annihilator's labelled span is Diff(f),
+    so `_scheme` reads the length and H from it; checked against the tagged
+    elimination of `FilteredSpace`."""
+
+    def test_length_and_hilbert_match_the_filtered_space(self, rng):
+        for _ in range(16):
+            drawn = random_polynomial(rng, rng.randint(1, 4), rng.randint(1, 5), max_terms=8)
+            for f in over_fields(drawn):
+                space = diff_space(f)
+                top = int(f.degree())
+                for max_degree in {max(top, 1), top + 1}:
+                    assert _annihilator(f, max_degree)[1].dim == space.dim, str(f)
+                    _, length, hilbert, apolar_ok = _scheme(f, max_degree, homogenize(f, top))
+                    assert (length, hilbert, apolar_ok) == (space.dim, space.hilbert_values(), True)
+
+    @pytest.mark.parametrize("text,nvars,expected", [("x1^3", 1, False), ("x1^2 + x2", 2, True)])
+    def test_below_deg_f_the_command_reports_the_length_check(self, capsys, text, nvars, expected):
+        # the span up to max_degree < deg f need not be Diff(f), so the
+        # command compares with apolar_length, and the check can fail
+        from apolarity.cli import run
+
+        assert annihilator_stabilized(parse(text, nvars), 1) is expected
+        assert run(["annihilator", "--f", text, "--nvars", str(nvars), "--max-degree", "1"]) == 0
+        assert f"stabilized = {expected}" in capsys.readouterr().out.splitlines()
+
+
+class TestIntApolarityCheckCanFail:
+    """The apolarity check reads every kernel element: one perturbed
+    coefficient makes a local scheme and a cusp witness report False."""
+
+    @staticmethod
+    def perturb(monkeypatch):
+        original = apolar._annihilator
+
+        def perturbed(f, max_degree):
+            kernel, span = original(f, max_degree)
+            # the first relation's lead has a nonzero image on f, so one more
+            # of it takes the relation out of the kernel
+            index = next(i for i, g in enumerate(kernel) if len(g.terms) > 1)
+            terms = dict(kernel[index].terms)
+            lead = max(terms, key=grlex_key)
+            terms[lead] += 1
+            kernel[index] = Polynomial(f.nvars, terms, DUAL)
+            return kernel, span
+
+        monkeypatch.setattr(apolar, "_annihilator", perturbed)
+
+    @pytest.mark.parametrize("text", ["x0^3 + 2*x1^3 - x2^3 + 3*x0*x1*x2 + x1^2*x2",
+                                      "x0^2*x1 - 1/2*x1^3 + 5*x2^3 + x0*x2^2"])
+    def test_a_perturbed_kernel_element_is_caught(self, monkeypatch, text):
+        from apolarity.witness import cusp_witness
+
+        for f in over_fields(parse(text, 3, base=0)):
+            support = parse("x0 + x1 - x2", 3, base=0)
+            assert local_scheme(f, support).apolarity_checked
+            assert cusp_witness(f).apolar_ok
+            with monkeypatch.context() as patch:
+                self.perturb(patch)
+                assert not local_scheme(f, support).apolarity_checked, str(f)
+                assert not cusp_witness(f).apolar_ok, str(f)

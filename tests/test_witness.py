@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -133,7 +134,7 @@ class TestExoticExtend:
 
     def test_rejects_low_order_operator(self):
         f = parse("x1^6 + x1^3*x2", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^operator y1 has order < 2$"):
             exotic_extend(f, [parse("y1", 2, side=DUAL)])
         with pytest.raises(ValueError):
             exotic_extend(f, [parse("1 + y1^2", 2, side=DUAL)])
@@ -148,6 +149,14 @@ class TestExoticExtend:
         f = parse("x1^2", 2)
         with pytest.raises(ValueError):
             exotic_extend(f, [parse("y1^2", 2, side=DUAL)])
+
+    def test_spanning_check_in_degrees_0_and_1(self):
+        # a constant has H = (1), so it spans no variable; x1 spans 1 and
+        # x1, and y1^2 already kills it, so only the zero power contributes
+        y1_squared = parse("y1^2", 1, side=DUAL)
+        with pytest.raises(ValueError, match="must span"):
+            exotic_extend(parse("3", 1), [y1_squared])
+        assert exotic_extend(parse("x1", 1), [y1_squared]) == parse("x1", 2)
 
 
 class TestCuspWitness:
@@ -207,3 +216,15 @@ class TestCuspWitness:
             cusp_witness(parse("x0^2", 3, base=0))  # not cubic
         with pytest.raises(ValueError):
             cusp_witness(parse("x0^3 + x1^3 + x2^3 + x2^2", 3, base=0))  # inhomogeneous
+        with pytest.raises(ValueError, match="primal cubic"):
+            cusp_witness(parse("y0^3 + y1^3 + y2^3", 3, side=DUAL, base=0))
+
+
+def test_seeded_draws_are_pinned():
+    # seed 1 reaches every fallback x2^3 coefficient of random_general_cubic
+    # within 60 draws, and random_linear_form draws coefficients +-1 to +-3
+    rng = random.Random(1)
+    text = ";".join(poly_str(random_general_cubic(rng), base=0) for _ in range(60))
+    text += "|" + ";".join(poly_str(random_linear_form(rng, 3), base=0) for _ in range(20))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "46e5ac2caf4d040676dbcd084cc8716be0b8ff0914011d3616fad1ff126fcdc5"

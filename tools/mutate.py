@@ -12,8 +12,10 @@ A mutant changes one node of one module under `src/apolarity`:
 The tree is copied once into a work directory, each module to mutate in its
 `ast.unparse` form, so a mutant differs from the baseline by its one change.
 Each mutant is written into the copy on its own, the command runs there with
-`src` on `PYTHONPATH` and a 120 s timeout, and the module is restored.  A
-nonzero exit or a timeout kills the mutant.  Run from the root of the repository:
+`src` on `PYTHONPATH`, and the module is restored.  A nonzero exit or a
+timeout kills the mutant; the timeout is TIMEOUT_FACTOR times the command's
+run on the unmutated copy, and at least TIMEOUT_FLOOR seconds.  Run from the
+root of the repository:
 
     python3 tools/mutate.py --files apolar.py
     python3 tools/mutate.py --sample 40 --seed 7 --workdir /tmp/mut
@@ -39,7 +41,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "apolarity"
-TIMEOUT = 120.0  # seconds per run of the command
+TIMEOUT_FACTOR = 4  # a mutant's run may take this many times the unmutated run
+TIMEOUT_FLOOR = 3.0  # seconds, so that a short command's noise kills no mutant
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 SWAPS = {
@@ -79,7 +82,7 @@ def _mutant(source: str, index: int, slot) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def _run(command: list, cwd: Path) -> str:
+def _run(command: list, cwd: Path, timeout: float | None) -> str:
     """'killed', 'timeout' or 'survived'; a timed-out run loses its whole
     process group, so no test subprocess outlives it.  No bytecode is
     written: two mutants of one size within a second would share a stale
@@ -88,7 +91,7 @@ def _run(command: list, cwd: Path) -> str:
     process = subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        status = process.wait(timeout=TIMEOUT)
+        status = process.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(process.pid, signal.SIGKILL)
         process.wait()
@@ -124,15 +127,19 @@ def main(argv=None) -> int:
     command = args.command or TIER1
     survivors = 0
     try:
-        if _run(command, copy) != "survived":
+        start = time.monotonic()
+        if _run(command, copy, None) != "survived":
             print("the command fails on the unmutated tree", file=sys.stderr)
             return 2
+        baseline = time.monotonic() - start
+        timeout = max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * baseline)
+        print(f"unmutated run {baseline:.1f} s; timeout per mutant {timeout:.1f} s", flush=True)
         for name, index, slot, line, description in sites:
             target = copy / PACKAGE / name
             target.write_text(_mutant(sources[name], index, slot))
             start = time.monotonic()
             try:
-                outcome = _run(command, copy)
+                outcome = _run(command, copy, timeout)
             finally:
                 target.write_text(plain[name])
             survivors += outcome == "survived"
