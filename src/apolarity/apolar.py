@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .linalg import MonomialSpan
+from .linalg import _IntSpan
 from .poly import (
     DUAL,
     PRIMAL,
@@ -60,8 +60,8 @@ class FilteredSpace:
         # action, y^beta(y^alpha f) = y^(alpha + beta) f, so no partial of a
         # partial is missing from the table.  They go in grlex-descending,
         # level |alpha| descending first, so the rows tagged >= j span O_j
-        table = _contractions(_int_terms(f.terms, self._p))
-        self._span = MonomialSpan(self._p)
+        table = _contractions(_int_terms(f.terms, self._p)[0])
+        self._span = _IntSpan(self._p)
         self._bidegrees = []
         # (level, int row) of the appended rows of degree <= 1; back-
         # substitution replaces row dicts and never modifies them
@@ -78,7 +78,7 @@ class FilteredSpace:
         self._reduced = False
         self._orders = None
 
-    def _reduced_span(self) -> MonomialSpan:
+    def _reduced_span(self) -> _IntSpan:
         """The span, back-substituted in place on first call."""
         if not self._reduced:
             self._span.back_substitute()
@@ -97,7 +97,7 @@ class FilteredSpace:
     def contains(self, g: Polynomial) -> bool:
         if g.nvars != self.nvars or g.side != PRIMAL:
             return False
-        return self._span.contains(dict(g.terms))
+        return self._span.contains(_int_terms(g.terms, self._p)[0])
 
     def hilbert_values(self) -> tuple:
         values = [0] * (self.socle_degree + 1)
@@ -122,7 +122,7 @@ class FilteredSpace:
         The reduced echelon basis of O_j ∩ Diff(f)_1 without the constant
         row, which full reduction keeps out of the degree-1 rows.
         """
-        span = MonomialSpan(self._p)
+        span = _IntSpan(self._p)
         for level, row in self._linear:
             if level >= j:
                 span.insert(row)
@@ -186,10 +186,10 @@ def _annihilator(f: Polynomial, max_degree: int) -> tuple:
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     p = characteristic(f.terms.values())
-    span = MonomialSpan(p)
+    span = _IntSpan(p)
     kernel = []
     one = one_like(next(iter(f.terms.values())))
-    table = _contractions(_int_terms(f.terms, p), max_degree)
+    table = _contractions(_int_terms(f.terms, p)[0], max_degree)
     for alpha in monomials_up_to(f.nvars, max_degree):
         image = table.get(alpha)
         if image is None:
@@ -231,17 +231,18 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
     if target.side != PRIMAL or target.nvars != f.nvars:
         raise ValueError("target must be a primal polynomial in the variables of f")
     p = characteristic(f.terms.values(), target.terms.values())
-    span = MonomialSpan(p)
-    ints, den = to_integers(f.terms.values(), p)
-    table = _contractions(dict(zip(f.terms, ints)))
+    span = _IntSpan(p)
+    ints, den = _int_terms(f.terms, p)
+    table = _contractions(ints)
     for alpha in sorted(table, key=grlex_key):
         if sum(alpha) >= min_order:
             span.insert_labelled(table[alpha], alpha)
-    combo = span.solve(dict(target.terms))
+    ints, target_den = _int_terms(target.terms, p)
+    combo = span.solve(ints)
     if combo is None:
         return None
-    # the table contracts den * f
-    return Polynomial(f.nvars, {alpha: c * den for alpha, c in combo.items()}, DUAL)
+    # the table contracts den * f, and combo reaches target_den * target
+    return Polynomial(f.nvars, {alpha: c * den / target_den for alpha, c in combo.items()}, DUAL)
 
 
 def is_apolar(generators, F: Polynomial) -> bool:
@@ -272,19 +273,26 @@ def is_apolar(generators, F: Polynomial) -> bool:
 
 def _kills(form: dict, operators, p: int) -> bool:
     """Whether every dual term dict in `operators` contracts the term dict
-    `form` to 0, each summed exactly from one int table of the form."""
-    table = _contractions(_int_terms(form, p))
+    `form` to 0, each summed exactly from one int table of the form.  An
+    operator whose every term has degree above the form's contracts it to
+    0 term by term and is not converted."""
+    table = _contractions(_int_terms(form, p)[0])
+    degree = max(map(sum, form), default=-1)
     for terms in operators:
-        image = _apply(_int_terms(terms, p), table).values()
+        if min(map(sum, terms), default=0) > degree:
+            continue
+        image = _apply(_int_terms(terms, p)[0], table).values()
         if any(c % p for c in image) if p else any(image):
             return False
     return True
 
 
-def _int_terms(terms: dict, p: int) -> dict:
-    """The term dict as ints in the field of characteristic p, up to one
-    nonzero factor, which moves no relation, tag set or normalised row."""
-    return dict(zip(terms, to_integers(terms.values(), p)[0]))
+def _int_terms(terms: dict, p: int) -> tuple:
+    """(w, den): the term dict is w / den in the field of characteristic p,
+    w an int dict without zeros, as an `_IntSpan` reads it.  The factor den
+    moves no relation, tag set, kernel test or normalised row."""
+    ints, den = to_integers(terms.values(), p)
+    return {m: c for m, c in zip(terms, ints) if c}, den
 
 
 @dataclass(frozen=True)

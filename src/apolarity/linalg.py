@@ -24,7 +24,10 @@ Rows are held as Python ints; field scalars exist only at the boundary,
 crossed by the rule of `scalars`.  A span is built over the field its
 caller names by its characteristic, 0 for the rationals and p for GF(p),
 and reads every vector in that field, so a vector of ints goes in as it
-is.  Over GF(p) a row holds residues in [0, p) with leading coefficient 1,
+is.  Ints enter without that rule through `_IntSpan`, the span `apolar`
+builds: its vectors are int contraction tables and `int_row`s, already in
+its field, and each is copied in with no conversion.  Over GF(p) a row
+holds residues in [0, p) with leading coefficient 1,
 and an int or a `Fraction` given to the span is coerced as
 `PrimeFieldElement` coerces it.  Over the rationals a vector enters as
 integers over a common denominator; a stored row has a positive leading
@@ -74,6 +77,7 @@ class MonomialSpan:
         self.by_pivot: dict[tuple, int] = {}
         self._p = p  # the characteristic: 0 for the rationals, p for GF(p)
         self._rows: list[dict] = []  # int rows, parallel to pivots
+        self._keys: dict[tuple, tuple] = {}  # pivot -> its heap entry in _reduce
         # int label combinations parallel to _rows: row = sum coeff * g_label
         self._combos: list[dict] = []
         self._view: list[dict] = []  # rows as field scalars, converted when read
@@ -132,7 +136,8 @@ class MonomialSpan:
         gcds than it saves; 512 and 1024 bits were the fastest of 32..4096.
         """
         pivots = self.by_pivot
-        heap = [_descending(m) for m in w if m in pivots]
+        keys = self._keys
+        heap = [keys[m] for m in w if m in keys]
         heapify(heap)
         p = self._p
         scale = 1
@@ -149,8 +154,8 @@ class MonomialSpan:
                     v = w.get(m)
                     if v is None:
                         w[m] = -a * c % p
-                        if m in pivots:
-                            heappush(heap, _descending(m))
+                        if m in keys:
+                            heappush(heap, keys[m])
                     elif v := (v - a * c) % p:
                         w[m] = v
                     else:
@@ -179,8 +184,8 @@ class MonomialSpan:
                 v = w.get(m)
                 if v is None:
                     w[m] = -a * c
-                    if m in pivots:
-                        heappush(heap, _descending(m))
+                    if m in keys:
+                        heappush(heap, keys[m])
                 elif v := v - a * c:
                     w[m] = v
                 else:
@@ -227,6 +232,7 @@ class MonomialSpan:
                     combo = {k: c // g for k, c in combo.items()}
         index = len(self._rows)
         self.by_pivot[lead] = index
+        self._keys[lead] = _descending(lead)
         self._rows.append(w)
         self.pivots.append(lead)
         if combo is not None:
@@ -327,3 +333,14 @@ class MonomialSpan:
         w, _ = self._integral(vec)
         self._reduce(w, None)
         return not w
+
+
+class _IntSpan(MonomialSpan):
+    """A span that reads every vector as an int dict without zero entries,
+    already in its field: over the rationals the vector itself, over GF(p)
+    its residues, as `int_row` and int contraction tables give them.  The
+    way in is a copy, as `_reduce` works in place; the way out, rows,
+    relations and `solve` results, is the field's."""
+
+    def _integral(self, vec: dict):
+        return dict(vec), 1

@@ -418,7 +418,7 @@ def dp_substitute(f: Polynomial, images: Sequence[Sequence]) -> Polynomial:
     powers: dict = {}  # (i, k) -> divided k-th power of rows[i]
     total: dict = {}
     for exponents, coeff in zip(f.terms, coeffs):
-        term = {(0,) * new_nvars: coeff * D ** (top - sum(exponents))}
+        factors = []
         for i, e in enumerate(exponents):
             if e:
                 power = powers.get((i, e))
@@ -427,7 +427,12 @@ def dp_substitute(f: Polynomial, images: Sequence[Sequence]) -> Polynomial:
                     if p:
                         power = {m: c % p for m, c in power.items()}
                     powers[i, e] = power
-                term = _term_product(term, power, True)
+                factors.append(power)
+        term = {(0,) * new_nvars: coeff * D ** (top - sum(exponents))}
+        # smallest first: a unit row's power is one monomial, and multiplying
+        # it into a dense product costs a pass over that product
+        for power in sorted(factors, key=len):
+            term = _term_product(term, power, True)
         for key, c in term.items():
             total[key] = total.get(key, 0) + c
     scalars = from_integers(total.values(), den * D ** top, p)

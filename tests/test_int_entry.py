@@ -1,0 +1,222 @@
+"""Ints into the elimination layer.
+
+The spans that `apolar` builds are `linalg._IntSpan`s: they read int
+contraction tables and stored int rows as they are, with no conversion,
+and must give what a `MonomialSpan` gives for the same vectors as field
+scalars.  The apolarity check converts no operator that cannot contract
+the form."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from apolarity import apolar, linalg
+from apolarity.apolar import _int_terms, _kills, diff_space, is_apolar, local_scheme
+from apolarity.linalg import MonomialSpan, _IntSpan
+from apolarity.poly import (DUAL, PRIMAL, Polynomial, _contractions, grlex_key,
+                            monomials_of_degree, parse)
+from apolarity.scalars import PrimeField, characteristic, from_integers
+
+GF = PrimeField(32003)
+
+
+def on_fields(f: Polynomial):
+    """f over QQ and, coefficients reduced, over GF(32003)."""
+    yield f
+    yield Polynomial(f.nvars, {e: GF(c) for e, c in f.terms.items()}, f.side)
+
+
+def cubic_in_nine() -> Polynomial:
+    """A fixed dense cubic form in x0..x8, some coefficients fractional."""
+    terms = {m: Fraction((7 * k) % 11 - 5, 1 + k % 3)
+             for k, m in enumerate(monomials_of_degree(9, 3))}
+    return Polynomial(9, terms, PRIMAL)
+
+
+ORACLE_FORMS = (
+    parse("1/2*x1^3 - 2/3*x1*x2^2 + 5/7*x2*x3 + x3^2 - 3/4*x1 + 1/5", 3),
+    parse("x1^4 + 3*x1^2*x2^2 - x2^4 + 2*x1*x2 + x2", 2),
+    parse("x1^2*x2*x3 + 1/3*x2^3 - x3^3 + 7*x1*x3", 3),
+)
+
+
+def field_of(w: dict, p: int) -> dict:
+    """The int dict w with its entries as field scalars."""
+    return dict(zip(w, from_integers(w.values(), 1, p)))
+
+
+class TestIntEntryOracle:
+    """Table images given to an `_IntSpan` as ints and to a `MonomialSpan`
+    as field scalars give the same spans, and no dict given in changes."""
+
+    @pytest.mark.parametrize("f", [g for f in ORACLE_FORMS for g in on_fields(f)], ids=str)
+    def test_same_spans_as_field_scalars(self, f):
+        p = characteristic(f.terms.values())
+        table = _contractions(_int_terms(f.terms, p)[0])
+        alphas = sorted(table, key=grlex_key, reverse=True)
+        pairs = {kind: (_IntSpan(p), MonomialSpan(p)) for kind in ("plain", "labelled", "tagged")}
+        for alpha in alphas:
+            image = table[alpha]
+            given = dict(image)
+            field = field_of(image, p)
+            ints, scalars = pairs["plain"]
+            assert ints.insert(image) == scalars.insert(field)
+            ints, scalars = pairs["labelled"]
+            got, expected = ints.insert_labelled(image, alpha), scalars.insert_labelled(field, alpha)
+            assert repr(got) == repr(expected) and got == expected
+            ints, scalars = pairs["tagged"]
+            assert ints.insert_tagged(image, alpha) == scalars.insert_tagged(field, alpha)
+            assert image == given, alpha
+
+        rng = random.Random(5)
+        for kind, (ints, scalars) in pairs.items():
+            assert ints.dim > 0
+            for reduced in (False, True):
+                if reduced:
+                    ints.back_substitute()
+                    scalars.back_substitute()
+                assert ints.pivots == scalars.pivots, kind
+                assert repr(ints.rows) == repr(scalars.rows), kind
+                if kind == "plain":
+                    continue
+                for index in range(ints.dim):
+                    row = ints.int_row(index)
+                    held = dict(row)
+                    tags = ints.labels(row)
+                    assert tags == scalars.labels(scalars.rows[index]) and tags, (kind, index)
+                    assert ints.int_row(index) is row and row == held
+
+            # an int combination of images, and the same with one entry moved
+            # off the span: solve, reduce and contains agree on both
+            for _ in range(4):
+                target: dict = {}
+                for alpha in rng.sample(alphas, min(3, len(alphas))):
+                    c = rng.choice((-2, -1, 1, 3))
+                    for m, v in table[alpha].items():
+                        target[m] = target.get(m, 0) + c * v
+                target = {m: v % p if p else v for m, v in target.items()}
+                target = {m: v for m, v in target.items() if v}
+                outside = next(monomials_of_degree(f.nvars, 1 + int(f.degree())))
+                for vec in (target, {**target, outside: 1}):
+                    given = dict(vec)
+                    field = field_of(vec, p)
+                    if kind != "plain":
+                        got, expected = ints.solve(vec), scalars.solve(field)
+                        assert repr(got) == repr(expected) and got == expected, kind
+                        assert (got is None) == (vec is not target)
+                    assert repr(ints.reduce(vec)) == repr(scalars.reduce(field))
+                    assert ints.contains(vec) == scalars.contains(field) == (vec is target)
+                    assert vec == given
+
+    def test_the_tagged_basis_holds_no_given_dict(self):
+        # the span copies what it is given; a table image stays the caller's
+        f = ORACLE_FORMS[0]
+        table = _contractions(_int_terms(f.terms, 0)[0])
+        span = _IntSpan(0)
+        for alpha in sorted(table, key=grlex_key, reverse=True):
+            span.insert_tagged(table[alpha], alpha)
+        held = {id(image) for image in table.values()}
+        assert not any(id(span.int_row(i)) in held for i in range(span.dim))
+
+
+def counted(monkeypatch, module, name) -> list:
+    """A one-element list counting the calls of module.name from now on."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def recorded_spans(monkeypatch) -> list:
+    spans = []
+    original = MonomialSpan.__init__
+
+    def recording(self, p):
+        original(self, p)
+        spans.append(self)
+
+    monkeypatch.setattr(MonomialSpan, "__init__", recording)
+    return spans
+
+
+class TestNoPerVectorConversion:
+    """Per-vector work the elimination layer no longer repeats: no field
+    conversion of a table image or stored row, and one heap key per pivot."""
+
+    @pytest.mark.parametrize("F", list(on_fields(cubic_in_nine())), ids=("QQ", "GF"))
+    def test_local_scheme(self, monkeypatch, F):
+        span_conversions = counted(monkeypatch, linalg, "to_integers")
+        conversions = counted(monkeypatch, apolar, "to_integers")
+        keys = counted(monkeypatch, linalg, "_descending")
+        spans = recorded_spans(monkeypatch)
+        scheme = local_scheme(F, parse("x0 + x1 - x8", 9, base=0))
+        assert scheme.apolarity_checked and scheme.length == 18  # 2n + 2, n = 8
+        assert span_conversions[0] == 0
+        # f's table, the form's table, and the generators that can contract
+        # the form: 147 relations of degree <= 3; the 330 dual monomials of
+        # degree 4 are not converted
+        low = [g for g in scheme.annihilator if g.degree() <= 3]
+        assert len(low) == 147 and len(scheme.annihilator) - len(low) == 330
+        assert conversions[0] == 2 + len(low)
+        assert len(spans) == 1
+        assert keys[0] <= sum(span.dim for span in spans)
+
+    @pytest.mark.parametrize("F", list(on_fields(cubic_in_nine())), ids=("QQ", "GF"))
+    def test_orders_and_linear_partials(self, monkeypatch, F):
+        span_conversions = counted(monkeypatch, linalg, "to_integers")
+        conversions = counted(monkeypatch, apolar, "to_integers")
+        keys = counted(monkeypatch, linalg, "_descending")
+        spans = recorded_spans(monkeypatch)
+        space = diff_space(F)
+        assert space.orders == (0,) + (1,) * 9 + (2,) * 9 + (3,)
+        assert len(space.linear_partials(0)) == 9
+        assert span_conversions[0] == 0
+        assert conversions[0] == 1  # F's table
+        assert len(spans) == 2 and spans[0].dim == space.dim == 20
+        assert keys[0] <= sum(span.dim for span in spans)
+
+
+class TestKillsDegreeSkip:
+    """`_kills` skips operators whose every term is above the form's degree:
+    their image is 0.  A generator of the form's degree is still applied."""
+
+    FORM = "x0^3 + 2*x1^3 + x0*x1*x2"
+    ABOVE = ("y0^4", "y0^2*y1^2 - 5*y2^4", "y1^3*y2")
+
+    @pytest.mark.parametrize("F", list(on_fields(parse(FORM, 3, base=0))), ids=("QQ", "GF"))
+    def test_a_perturbed_generator_of_the_forms_degree_is_caught(self, F):
+        field = GF if characteristic(F.terms.values()) else None
+
+        def dual(text):
+            return parse(text, 3, side=DUAL, base=0, **({"field": field} if field else {}))
+
+        above = [dual(text) for text in self.ABOVE]
+        kills, perturbed = dual("2*y0^3 - y1^3"), dual("3*y0^3 - y1^3")
+        assert is_apolar([kills, *above], F)
+        assert is_apolar(above, F)
+        assert not is_apolar([perturbed, *above], F)
+        assert not is_apolar([*above, perturbed], F)
+        assert not is_apolar([*above, dual("y0*y1*y2")], F)  # degree 3, image 1
+
+    def test_an_operator_with_a_low_term_is_applied(self):
+        F = parse(self.FORM, 3, base=0)
+        # y0^4 + y0^3 is above deg F in one term only; its image is 1
+        assert not _kills(F.terms, [{(4, 0, 0): 1, (3, 0, 0): 1}], 0)
+        assert _kills(F.terms, [{(4, 0, 0): 1, (0, 4, 0): -1}], 0)
+        assert _kills({}, [{(1, 0, 0): 1}, {(0, 0, 0): 1}], 0)
+        assert is_apolar([parse("y1", 3, side=DUAL, base=0)], Polynomial.zero(3))
+
+    def test_operators_above_the_form_are_not_converted(self, monkeypatch):
+        F = parse(self.FORM, 3, base=0)
+        conversions = counted(monkeypatch, apolar, "to_integers")
+        above = [{m: Fraction(1, 2)} for m in monomials_of_degree(3, 4)]
+        assert _kills(F.terms, above, 0)
+        assert conversions[0] == 1  # the form only
