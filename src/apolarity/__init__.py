@@ -51,14 +51,11 @@ from .poly import (
     contract,
     dehomogenize,
     dp_substitute,
-    dual_dehomogenize,
-    homogeneous_component,
     homogenize,
     monomials_of_degree,
     monomials_up_to,
     parse,
     poly_str,
-    tail,
 )
 from .scalars import RATIONALS, PrimeField
 from .witness import WitnessReport, cusp_witness, exotic_extend, random_general_cubic
@@ -96,11 +93,9 @@ __all__ = [
     "dehomogenize",
     "diff_space",
     "dp_substitute",
-    "dual_dehomogenize",
     "embedding_dims",
     "exotic_extend",
     "hilbert_function",
-    "homogeneous_component",
     "homogenize",
     "is_apolar",
     "is_o_sequence",
@@ -114,7 +109,6 @@ __all__ = [
     "random_general_cubic",
     "representative_operator",
     "symmetric_decomposition",
-    "tail",
     "v_bound",
     "verify_theorem",
     "w_bound",

@@ -55,7 +55,8 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
 def monomials_up_to(nvars: int, degree: int) -> Iterator[Exponents]:
     """Yield all exponent vectors of total degree <= degree, grlex ascending."""
     for d in range(degree + 1):
-        yield from sorted(monomials_of_degree(nvars, d))
+        # monomials_of_degree yields each degree lexicographically descending
+        yield from reversed(list(monomials_of_degree(nvars, d)))
 
 
 class Polynomial:
@@ -155,28 +156,10 @@ class Polynomial:
             terms[exponents] = terms.get(exponents, 0) + coeff
         return Polynomial(self.nvars, terms, self.side)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exponents, coeff in other.terms.items():
-            terms[exponents] = terms.get(exponents, 0) - coeff
-        return Polynomial(self.nvars, terms, self.side)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()}, self.side)
-
-    def scale(self, scalar) -> "Polynomial":
-        if scalar == 0:
-            return Polynomial.zero(self.nvars, self.side)
-        return Polynomial(self.nvars, {e: c * scalar for e, c in self.terms.items()}, self.side)
-
-    def __rmul__(self, scalar) -> "Polynomial":
-        return self.scale(scalar)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Ring product: ordinary on the dual side, divided-power on the primal."""
         if not isinstance(other, Polynomial):
-            return self.scale(other)
+            return NotImplemented
         self._check_compatible(other)
         terms = _term_product(self.terms, other.terms, self.side == PRIMAL)
         return Polynomial(self.nvars, terms, self.side)
@@ -296,21 +279,6 @@ def _contractions(terms: Mapping[Exponents, object], max_degree: int | None = No
     return table
 
 
-# -- tails and homogeneous components -----------------------------------
-
-
-def homogeneous_component(f: Polynomial, i: int) -> Polynomial:
-    """The degree-i homogeneous summand of f."""
-    return Polynomial(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == i}, f.side)
-
-
-def tail(f: Polynomial, d: int) -> Polynomial:
-    """Sum of the homogeneous components of f of degree <= d."""
-    if d < 0:
-        raise ValueError("tail degree must be nonnegative")
-    return Polynomial(f.nvars, {e: c for e, c in f.terms.items() if sum(e) <= d}, f.side)
-
-
 # -- homogenization ------------------------------------------------------
 
 
@@ -325,15 +293,6 @@ def homogenize(g: Polynomial, d: int) -> Polynomial:
         raise ValueError(f"target degree {d} is below deg(g) = {g.degree()}")
     terms = {(d - sum(e),) + e: c for e, c in g.terms.items()}
     return Polynomial(g.nvars + 1, terms, g.side)
-
-
-def dual_dehomogenize(psi: Polynomial) -> Polynomial:
-    """Substitute the first dual variable = 1 (ordinary-ring substitution)."""
-    if psi.side != DUAL:
-        raise ValueError("expected a dual polynomial")
-    if psi.nvars == 0:
-        raise ValueError("no variable to specialize")
-    return _drop_first(psi)
 
 
 def _drop_first(f: Polynomial) -> Polynomial:

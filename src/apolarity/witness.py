@@ -176,17 +176,3 @@ def random_general_cubic(rng: random.Random) -> Polynomial:
         cubic = Polynomial(3, terms, PRIMAL)
         if not cubic.is_zero():
             return cubic
-
-
-def random_linear_form(rng: random.Random, nvars: int) -> Polynomial:
-    """Random nonzero rational linear form."""
-    while True:
-        terms = {}
-        for i in range(nvars):
-            value = Fraction(rng.randint(-3, 3))
-            if value != 0:
-                exponents = [0] * nvars
-                exponents[i] = 1
-                terms[tuple(exponents)] = value
-        if terms:
-            return Polynomial(nvars, terms, PRIMAL)

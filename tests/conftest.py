@@ -48,6 +48,11 @@ def random_polynomial(
             return poly
 
 
+def terms_of_degree(f: Polynomial, keep) -> Polynomial:
+    """The terms of f whose total degree the predicate `keep` accepts."""
+    return Polynomial(f.nvars, {e: c for e, c in f.terms.items() if keep(sum(e))}, f.side)
+
+
 def random_dual_operator(rng: random.Random, nvars: int, max_degree: int) -> Polynomial:
     """Random dual polynomial of order >= 2 (for hidden-variable extensions)."""
     return random_polynomial(

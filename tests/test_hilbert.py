@@ -20,14 +20,13 @@ from apolarity.poly import (
     PRIMAL,
     Polynomial,
     dehomogenize,
-    homogeneous_component,
     homogenize,
     parse,
     poly_str,
 )
 from apolarity.scalars import PrimeField, one_like
 
-from conftest import _invert_matrix, random_polynomial
+from conftest import _invert_matrix, random_polynomial, terms_of_degree
 
 
 class TestHilbertFunction:
@@ -165,7 +164,7 @@ class TestSymmetricDecomposition:
             d = dec.d
             top = Polynomial.zero(3)
             for k in range(d - alpha, d + 1):
-                top = top + homogeneous_component(f, k)
+                top = top + terms_of_degree(f, lambda e: e == k)
             if top.is_zero():
                 continue
             h_f = hilbert_function(f)
@@ -337,7 +336,7 @@ class TestAdaptCoordinates:
                 if not 0 <= level <= d - 2:
                     continue
                 allowed = dims[level]
-                leading = homogeneous_component(row, degree)
+                leading = terms_of_degree(row, lambda k: k == degree)
                 for exponents in leading.terms:
                     assert all(e == 0 for e in exponents[allowed:]), (
                         poly_str(adapted), poly_str(row), degree, order, dims,

@@ -1,4 +1,4 @@
-"""Polynomial core: parsing, contraction, tails, (de)homogenization."""
+"""Polynomial core: parsing, contraction, (de)homogenization."""
 
 from __future__ import annotations
 
@@ -13,19 +13,20 @@ from apolarity.poly import (
     NEG_INFINITY,
     ParseError,
     Polynomial,
+    _drop_first,
     contract,
     dehomogenize,
     dp_substitute,
-    dual_dehomogenize,
-    homogeneous_component,
+    grlex_key,
     homogenize,
+    monomials_of_degree,
+    monomials_up_to,
     parse,
     poly_str,
-    tail,
 )
 from apolarity.scalars import RATIONALS, PrimeField, PrimeFieldElement
 
-from conftest import _invert_matrix, dense_substitution_oracle, random_polynomial
+from conftest import _invert_matrix, dense_substitution_oracle, random_polynomial, terms_of_degree
 
 
 class TestParse:
@@ -44,6 +45,7 @@ class TestParse:
     def test_rational_coefficients_and_signs(self):
         f = parse("3/2*x1^2 - x2 + 5", 2)
         assert f.terms == {(2, 0): Fraction(3, 2), (0, 1): -1, (0, 0): 5}
+        assert parse("x1 +x2 -3", 2).terms == {(1, 0): 1, (0, 1): 1, (0, 0): -3}
 
     def test_repeated_factors_add_exponents(self):
         assert parse("x1*x1*x2", 2) == parse("x1^2*x2", 2)
@@ -65,6 +67,16 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse("x1 + * x2", 2)
         assert "position" in str(info.value)
+
+    @pytest.mark.parametrize("text,message", [
+        ("x1*", "expected a coefficient or a variable"),
+        ("x1*+x2", "expected a coefficient or a variable"),
+        ("2*3", "unexpected number"),
+        ("x1*2", "unexpected number"),
+    ])
+    def test_misplaced_factor(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse(text, 2)
 
     def test_variable_out_of_range(self):
         with pytest.raises(ParseError):
@@ -134,22 +146,59 @@ class TestContract:
             contract(parse("y1", 2, side=DUAL), f)
 
 
-class TestTail:
-    def test_component_selection(self):
-        f = parse("x1^6 + x1^3*x2 + x1", 2)
-        assert tail(f, 4) == parse("x1^3*x2 + x1", 2)
+class TestMonomials:
+    @pytest.mark.parametrize("nvars", range(7))
+    def test_up_to_is_each_degree_sorted(self, nvars):
+        # the annihilator's generators come in this order, so the digests
+        # that pin them depend on it
+        for degree in range(7):
+            expected = [m for d in range(degree + 1) for m in sorted(monomials_of_degree(nvars, d))]
+            assert list(monomials_up_to(nvars, degree)) == expected
+            assert expected == sorted(expected, key=grlex_key)
 
-    def test_full_tail_is_identity(self, rng):
-        f = random_polynomial(rng, 3, 5)
-        assert tail(f, int(f.degree())) == f
 
-    def test_homogeneous_input_truncates_to_zero(self):
-        assert tail(parse("x1^3 + x2^3 + x3^3", 3), 2).is_zero()
+class TestPolynomialClass:
+    def test_constructors(self):
+        assert Polynomial.variable(2, 1) == parse("x2", 2)
+        assert Polynomial.monomial((1, 2)) == parse("x1*x2^2", 2)
+        with pytest.raises(ValueError):
+            Polynomial.variable(2, 2)
 
-    def test_homogeneous_component(self):
-        f = parse("x1^3 + x1*x2 + 1", 2)
-        assert homogeneous_component(f, 2) == parse("x1*x2", 2)
-        assert homogeneous_component(f, 5).is_zero()
+    def test_equality_compares_terms_ring_and_side(self):
+        assert parse("x1", 2) != parse("x2", 2)
+        assert parse("x1", 1) != parse("x1", 2)
+        assert parse("x1", 2) != parse("y1", 2, side=DUAL)
+
+    def test_pad_and_restrict(self):
+        f = parse("x1^2*x2", 2)
+        assert f.restrict(2) == f
+        assert f.pad(3).restrict(2) == f
+        with pytest.raises(ValueError):
+            f.restrict(3)
+        with pytest.raises(ValueError):
+            f.restrict(1)  # x2 occurs
+        with pytest.raises(ValueError):
+            f.pad(1)
+
+    def test_no_scalar_or_difference_operators(self):
+        # scaling, negation and subtraction are not part of the ring API
+        f, g = parse("x1^2 + x2", 2), parse("x1", 2)
+        with pytest.raises(TypeError):
+            f * 2
+        with pytest.raises(TypeError):
+            2 * f
+        with pytest.raises(TypeError):
+            f - g
+        with pytest.raises(TypeError):
+            -f
+
+    def test_products_stay_on_their_side(self):
+        assert parse("x1", 2) * parse("x1*x2", 2) == parse("2*x1^2*x2", 2)
+        assert parse("y1", 2, side=DUAL) * parse("y1*y2", 2, side=DUAL) == parse("y1^2*y2", 2, side=DUAL)
+        with pytest.raises(ValueError):
+            parse("x1", 2) * parse("y1", 2, side=DUAL)
+        with pytest.raises(ValueError):
+            parse("x1", 2) + parse("x1", 3)
 
 
 class TestHomogenize:
@@ -166,7 +215,7 @@ class TestHomogenize:
         G = homogenize(g, int(g.degree()))
         assert G.is_homogeneous() and G.degree() == g.degree()
         # leading component keeps zero exponent on the new variable
-        top = homogeneous_component(g, int(g.degree()))
+        top = terms_of_degree(g, lambda k: k == g.degree())
         for exponents, coeff in top.terms.items():
             assert G.terms[(0,) + exponents] == coeff
 
@@ -238,6 +287,7 @@ class TestDehomogenize:
             f, record = dehomogenize(F, Polynomial.variable(n, 0))
             identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             assert record.old_to_new == record.new_to_old == identity
+            assert record.dropped == 0
             assert homogenize(f, int(F.degree())) == F
 
     def test_homogenized_image_is_the_substituted_form(self, rng):
@@ -283,6 +333,8 @@ class TestDehomogenize:
             dehomogenize(F, parse("x0^2", 1, base=0))
         with pytest.raises(ValueError):
             dehomogenize(parse("x0^2 + x0", 1, base=0), Polynomial.variable(1, 0))
+        with pytest.raises(ValueError):
+            dehomogenize(F, parse("y0", 1, side=DUAL, base=0))
 
 
 class TestTailLemma:
@@ -295,12 +347,12 @@ class TestTailLemma:
                 rng, n, rng.randint(0, int(F.degree())), side=DUAL, homogeneous=True
             )
             f = _pi(F)
-            psi = dual_dehomogenize(Psi)
+            psi = _drop_first(Psi)
             cutoff = int(F.degree() - Psi.degree())
             if cutoff < 0:
                 continue
-            lhs = tail(_pi(contract(Psi, F)), cutoff)
-            rhs = tail(contract(psi, f), cutoff)
+            lhs = terms_of_degree(_pi(contract(Psi, F)), lambda k: k <= cutoff)
+            rhs = terms_of_degree(contract(psi, f), lambda k: k <= cutoff)
             assert lhs == rhs
 
     def test_divisible_case_is_exact(self, rng):
@@ -313,7 +365,7 @@ class TestTailLemma:
             Psi = random_polynomial(rng, n, b, side=DUAL, homogeneous=True) if b else None
             if Psi is None:
                 continue
-            assert _pi(contract(Psi, F)) == contract(dual_dehomogenize(Psi), _pi(F))
+            assert _pi(contract(Psi, F)) == contract(_drop_first(Psi), _pi(F))
 
     def test_local_zero_lifts_to_global_zero(self, rng):
         from apolarity.apolar import annihilator_generators
@@ -431,6 +483,8 @@ class TestDpSubstitute:
         f = random_polynomial(rng, 3, 4)
         identity = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
         assert dp_substitute(f, identity) == f
+        constant = Polynomial.constant(0, Fraction(3))
+        assert dp_substitute(constant, []) == constant
 
 
 class TestCoefficientTypes:

@@ -15,7 +15,6 @@ from apolarity.poly import (
     PRIMAL,
     Polynomial,
     contract,
-    homogeneous_component,
     parse,
     poly_str,
 )
@@ -23,10 +22,9 @@ from apolarity.witness import (
     cusp_witness,
     exotic_extend,
     random_general_cubic,
-    random_linear_form,
 )
 
-from conftest import random_dual_operator, random_polynomial
+from conftest import random_dual_operator, random_polynomial, terms_of_degree
 
 
 def spanning_polynomial(rng, nvars, max_degree):
@@ -37,6 +35,20 @@ def spanning_polynomial(rng, nvars, max_degree):
         f = random_polynomial(rng, nvars, max_degree)
         if f.degree() >= 2 and _spans_all_linear(f):
             return f
+
+
+def random_linear_form(rng: random.Random, nvars: int) -> Polynomial:
+    """Random nonzero rational linear form."""
+    while True:
+        terms = {}
+        for i in range(nvars):
+            value = Fraction(rng.randint(-3, 3))
+            if value != 0:
+                exponents = [0] * nvars
+                exponents[i] = 1
+                terms[tuple(exponents)] = value
+        if terms:
+            return Polynomial(nvars, terms, PRIMAL)
 
 
 def linear_space_signature(f):
@@ -101,8 +113,8 @@ class TestExoticExtend:
                 image = contract(lifted, extended)
                 degree = int(row.degree())
                 assert image.degree() == degree
-                lead = homogeneous_component(image, degree)
-                expected = {e + (0,): c for e, c in homogeneous_component(row, degree).terms.items()}
+                lead = terms_of_degree(image, lambda k: k == degree)
+                expected = {e + (0,): c for e, c in terms_of_degree(row, lambda k: k == degree).terms.items()}
                 assert lead == Polynomial(3, expected, PRIMAL)
 
     @staticmethod
