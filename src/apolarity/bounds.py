@@ -73,12 +73,11 @@ def d_infty(decomposition: SymmetricDecomposition, n: int) -> int:
 
 def _d_infty(decomposition: SymmetricDecomposition, n: int, dims: tuple) -> int:
     d = decomposition.d
+    rows = decomposition.rows
     total = 0
     for i in range(1, d - 1):
-        inner = sum(decomposition.entry(j, d - i - 1) for j in range(i))
-        total += (n - dims[i]) * inner
-    total += n - dims[d - 2]
-    return total
+        total += (n - dims[i]) * sum(row[d - i - 1] for row in rows[:i])
+    return total + n - dims[d - 2]
 
 
 def d_flag(decomposition: SymmetricDecomposition, n: int) -> int:
@@ -87,9 +86,8 @@ def d_flag(decomposition: SymmetricDecomposition, n: int) -> int:
 
 
 def _d_flag(decomposition: SymmetricDecomposition, n: int, dims: tuple) -> int:
-    return sum(
-        decomposition.entry(j, 1) * (n - dims[j]) for j in range(len(dims))
-    )
+    # Delta_j(1) = n_j - n_{j-1}, so the rows themselves are not needed
+    return sum((m - previous) * (n - m) for m, previous in zip(dims, (0,) + dims))
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def v_bound(decomposition: SymmetricDecomposition, n: int) -> DimBoundReport:
     if d < 3:
         raise ValueError("the bound needs socle degree at least 3")
     dims = _require_dims(decomposition, n)
-    h = decomposition.hilbert()
+    h = decomposition.hilbert().values
     exotic = _d_infty(decomposition, n, dims)
     flag = _d_flag(decomposition, n, dims)
     v_theta = comb(dims[d - 3] + 2, 3) + comb(dims[d - 2] + 1, 2) + dims[d - 2] + 1 + exotic
@@ -153,7 +151,7 @@ def v_bound(decomposition: SymmetricDecomposition, n: int) -> DimBoundReport:
     )
     if v_theta + flag != closed:
         raise AssertionError("bound composition routes disagree")
-    length = h.length
+    length = sum(h)
     c = c_bound(n)
     if 1 <= length <= c - 1:
         w = w_bound(length, n)
@@ -165,7 +163,7 @@ def v_bound(decomposition: SymmetricDecomposition, n: int) -> DimBoundReport:
         n=n,
         length=length,
         d=d,
-        hilbert=tuple(h),
+        hilbert=h,
         deltas=decomposition.rows,
         embedding=dims,
         v_theta=v_theta,
@@ -257,25 +255,18 @@ def verify_theorem(n: int, nonsmoothable_only: bool = True) -> TheoremReport:
     passed = True
     for r in range(14, c):
         for candidate in admissible_decompositions(r, n, nonsmoothable_only=nonsmoothable_only):
-            report = v_bound(candidate.decomposition, n)
-            if r not in max_v or report.v > max_v[r][1]:
-                max_v[r] = (tuple(candidate.hilbert), report.v)
+            v = v_bound(candidate.decomposition, n).v
+            h = candidate.hilbert.values
+            deltas = tuple(candidate.decomposition.trimmed_rows())
+            if r not in max_v or v > max_v[r][1]:
+                max_v[r] = (h, v)
             for l in range(r, c):
                 threshold = comb(n + 3, 3) - n - (n + 1) * (l - r)
-                margin = threshold - report.v
+                margin = threshold - v
                 if margin <= 0:
                     passed = False
-                rows.append(
-                    TheoremRow(
-                        l=l,
-                        r=r,
-                        hilbert=tuple(candidate.hilbert),
-                        deltas=tuple(candidate.decomposition.trimmed_rows()),
-                        v=report.v,
-                        threshold=threshold,
-                        margin=margin,
-                    )
-                )
+                rows.append(TheoremRow(l=l, r=r, hilbert=h, deltas=deltas, v=v,
+                                       threshold=threshold, margin=margin))
     worst = min((row.margin for row in rows), default=None)
     conjecture = {
         r: (h_v[0], h_v[0] == _conjectured_h(r)) for r, h_v in max_v.items()

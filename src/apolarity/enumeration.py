@@ -7,6 +7,19 @@ Delta_{<= alpha} is again an O-sequence (zero tails allowed there).  Socle
 degrees below 3 are excluded: such algebras cannot carry a cubic tail and
 play no role in the dimension comparison.
 
+The search branches only where a choice exists, and each piece of work is
+done once per process:
+
+* H is 1, H(1) <= n, then a Macaulay tail.  The tails depend only on the
+  previous value, its position, the sum left and the slots left, so
+  `_TAILS` keeps them for every length, socle degree and n.
+* Rows Delta_a, a >= 2, are built entry by entry by `_rows`, pruned by
+  Macaulay growth as each entry is placed; `_CHAINS` keeps the row chains
+  below each (a, remainder).
+* Rows Delta_1 and Delta_0 are forced by their symmetries (`_last_rows`).
+* Each H's validated candidates are built once, and `_CHAINS` keeps them
+  under H, so clearing it clears them too.
+
 The nonsmoothable filter encodes two known classification facts as
 predicates: every local Gorenstein algebra of length <= 13 is smoothable,
 and so is every one with Hilbert function (1,a,b,c,...) when b <= 5 and
@@ -19,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hilbert import HilbertFunction, SymmetricDecomposition
-from .macaulay import _step, macaulay_bound
+from .macaulay import _step, is_o_sequence, macaulay_bound
 
 
 @dataclass(frozen=True)
@@ -59,34 +72,34 @@ def nonsmoothable_filter(values) -> bool:
     return True
 
 
-def _hilbert_candidates(length: int, n: int, d: int):
-    """Strictly positive Macaulay-admissible H of socle degree d >= 3.
+# (prev, i, left, slots) -> `_tails(prev, i, left, slots)`, keyed by ints and
+# kept for the process; every argument is below the largest length asked for.
+_TAILS: dict = {}
 
-    `fill` enforces every Macaulay growth step and keeps every entry >= 1.
-    """
-    interior = length - 2
-    slots = d - 1
-    if interior < slots:
-        return
 
-    def fill(prefix, remaining, index):
-        if index == slots:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        low = 1
-        high = remaining - (slots - index - 1)
-        if index == 0:
-            high = min(high, n)
+def _tails(prev: int, i: int, left: int, slots: int) -> tuple:
+    """All (H(i+1), ..., H(i+slots)), slots >= 1, of positive values summing
+    to `left` that grow from H(i) = prev by Macaulay steps, in lex order."""
+    key = (prev, i, left, slots)
+    tails = _TAILS.get(key)
+    if tails is None:
+        if slots == 1:
+            tails = ((left,),) if 1 <= left <= macaulay_bound(prev, i) else ()
         else:
-            high = min(high, macaulay_bound(prefix[-1], index))
-        for v in range(low, high + 1):
-            prefix.append(v)
-            yield from fill(prefix, remaining - v, index + 1)
-            prefix.pop()
+            high = min(left - slots + 1, macaulay_bound(prev, i))
+            tails = tuple((v,) + tail for v in range(1, high + 1)
+                          for tail in _tails(v, i + 1, left - v, slots - 1))
+        _TAILS[key] = tails
+    return tails
 
-    for middle in fill([], interior, 0):
-        yield (1,) + middle + (1,)
+
+def _hilbert_candidates(length: int, n: int, d: int):
+    """Strictly positive Macaulay-admissible H of socle degree d >= 3 with
+    H(1) <= n, in lex order.  The final step into H(d) = 1 always holds."""
+    interior = length - 2  # H(1) + ... + H(d - 1)
+    for first in range(1, min(n, interior - d + 2) + 1):
+        for tail in _tails(first, 1, interior - first, d - 2):
+            yield (1, first) + tail + (1,)
 
 
 def _rows(d: int, a: int, remainder: tuple) -> list:
@@ -104,8 +117,7 @@ def _rows(d: int, a: int, remainder: tuple) -> list:
     final once v_i is placed, and the middle step (into free + 1) once
     v_free is.  So on the O-sequence remainders the program passes, these
     are the symmetric rows whose remainder `is_o_sequence` accepts, no more
-    and no fewer; `admissible_decompositions` sorts, so their order reaches
-    no output.
+    and no fewer, in no particular order.
     """
     out = []
     _place(1, d - a, list(remainder), [0] * (d + 1), out)
@@ -128,17 +140,41 @@ def _place(i: int, w: int, new: list, row: list, out: list) -> None:
             out.append((tuple(row), tuple(new)))
         else:
             _place(i + 1, w, new, row, out)
-    new[i], new[j] = ri, rj
-    row[i] = row[j] = 0
+    new[i], new[j] = ri, rj  # for the caller's next v; `row` is rewritten before use
 
 
-# (a, remainder) -> `_chains(a, remainder)`, keyed by ints and kept for the
-# process, so it grows with the largest length asked for.
+def _last_rows(remainder: tuple) -> tuple:
+    """The chains (Delta_0, Delta_1) summing to `remainder`: one or none.
+
+    Delta_0 is symmetric about d/2 and Delta_1 about (d-1)/2 with
+    Delta_1(0) = 0, so remainder(i) - remainder(d - i) = Delta_1(i) -
+    Delta_1(i - 1) for i >= 1, and Delta_1 is the running sum of these
+    differences.  That sum is symmetric about (d-1)/2 and vanishes at d - 1
+    and d, and the remainder's ends are H(0) = H(d) = 1, so Delta_0 is a
+    palindrome by construction.  What is left to check is what `_rows` and
+    `_place` check: Delta_1 >= 0 and Delta_0 is an O-sequence.
+    """
+    d = len(remainder) - 1
+    row = [0] * (d + 1)
+    base = list(remainder)
+    run = 0
+    for i in range(1, d):
+        run += remainder[i] - remainder[d - i]
+        if run < 0:
+            return ()
+        row[i] = run
+        base[i] -= run
+    return ((tuple(base), tuple(row)),) if is_o_sequence(base) else ()
+
+
+# (a, remainder) -> `_chains(a, remainder)`, and H -> `_candidates(H)`, keyed
+# by ints and kept for the process, so it grows with the largest length
+# asked for.  The keys cannot meet: a remainder pair has 2 items, H at least 4.
 _CHAINS: dict = {}
 
 
 def _chains(a: int, remainder: tuple) -> tuple:
-    """All row chains (Delta_0, ..., Delta_a) summing to `remainder`.
+    """All row chains (Delta_0, ..., Delta_a), a >= 1, summing to `remainder`.
 
     Every partial sum below Delta_a is the Hilbert function of a quotient
     Q(a), so the chains depend only on (a, remainder), not on the length,
@@ -146,17 +182,27 @@ def _chains(a: int, remainder: tuple) -> tuple:
     """
     key = (a, remainder)
     chains = _CHAINS.get(key)
-    if chains is not None:
-        return chains
-    if a == 0:
-        # the remainder's ends are H(0) = H(d) = 1: no row a >= 1 reaches them
-        chains = ((remainder,),) if remainder == remainder[::-1] else ()
-    else:
-        chains = tuple(chain + (row,)
-                       for row, new_remainder in _rows(len(remainder) - 1, a, remainder)
-                       for chain in _chains(a - 1, new_remainder))
-    _CHAINS[key] = chains
+    if chains is None:
+        if a == 1:
+            chains = _last_rows(remainder)
+        else:
+            chains = tuple(chain + (row,)
+                           for row, new_remainder in _rows(len(remainder) - 1, a, remainder)
+                           for chain in _chains(a - 1, new_remainder))
+        _CHAINS[key] = chains
     return chains
+
+
+def _candidates(h: tuple) -> tuple:
+    """H's candidates, validated once and sorted by their rows."""
+    candidates = _CHAINS.get(h)
+    if candidates is None:
+        d = len(h) - 1
+        hilbert = HilbertFunction(h)
+        candidates = _CHAINS[h] = tuple(
+            DecompositionCandidate(hilbert, SymmetricDecomposition(d=d, rows=rows))
+            for rows in sorted(_chains(d - 2, h)))
+    return candidates
 
 
 def admissible_decompositions(length: int, n: int, nonsmoothable_only: bool = False) -> list:
@@ -164,18 +210,13 @@ def admissible_decompositions(length: int, n: int, nonsmoothable_only: bool = Fa
 
     Complete and duplicate-free over socle degrees 3 <= d <= length - 1,
     sorted by socle degree, then H lexicographically, then the row matrix
-    lexicographically.
+    lexicographically: the order in which they are generated.
     """
     if length < 1 or n < 1:
         raise ValueError("length and n must be positive")
     candidates = []
     for d in range(3, length):
         for h in _hilbert_candidates(length, n, d):
-            if nonsmoothable_only and not nonsmoothable_filter(h):
-                continue
-            candidates.extend(
-                DecompositionCandidate(HilbertFunction(h), SymmetricDecomposition(d=d, rows=rows))
-                for rows in _chains(d - 2, h)  # memoized in _CHAINS
-            )
-    candidates.sort(key=DecompositionCandidate.sort_key)
+            if not nonsmoothable_only or nonsmoothable_filter(h):
+                candidates.extend(_candidates(h))
     return candidates

@@ -150,6 +150,8 @@ class Polynomial:
             raise ValueError(f"side mismatch: {self.side} vs {other.side}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
         for exponents, coeff in other.terms.items():

@@ -67,6 +67,7 @@ def _check_macaulay():
 
 def _check_enumeration():
     candidates = admissible_decompositions(17, 8)
+    _expect("candidates of length 17, n = 8", len(candidates), 322)
     selected = [c for c in candidates if c.hilbert[1] == 8 and c.hilbert[2] >= 5]
     _expect("candidates with H(1) = 8, H(2) >= 5", len(selected), 5)
     expected = {
@@ -111,6 +112,7 @@ def _check_verifier_n7():
 def _check_verifier_n8():
     report = verify_theorem(8)
     _expect("verdict, rank", (report.passed, report.cactus_rank), (True, 18))
+    _expect("rows, worst margin", (len(report.rows), report.worst_margin), (565, 13))
 
 
 def _check_exotic_extension():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from apolarity import enumeration
 from apolarity.bounds import verify_theorem
 from apolarity.enumeration import (
     _hilbert_candidates,
+    _last_rows,
     _rows,
     admissible_decompositions,
     nonsmoothable_filter,
@@ -205,6 +207,128 @@ class TestRowBuilder:
         assert all(is_o_sequence(remainder) for remainder in seen)
 
 
+def _o_sequence_remainders(d: int):
+    """Every O-sequence (1, m_1, ..., m_{d-1}, 1) with m_i in 0..4."""
+    for middle in itertools.product(range(5), repeat=d - 1):
+        remainder = (1,) + middle + (1,)
+        if is_o_sequence(remainder):
+            yield remainder
+
+
+def _level_one_by_row_builder(remainder: tuple) -> set:
+    """The chains (Delta_0, Delta_1) the row builder finds: its rows Delta_1
+    whose remainder, Delta_0, is a palindrome."""
+    d = len(remainder) - 1
+    return {(new, row) for row, new in _rows(d, 1, remainder) if new == new[::-1]}
+
+
+class TestLastRows:
+    """Delta_1 and Delta_0 in closed form against `_rows(d, 1, .)` and the
+    palindrome test that they replace."""
+
+    @staticmethod
+    def check(remainder):
+        got = _last_rows(remainder)
+        assert len(got) <= 1, remainder
+        assert set(got) == _level_one_by_row_builder(remainder), remainder
+        return len(got)
+
+    def test_every_small_o_sequence_remainder(self):
+        cases = accepted = 0
+        for d in range(3, 7):
+            for remainder in _o_sequence_remainders(d):
+                accepted += self.check(remainder)
+                cases += 1
+        assert (cases, accepted) == (221, 68)
+
+    def test_every_remainder_the_program_reaches(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_CHAINS", {})
+        for n in (7, 8, 9):
+            verify_theorem(n)
+        for length in range(3, 19):
+            admissible_decompositions(length, 9)  # n = 9 covers every n <= 9
+        reached = [key[1] for key in enumeration._CHAINS if len(key) == 2 and key[0] == 1]
+        accepted = sum(self.check(remainder) for remainder in reached)
+        assert (len(reached), accepted) == (1806, 203)
+
+
+class TestTailMemo:
+    """H from the memo of Macaulay tails against filtered compositions."""
+
+    def test_matches_filtered_compositions(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_TAILS", {})
+        total = 0
+        for length in range(1, 17):
+            for d in range(3, length):
+                every = sorted(_compositions(length, d, 9))
+                for n in range(1, 10):
+                    got = list(_hilbert_candidates(length, n, d))
+                    assert got == [h for h in every if h[1] <= n], (length, n, d)
+                    total += len(got)
+        assert total == 4242
+
+
+class TestCandidateMemo:
+    """Each (H, Delta) is built and validated once per process."""
+
+    @staticmethod
+    def counting(monkeypatch, built):
+        real = enumeration.SymmetricDecomposition
+
+        def counted(**fields):
+            built.append(fields["rows"])
+            return real(**fields)
+
+        monkeypatch.setattr(enumeration, "SymmetricDecomposition", counted)
+        monkeypatch.setattr(enumeration, "_CHAINS", {})
+
+    def test_each_candidate_is_built_once(self, monkeypatch):
+        built = []
+        self.counting(monkeypatch, built)
+        first = admissible_decompositions(17, 8)
+        assert len(built) == len(first) == 322
+        admissible_decompositions(17, 8, nonsmoothable_only=True)
+        admissible_decompositions(17, 7)
+        assert len(built) == 322
+        wider = admissible_decompositions(17, 9)
+        assert len(built) == len(wider)  # only those with H(1) = 9 are new
+        shared = {id(c) for c in wider}
+        assert all(id(c) in shared for c in first)
+
+    def test_clearing_the_chain_memo_clears_them(self, monkeypatch):
+        built = []
+        self.counting(monkeypatch, built)
+        first = admissible_decompositions(15, 8)
+        monkeypatch.setattr(enumeration, "_CHAINS", {})
+        again = admissible_decompositions(15, 8)
+        assert again == first
+        assert len(built) == 2 * len(first)
+        assert all(a is not b for a, b in zip(first, again))
+
+
+class TestWorkCounts:
+    """Deterministic counts of the work of one cold verifier pass, which
+    show changes that its timings on a shared host cannot resolve."""
+
+    def test_verify_theorem_9(self, monkeypatch):
+        levels = []
+
+        def counting_rows(d, a, remainder):
+            levels.append(a)
+            return _rows(d, a, remainder)
+
+        monkeypatch.setattr(enumeration, "_rows", counting_rows)
+        monkeypatch.setattr(enumeration, "_CHAINS", {})
+        monkeypatch.setattr(enumeration, "_TAILS", {})
+        verify_theorem(9)
+        assert 1 not in levels  # Delta_1 is solved, not searched
+        assert len(levels) == 4122
+        stored = Counter(key[0] if len(key) == 2 else "H" for key in enumeration._CHAINS)
+        assert 0 not in stored
+        assert (stored["H"], stored[1], len(enumeration._CHAINS)) == (1006, 1535, 6663)
+        assert len(enumeration._TAILS) == 1859
+
+
 class TestChainMemo:
     """The process-wide `_CHAINS` memo changes no output, only the work."""
 
@@ -281,6 +405,12 @@ class TestWorkedInstances:
 
     def test_small_length_empty(self):
         assert admissible_decompositions(4, 3, nonsmoothable_only=True) == []
+        assert admissible_decompositions(1, 1) == []
+
+    @pytest.mark.parametrize("length,n", [(0, 1), (1, 0)])
+    def test_length_and_n_must_be_positive(self, length, n):
+        with pytest.raises(ValueError):
+            admissible_decompositions(length, n)
 
     def test_sorted_deterministically(self):
         candidates = admissible_decompositions(15, 8)

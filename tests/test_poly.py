@@ -192,6 +192,15 @@ class TestPolynomialClass:
         with pytest.raises(TypeError):
             -f
 
+    def test_sum_with_a_non_polynomial_is_a_type_error(self):
+        f = parse("x1", 1)
+        with pytest.raises(TypeError):
+            f + 2
+        with pytest.raises(TypeError):
+            2 + f
+        with pytest.raises(TypeError):
+            f + "x1"
+
     def test_products_stay_on_their_side(self):
         assert parse("x1", 2) * parse("x1*x2", 2) == parse("2*x1^2*x2", 2)
         assert parse("y1", 2, side=DUAL) * parse("y1*y2", 2, side=DUAL) == parse("y1^2*y2", 2, side=DUAL)
