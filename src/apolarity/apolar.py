@@ -39,7 +39,7 @@ from .poly import (
     monomials_up_to,
     poly_str,
 )
-from .scalars import characteristic, one_like, to_integers
+from .scalars import characteristic, from_integers, to_integers
 
 
 class FilteredSpace:
@@ -171,14 +171,16 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
     monomials of degree <= max_degree to Diff(f), row-reduced: each basis
     element has a distinct leading dual monomial with coefficient 1.
     """
-    return _annihilator(f, max_degree)[0]
+    return _generators(f, _annihilator(f, max_degree)[0])
 
 
 def _annihilator(f: Polynomial, max_degree: int) -> tuple:
-    """(`annihilator_generators(f, max_degree)`, the labelled span of the
-    images y^alpha(f) with |alpha| <= max_degree).  From max_degree = deg f
-    on the span is Diff(f), and its pivots are Diff(f)'s leading monomials,
-    unique whatever the order the images went in."""
+    """(kernel, span): the kernel of `annihilator_generators(f, max_degree)`
+    as int relations (w, den), each generator being w / den in f's field,
+    and the labelled span of the images y^alpha(f) with |alpha| <=
+    max_degree.  From max_degree = deg f on the span is Diff(f), and its
+    pivots are Diff(f)'s leading monomials, unique whatever the order the
+    images went in."""
     if f.side != PRIMAL:
         raise ValueError("annihilator_generators expects a primal polynomial")
     if f.is_zero():
@@ -188,17 +190,24 @@ def _annihilator(f: Polynomial, max_degree: int) -> tuple:
     p = characteristic(f.terms.values())
     span = _IntSpan(p)
     kernel = []
-    one = one_like(next(iter(f.terms.values())))
     table = _contractions(_int_terms(f.terms, p)[0], max_degree)
     for alpha in monomials_up_to(f.nvars, max_degree):
         image = table.get(alpha)
         if image is None:
-            kernel.append({alpha: one})
+            kernel.append(({alpha: 1}, 1))
             continue
-        _, relation = span.insert_labelled(image, alpha)
+        _, relation = span.insert_relation(image, alpha)
         if relation is not None:
             kernel.append(relation)
-    return [Polynomial(f.nvars, vec, DUAL) for vec in kernel], span
+    return kernel, span
+
+
+def _generators(f: Polynomial, kernel) -> list:
+    """The int relations of `_annihilator(f, ...)` as dual polynomials over
+    f's field, built without re-validating the span's terms."""
+    p = characteristic(f.terms.values())
+    return [Polynomial._trusted(f.nvars, dict(zip(w, from_integers(w.values(), den, p))), DUAL)
+            for w, den in kernel]
 
 
 def annihilator_stabilized(f: Polynomial, max_degree: int, generators=None,
@@ -208,9 +217,10 @@ def annihilator_stabilized(f: Polynomial, max_degree: int, generators=None,
     True when the count of dual monomials of degree <= max_degree minus the
     kernel dimension equals dim Diff(f) (`length`, if given); beyond that
     degree every dual monomial contracts f to 0 and the kernel gains nothing.
+    Only the number of `generators` (the kernel's, if given) is read.
     """
     if generators is None:
-        generators = annihilator_generators(f, max_degree)
+        generators = _annihilator(f, max_degree)[0]
     if length is None:
         length = apolar_length(f)
     total = comb(f.nvars + max_degree, f.nvars)  # dual monomials of degree <= max_degree
@@ -268,20 +278,21 @@ def is_apolar(generators, F: Polynomial) -> bool:
     # one field for F and the generators together; a zero test over the
     # ints is one over the field, whatever the denominators
     p = characteristic(F.terms.values(), *(g.terms.values() for g in generators))
-    return _kills(F.terms, (g.terms for g in generators), p)
+    return _kills(F.terms, (_int_terms(g.terms, p)[0] for g in generators), p)
 
 
 def _kills(form: dict, operators, p: int) -> bool:
-    """Whether every dual term dict in `operators` contracts the term dict
-    `form` to 0, each summed exactly from one int table of the form.  An
-    operator whose every term has degree above the form's contracts it to
-    0 term by term and is not converted."""
+    """Whether every operator, an int dual term dict in the field of
+    characteristic p (a multiple of the operator does as well), contracts
+    the term dict `form` to 0, each summed exactly from one int table of
+    the form.  An operator whose every term has degree above the form's
+    contracts it to 0 term by term and is not applied."""
     table = _contractions(_int_terms(form, p)[0])
     degree = max(map(sum, form), default=-1)
     for terms in operators:
         if min(map(sum, terms), default=0) > degree:
             continue
-        image = _apply(_int_terms(terms, p)[0], table).values()
+        image = _apply(terms, table).values()
         if any(c % p for c in image) if p else any(image):
             return False
     return True
@@ -334,32 +345,34 @@ def local_scheme(F: Polynomial, l: Polynomial) -> ApolarScheme:
     # apolarity is checked against F rewritten in the coordinates where l
     # is the first variable; the scheme data itself is coordinate-free.
     # That form is homogeneous of degree deg F, so homogenizing f gives it back.
-    generators, length, hilbert, checked = _scheme(f, max_degree, homogenize(f, int(F.degree())))
+    kernel, length, hilbert, checked = _scheme(f, max_degree, homogenize(f, int(F.degree())))
     return ApolarScheme(
         defining=f,
         length=length,
         hilbert=hilbert,
         support=l,
-        annihilator=tuple(generators),
+        annihilator=tuple(_generators(f, kernel)),
         apolarity_checked=checked,
-        stabilized=annihilator_stabilized(f, max_degree, generators, length),
+        stabilized=annihilator_stabilized(f, max_degree, kernel, length),
         change=change,
     )
 
 
 def _scheme(f: Polynomial, max_degree: int, form: Polynomial) -> tuple:
-    """(generators, length, H, apolar) of the scheme of f from `_annihilator(f,
-    max_degree)`, max_degree >= deg f: the span's dimension and pivot degrees
-    give the length and H; apolar: every kernel element, homogenized to its
-    degree with a new first variable, kills the form."""
-    generators, span = _annihilator(f, max_degree)
+    """(kernel, length, H, apolar) of the scheme of f from `_annihilator(f,
+    max_degree)`, max_degree >= deg f: the kernel as its int relations; the
+    span's dimension and pivot degrees give the length and H; apolar: every
+    kernel element, homogenized to its degree with a new first variable,
+    kills the form."""
+    kernel, span = _annihilator(f, max_degree)
     hilbert = [0] * (f.degree() + 1)
     for pivot in span.pivots:
         hilbert[sum(pivot)] += 1
 
-    def homogenized(g):
-        top = max(map(sum, g.terms))
-        return {(top - sum(e),) + e: c for e, c in g.terms.items()}
+    def homogenized(w):
+        top = max(map(sum, w))
+        return {(top - sum(e),) + e: c for e, c in w.items()}
 
     p = characteristic(form.terms.values(), f.terms.values())
-    return generators, span.dim, tuple(hilbert), _kills(form.terms, map(homogenized, generators), p)
+    operators = (homogenized(w) for w, _ in kernel)  # w / den kills the form iff w does
+    return kernel, span.dim, tuple(hilbert), _kills(form.terms, operators, p)

@@ -133,11 +133,41 @@ def v_bound(decomposition: SymmetricDecomposition, n: int) -> DimBoundReport:
     The closed form over H and the v_theta + d_flag route are computed
     independently and must agree; a mismatch is a programming error.
     """
+    h = decomposition.hilbert().values
+    dims, exotic, flag, v_theta, v_theta_alt, closed = _v(decomposition, n, h)
+    length = sum(h)
+    c = c_bound(n)
+    if 1 <= length <= c - 1:
+        w = w_bound(length, n)
+        margin = w - closed
+    else:
+        w = None
+        margin = None
+    return DimBoundReport(
+        n=n,
+        length=length,
+        d=decomposition.d,
+        hilbert=h,
+        deltas=decomposition.rows,
+        embedding=dims,
+        v_theta=v_theta,
+        v_theta_alt=v_theta_alt,
+        d_infty=exotic,
+        d_flag=flag,
+        v=closed,
+        w=w,
+        margin=margin,
+    )
+
+
+def _v(decomposition: SymmetricDecomposition, n: int, h: tuple) -> tuple:
+    """(embedding dims, d_infty, d_flag, v_theta, v_theta_alt, v) of a
+    decomposition whose H values are h, as `v_bound` reports them; both
+    routes to v are computed and compared."""
     d = decomposition.d
     if d < 3:
         raise ValueError("the bound needs socle degree at least 3")
     dims = _require_dims(decomposition, n)
-    h = decomposition.hilbert().values
     exotic = _d_infty(decomposition, n, dims)
     flag = _d_flag(decomposition, n, dims)
     v_theta = comb(dims[d - 3] + 2, 3) + comb(dims[d - 2] + 1, 2) + dims[d - 2] + 1 + exotic
@@ -151,29 +181,7 @@ def v_bound(decomposition: SymmetricDecomposition, n: int) -> DimBoundReport:
     )
     if v_theta + flag != closed:
         raise AssertionError("bound composition routes disagree")
-    length = sum(h)
-    c = c_bound(n)
-    if 1 <= length <= c - 1:
-        w = w_bound(length, n)
-        margin = w - closed
-    else:
-        w = None
-        margin = None
-    return DimBoundReport(
-        n=n,
-        length=length,
-        d=d,
-        hilbert=h,
-        deltas=decomposition.rows,
-        embedding=dims,
-        v_theta=v_theta,
-        v_theta_alt=v_theta_alt,
-        d_infty=exotic,
-        d_flag=flag,
-        v=closed,
-        w=w,
-        margin=margin,
-    )
+    return dims, exotic, flag, v_theta, v_theta_alt, closed
 
 
 @dataclass(frozen=True)
@@ -255,8 +263,8 @@ def verify_theorem(n: int, nonsmoothable_only: bool = True) -> TheoremReport:
     passed = True
     for r in range(14, c):
         for candidate in admissible_decompositions(r, n, nonsmoothable_only=nonsmoothable_only):
-            v = v_bound(candidate.decomposition, n).v
             h = candidate.hilbert.values
+            v = _v(candidate.decomposition, n, h)[-1]
             deltas = tuple(candidate.decomposition.trimmed_rows())
             if r not in max_v or v > max_v[r][1]:
                 max_v[r] = (h, v)

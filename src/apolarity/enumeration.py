@@ -46,9 +46,6 @@ class DecompositionCandidate:
     def d(self) -> int:
         return self.decomposition.d
 
-    def sort_key(self):
-        return (self.d, tuple(self.hilbert), self.decomposition.rows)
-
     def as_dict(self) -> dict:
         return {
             "H": list(self.hilbert),

@@ -26,10 +26,10 @@ caller names by its characteristic, 0 for the rationals and p for GF(p),
 and reads every vector in that field, so a vector of ints goes in as it
 is.  Ints enter without that rule through `_IntSpan`, the span `apolar`
 builds: its vectors are int contraction tables and `int_row`s, already in
-its field, and each is copied in with no conversion.  Over GF(p) a row
-holds residues in [0, p) with leading coefficient 1,
-and an int or a `Fraction` given to the span is coerced as
-`PrimeFieldElement` coerces it.  Over the rationals a vector enters as
+its field, and each is copied in with no conversion; a relation leaves as
+ints through `insert_relation`.  Over GF(p) a row holds residues in
+[0, p) with leading coefficient 1, and an int or a `Fraction` given to
+the span is coerced as `PrimeFieldElement` coerces it.  Over the rationals a vector enters as
 integers over a common denominator; a stored row has a positive leading
 coefficient, and no factor is common to all of its entries (and, for a
 labelled row, of its combination).  Reducing an
@@ -297,12 +297,19 @@ class MonomialSpan:
         relation maps labels to the coefficients of a vanishing combination
         that includes the new label with the field's one.
         """
+        index, relation = self.insert_relation(vec, label)
+        return (index, None) if relation is None else (None, self._scalars(*relation))
+
+    def insert_relation(self, vec: dict, label):
+        """`insert_labelled` with the relation left as ints: (index, None),
+        or (None, (w, den)) where the relation is w / den in the span's
+        field, w an int dict without zeros (residues over GF(p), den = 1)."""
         w, den = self._integral(vec)
         combo = {label: den}  # w = den * vec
         self._reduce(w, combo)
         if not w:
             # sum combo[L] * g_L = 0; over GF(p) the new label's entry is 1
-            return None, self._scalars(combo, combo[label])
+            return None, (combo, combo[label])
         return self._append(w, combo), None
 
     def insert_tagged(self, vec: dict, tag):

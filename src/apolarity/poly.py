@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import comb
-from operator import sub
 from typing import Iterator, Mapping, Sequence
 
 from .scalars import RATIONALS, characteristic, from_integers, one_like, to_integers
@@ -42,14 +42,14 @@ def grlex_key(exponents: Exponents):
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
-    """Yield all exponent vectors of the given total degree."""
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    for head in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - head):
-            yield (head,) + rest
+    """Yield all exponent vectors of the given total degree, lexicographically
+    descending: a monomial is the sorted multiset of its variables'
+    indices, and those come ascending, (0, ..., 0) first."""
+    for indices in combinations_with_replacement(range(nvars), degree):
+        exponents = [0] * nvars
+        for i in indices:
+            exponents[i] += 1
+        yield tuple(exponents)
 
 
 def monomials_up_to(nvars: int, degree: int) -> Iterator[Exponents]:
@@ -87,6 +87,17 @@ class Polynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "side", side)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict, side: str) -> "Polynomial":
+        """The polynomial on the dict `terms` itself, not validated: for
+        terms an exact computation produced, keyed by exponent tuples of
+        length nvars, with nonzero field scalars."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "side", side)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -257,22 +268,18 @@ def _contractions(terms: Mapping[Exponents, object], max_degree: int | None = No
     if max_degree is not None and max_degree < 0:
         return table
     for beta, coeff in terms.items():
-        # divisors of beta with the degree left in the budget, grown over the
-        # support of beta only: a zero exponent adds no choice
-        budget = sum(beta) if max_degree is None else max_degree
-        divisors = [([0] * len(beta), budget)]
-        for i, b in enumerate(beta):
-            if b:
-                grown = []
-                for alpha, left in divisors:
-                    for a in range(1, min(b, left) + 1):
-                        longer = alpha.copy()
-                        longer[i] = a
-                        grown.append((longer, left - a))
-                divisors += grown
-        for alpha, _ in divisors:
-            alpha = tuple(alpha)
-            shift = tuple(map(sub, beta, alpha))
+        # each divisor alpha of beta with its shift beta - alpha, the two
+        # products stepping through the same positions in lockstep; under a
+        # binding budget, alpha is drawn from the box capped at it, then cut
+        if max_degree is None or sum(beta) <= max_degree:
+            caps = beta
+        else:
+            caps = [min(b, max_degree) for b in beta]
+        divisors = zip(product(*[range(c + 1) for c in caps]),
+                       product(*[range(b, b - c - 1, -1) for b, c in zip(beta, caps)]))
+        if caps is not beta:
+            divisors = [(alpha, shift) for alpha, shift in divisors if sum(alpha) <= max_degree]
+        for alpha, shift in divisors:
             image = table.get(alpha)
             if image is None:
                 table[alpha] = {shift: coeff}

@@ -775,12 +775,14 @@ class TestIntApolarityCheckCanFail:
         def perturbed(f, max_degree):
             kernel, span = original(f, max_degree)
             # the first relation's lead has a nonzero image on f, so one more
-            # of it takes the relation out of the kernel
-            index = next(i for i, g in enumerate(kernel) if len(g.terms) > 1)
-            terms = dict(kernel[index].terms)
-            lead = max(terms, key=grlex_key)
-            terms[lead] += 1
-            kernel[index] = Polynomial(f.nvars, terms, DUAL)
+            # of it (den more in the int relation w, the element being w / den)
+            # takes the relation out of the kernel
+            index = next(i for i, (w, _) in enumerate(kernel) if len(w) > 1)
+            w, den = kernel[index]
+            w = dict(w)
+            lead = max(w, key=grlex_key)
+            w[lead] += den
+            kernel[index] = w, den
             return kernel, span
 
         monkeypatch.setattr(apolar, "_annihilator", perturbed)

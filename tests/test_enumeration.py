@@ -16,7 +16,7 @@ from apolarity.enumeration import (
     admissible_decompositions,
     nonsmoothable_filter,
 )
-from apolarity.hilbert import SymmetricDecomposition, symmetric_decomposition
+from apolarity.hilbert import HilbertFunction, SymmetricDecomposition, symmetric_decomposition
 from apolarity.macaulay import is_o_sequence
 from apolarity.poly import parse
 
@@ -312,15 +312,24 @@ class TestWorkCounts:
 
     def test_verify_theorem_9(self, monkeypatch):
         levels = []
+        hilbert_functions = [0]
+        validate = HilbertFunction.__post_init__
 
         def counting_rows(d, a, remainder):
             levels.append(a)
             return _rows(d, a, remainder)
 
+        def counting_validate(self):
+            hilbert_functions[0] += 1
+            validate(self)
+
         monkeypatch.setattr(enumeration, "_rows", counting_rows)
         monkeypatch.setattr(enumeration, "_CHAINS", {})
         monkeypatch.setattr(enumeration, "_TAILS", {})
+        monkeypatch.setattr(HilbertFunction, "__post_init__", counting_validate)
         verify_theorem(9)
+        # one per H, built with its candidates; v reads them, builds none
+        assert hilbert_functions[0] == 1006
         assert 1 not in levels  # Delta_1 is solved, not searched
         assert len(levels) == 4122
         stored = Counter(key[0] if len(key) == 2 else "H" for key in enumeration._CHAINS)
@@ -414,7 +423,7 @@ class TestWorkedInstances:
 
     def test_sorted_deterministically(self):
         candidates = admissible_decompositions(15, 8)
-        keys = [c.sort_key() for c in candidates]
+        keys = [(c.d, tuple(c.hilbert), c.decomposition.rows) for c in candidates]
         assert keys == sorted(keys)
 
 

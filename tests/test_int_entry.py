@@ -57,7 +57,8 @@ class TestIntEntryOracle:
         p = characteristic(f.terms.values())
         table = _contractions(_int_terms(f.terms, p)[0])
         alphas = sorted(table, key=grlex_key, reverse=True)
-        pairs = {kind: (_IntSpan(p), MonomialSpan(p)) for kind in ("plain", "labelled", "tagged")}
+        pairs = {kind: (_IntSpan(p), MonomialSpan(p))
+                 for kind in ("plain", "labelled", "relation", "tagged")}
         for alpha in alphas:
             image = table[alpha]
             given = dict(image)
@@ -66,6 +67,14 @@ class TestIntEntryOracle:
             assert ints.insert(image) == scalars.insert(field)
             ints, scalars = pairs["labelled"]
             got, expected = ints.insert_labelled(image, alpha), scalars.insert_labelled(field, alpha)
+            assert repr(got) == repr(expected) and got == expected
+            # the same relation as ints w over den, w without zeros
+            ints, scalars = pairs["relation"]
+            got, expected = ints.insert_relation(image, alpha), scalars.insert_labelled(field, alpha)
+            if got[1] is not None:
+                w, den = got[1]
+                assert all(w.values()) and den == (1 if p else w[alpha])
+                got = None, dict(zip(w, from_integers(w.values(), den, p)))
             assert repr(got) == repr(expected) and got == expected
             ints, scalars = pairs["tagged"]
             assert ints.insert_tagged(image, alpha) == scalars.insert_tagged(field, alpha)
@@ -160,14 +169,41 @@ class TestNoPerVectorConversion:
         scheme = local_scheme(F, parse("x0 + x1 - x8", 9, base=0))
         assert scheme.apolarity_checked and scheme.length == 18  # 2n + 2, n = 8
         assert span_conversions[0] == 0
-        # f's table, the form's table, and the generators that can contract
-        # the form: 147 relations of degree <= 3; the 330 dual monomials of
-        # degree 4 are not converted
+        # f's table and the form's table only: the kernel leaves the span as
+        # int relations, 147 of degree <= 3 and 330 dual monomials of degree 4
         low = [g for g in scheme.annihilator if g.degree() <= 3]
         assert len(low) == 147 and len(scheme.annihilator) - len(low) == 330
-        assert conversions[0] == 2 + len(low)
+        assert conversions[0] == 2
         assert len(spans) == 1
         assert keys[0] <= sum(span.dim for span in spans)
+
+    @pytest.mark.parametrize("f", list(on_fields(parse("x0^3 + 2*x1^3 - x2^3 + x0*x1*x2", 3,
+                                                        base=0))), ids=("QQ", "GF"))
+    def test_cusp_witness_builds_no_kernel_polynomial(self, monkeypatch, f):
+        from apolarity.witness import cusp_witness
+
+        trusted = counted(monkeypatch, Polynomial, "_trusted")
+        scalars = counted(monkeypatch, apolar, "from_integers")
+        duals = []
+        build = Polynomial.__init__
+
+        def recording(self, nvars, terms, side=PRIMAL):
+            build(self, nvars, terms, side)
+            if side == DUAL:
+                duals.append(self)
+
+        monkeypatch.setattr(Polynomial, "__init__", recording)
+        report = cusp_witness(f)
+        assert report.apolar_ok and report.length_g <= 7
+        # the kernel of g stays int relations: no field scalar and no
+        # polynomial is made of it; the one dual polynomial is y0, which
+        # checks y0(G) = F
+        assert (trusted[0], scalars[0]) == (0, 0)
+        assert [str(g) for g in duals] == ["y1"]
+        # while a local scheme builds each generator it returns, once
+        scheme = local_scheme(f, parse("x0 + x1", 3, base=0))
+        assert trusted[0] == len(scheme.annihilator) and scalars[0] == trusted[0]
+        assert len(duals) == 1
 
     @pytest.mark.parametrize("F", list(on_fields(cubic_in_nine())), ids=("QQ", "GF"))
     def test_orders_and_linear_partials(self, monkeypatch, F):
@@ -220,3 +256,22 @@ class TestKillsDegreeSkip:
         above = [{m: Fraction(1, 2)} for m in monomials_of_degree(3, 4)]
         assert _kills(F.terms, above, 0)
         assert conversions[0] == 1  # the form only
+
+
+class TestReturnedGenerators:
+    """The generators built from the kernel's int relations, unvalidated,
+    are what the validating constructor makes of the same terms."""
+
+    @pytest.mark.parametrize("f", [g for f in ORACLE_FORMS for g in on_fields(f)], ids=str)
+    def test_as_validated_polynomials(self, f):
+        from apolarity.apolar import annihilator_generators
+
+        kind = type(next(iter(f.terms.values())))
+        for max_degree in (int(f.degree()), int(f.degree()) + 1):
+            generators = annihilator_generators(f, max_degree)
+            assert len(generators) > 1
+            for g in generators:
+                assert g == Polynomial(f.nvars, g.terms, DUAL) and g.side == DUAL
+                assert all(type(c) is kind and c != 0 for c in g.terms.values())
+                assert all(len(m) == f.nvars for m in g.terms)
+                assert g.terms[max(g.terms, key=grlex_key)] == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -146,7 +147,24 @@ class TestContract:
             contract(parse("y1", 2, side=DUAL), f)
 
 
+def monomials_by_brute_force(nvars: int, degree: int) -> list:
+    """Exponent vectors of the degree, lexicographically descending, from
+    all vectors with entries <= degree (the last entry is the degree left)."""
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    found = [head + (degree - sum(head),)
+             for head in itertools.product(range(degree + 1), repeat=nvars - 1)
+             if sum(head) <= degree]
+    return sorted(found, reverse=True)
+
+
 class TestMonomials:
+    @pytest.mark.parametrize("nvars", range(10))
+    def test_of_degree_against_brute_force(self, nvars):
+        for degree in range(6):
+            assert list(monomials_of_degree(nvars, degree)) == \
+                monomials_by_brute_force(nvars, degree), (nvars, degree)
+
     @pytest.mark.parametrize("nvars", range(7))
     def test_up_to_is_each_degree_sorted(self, nvars):
         # the annihilator's generators come in this order, so the digests

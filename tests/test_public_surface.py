@@ -23,6 +23,10 @@ KEPT = {
     "is_apolar": "the public apolarity check of generators against a form; local schemes "
                  "run the same check on int terms, and perfbench's rebinding test requires "
                  "it in `apolar` and `witness`",
+    "annihilator_generators": "the kernel of the contraction map as dual polynomials; "
+                              "`local_scheme` and the `annihilator` command build the same "
+                              "polynomials from the int relations of the span they read the "
+                              "length from, and perfbench's generic workload calls it",
     "representative_operator": "the paper's psi with psi(f) = g; tier-1 uses it as the "
                                "reference for `FilteredSpace.orders`",
 }
