@@ -278,7 +278,11 @@ def is_apolar(generators, F: Polynomial) -> bool:
     # one field for F and the generators together; a zero test over the
     # ints is one over the field, whatever the denominators
     p = characteristic(F.terms.values(), *(g.terms.values() for g in generators))
-    return _kills(F.terms, (_int_terms(g.terms, p)[0] for g in generators), p)
+    # a generator whose every term is above deg F kills F term by term; it
+    # is neither converted nor applied
+    degree = F.degree()
+    live = (g for g in generators if g.order() <= degree)
+    return _kills(F.terms, (_int_terms(g.terms, p)[0] for g in live), p)
 
 
 def _kills(form: dict, operators, p: int) -> bool:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
+from operator import sub
 from typing import Iterator, Mapping, Sequence
 
 from .scalars import RATIONALS, characteristic, from_integers, one_like, to_integers
@@ -268,24 +269,38 @@ def _contractions(terms: Mapping[Exponents, object], max_degree: int | None = No
     if max_degree is not None and max_degree < 0:
         return table
     for beta, coeff in terms.items():
-        # each divisor alpha of beta with its shift beta - alpha, the two
-        # products stepping through the same positions in lockstep; under a
-        # binding budget, alpha is drawn from the box capped at it, then cut
-        if max_degree is None or sum(beta) <= max_degree:
-            caps = beta
-        else:
-            caps = [min(b, max_degree) for b in beta]
-        divisors = zip(product(*[range(c + 1) for c in caps]),
-                       product(*[range(b, b - c - 1, -1) for b, c in zip(beta, caps)]))
-        if caps is not beta:
-            divisors = [(alpha, shift) for alpha, shift in divisors if sum(alpha) <= max_degree]
-        for alpha, shift in divisors:
+        for alpha, shift in _divisors(beta, max_degree):
             image = table.get(alpha)
             if image is None:
                 table[alpha] = {shift: coeff}
             else:
                 image[shift] = coeff
     return table
+
+
+def _divisors(beta: Exponents, left: int | None = None):
+    """Each divisor alpha of beta with |alpha| <= left (None: the degree of
+    beta), paired with its shift beta - alpha.
+
+    A term within the budget is the whole box of its divisors, stepped
+    through by two `itertools.product`s in lockstep.  Under a binding
+    budget the divisors are grown over the support of beta with the degree
+    left, so none above the budget is made.
+    """
+    if left is None or sum(beta) <= left:
+        return zip(product(*[range(b + 1) for b in beta]),
+                   product(*[range(b, -1, -1) for b in beta]))
+    divisors = [([0] * len(beta), left)]
+    for i, b in enumerate(beta):
+        if b:
+            grown = []
+            for alpha, room in divisors:
+                for a in range(1, min(b, room) + 1):
+                    longer = alpha.copy()
+                    longer[i] = a
+                    grown.append((longer, room - a))
+            divisors += grown
+    return [(tuple(alpha), tuple(map(sub, beta, alpha))) for alpha, _ in divisors]
 
 
 # -- homogenization ------------------------------------------------------

@@ -20,7 +20,6 @@ from apolarity.apolar import annihilator_generators, is_apolar
 from apolarity.poly import (
     DUAL,
     Polynomial,
-    _contract_terms,
     _contractions,
     contract,
     homogenize,
@@ -80,21 +79,6 @@ class TestTableAgainstScan:
                         assert list(table[alpha].items()) == list(expected.items())
                     else:
                         assert expected == {}, (terms, k, alpha)
-
-    @pytest.mark.parametrize("nvars,degree", [(1, 7), (2, 9), (3, 5), (4, 4), (6, 3)])
-    def test_binding_budgets_against_contract_terms(self, nvars, degree):
-        # a dense polynomial of every degree <= degree, cut below its degree
-        rng = random.Random(nvars * 100 + degree)
-        terms = {m: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
-                 for m in reversed(list(monomials_up_to(nvars, degree)))}
-        for k in range(degree):
-            table = _contractions(terms, k)
-            expected = {alpha: _contract_terms(terms, alpha)
-                        for alpha in monomials_up_to(nvars, k)}
-            assert list(table) != [] and set(table) == set(expected)
-            for alpha, image in table.items():
-                # the same terms, in the order of `terms`
-                assert list(image.items()) == list(expected[alpha].items()), (k, alpha)
 
     def test_empty_terms_and_negative_bound(self):
         assert _contractions({}) == {}

@@ -257,6 +257,15 @@ class TestKillsDegreeSkip:
         assert _kills(F.terms, above, 0)
         assert conversions[0] == 1  # the form only
 
+    def test_is_apolar_converts_no_generator_above_the_form(self, monkeypatch):
+        F = parse(self.FORM, 3, base=0)
+        conversions = counted(monkeypatch, apolar, "to_integers")
+        above = [parse(text, 3, side=DUAL, base=0) for text in self.ABOVE]
+        assert is_apolar([*above, Polynomial.zero(3, DUAL)], F)
+        assert conversions[0] == 1  # the form only
+        assert not is_apolar([*above, parse("y0*y1*y2", 3, side=DUAL, base=0)], F)
+        assert conversions[0] == 3  # the form and the generator of its degree
+
 
 class TestReturnedGenerators:
     """The generators built from the kernel's int relations, unvalidated,

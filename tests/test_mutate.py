@@ -38,17 +38,3 @@ def test_a_looping_mutant_is_cut_at_the_scaled_bound(tmp_path, capsys):
     assert out[1].startswith("timeout  macaulay.py:")
     assert out[-1] == "killed 1 of 1 mutants (100%)"
     assert mutate.TIMEOUT_FLOOR <= elapsed < 30
-
-
-def test_functions_limits_the_sites_to_their_bodies():
-    import ast
-
-    mutate = load_tool()
-    source = ("def keep(x):\n    return x + 1\n\n"
-              "def skip(x):\n    return x < 2\n\n"
-              "class C:\n    def keep(self):\n        return 0\n")
-    tree = ast.parse(source)
-    every = [line for _, _, line, _ in mutate._sites(tree)]
-    kept = [line for _, _, line, _ in mutate._sites(tree, ["keep"])]
-    assert sorted(every) == [2, 2, 5, 5, 9]
-    assert sorted(kept) == [2, 2, 9]

@@ -8,12 +8,15 @@ from fractions import Fraction
 
 import pytest
 
+from apolarity import poly
 from apolarity.poly import (
     DUAL,
     PRIMAL,
     NEG_INFINITY,
     ParseError,
     Polynomial,
+    _contract_terms,
+    _contractions,
     _drop_first,
     contract,
     dehomogenize,
@@ -145,6 +148,43 @@ class TestContract:
             contract(f, f)
         with pytest.raises(ValueError):
             contract(parse("y1", 2, side=DUAL), f)
+
+
+class TestContractionsUnderABudget:
+    """`_contractions` with max_degree below a term's degree keeps only the
+    divisors within the budget, and makes no other."""
+
+    @pytest.mark.parametrize("nvars,degree", [(1, 7), (2, 9), (3, 5), (4, 4), (6, 3)])
+    def test_binding_budgets_against_contract_terms(self, nvars, degree):
+        # a dense polynomial of every degree <= degree, cut below its degree
+        rng = random.Random(nvars * 100 + degree)
+        terms = {m: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
+                 for m in reversed(list(monomials_up_to(nvars, degree)))}
+        for k in range(degree):
+            table = _contractions(terms, k)
+            expected = {alpha: _contract_terms(terms, alpha)
+                        for alpha in monomials_up_to(nvars, k)}
+            assert list(table) != [] and set(table) == set(expected)
+            for alpha, image in table.items():
+                # the same terms, in the order of `terms`
+                assert list(image.items()) == list(expected[alpha].items()), (k, alpha)
+
+    @pytest.mark.parametrize("nvars", [20, 25])
+    def test_wide_squarefree_term_makes_only_the_divisors_within(self, monkeypatch, nvars):
+        drawn = [0]
+
+        def counting_product(*ranges):
+            for item in itertools.product(*ranges):
+                drawn[0] += 1
+                yield item
+
+        monkeypatch.setattr(poly, "product", counting_product)
+        table = _contractions({(1,) * nvars: 7}, 2)
+        assert len(table) == 1 + nvars + nvars * (nvars - 1) // 2
+        assert all(sum(alpha) <= 2 for alpha in table)
+        # each divisor is drawn at most once as alpha and once as its shift,
+        # not 2^nvars times from the box of the term
+        assert drawn[0] <= 2 * len(table)
 
 
 def monomials_by_brute_force(nvars: int, degree: int) -> list:

@@ -18,7 +18,6 @@ run on the unmutated copy, and at least TIMEOUT_FLOOR seconds.  Run from the
 root of the repository:
 
     python3 tools/mutate.py --files apolar.py
-    python3 tools/mutate.py --files poly.py --functions _contractions
     python3 tools/mutate.py --sample 40 --seed 7 --workdir /tmp/mut
     python3 tools/mutate.py --files apolar.py -- python3 -m apolarity selftest
 
@@ -55,18 +54,10 @@ SWAPS = {
 }
 
 
-def _sites(tree: ast.AST, functions=None):
-    """(walk index, slot, line, description) of every mutable point, or of
-    those inside the functions or methods named in `functions`; slot is the
-    index of the operator in a comparison, or None."""
-    inside = None
-    if functions:
-        inside = {id(node) for function in ast.walk(tree)
-                  if isinstance(function, ast.FunctionDef) and function.name in functions
-                  for node in ast.walk(function)}
+def _sites(tree: ast.AST):
+    """(walk index, slot, line, description) of every mutable point; slot
+    is the index of the operator in a comparison, or None."""
     for index, node in enumerate(ast.walk(tree)):
-        if inside is not None and id(node) not in inside:
-            continue
         line = getattr(node, "lineno", 0)
         if isinstance(node, ast.Compare):
             for slot, op in enumerate(node.ops):
@@ -112,8 +103,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--files", nargs="*", help="module file names under src/apolarity "
                         "(default: every module)")
-    parser.add_argument("--functions", nargs="*", help="mutate only inside the functions "
-                        "or methods of these names")
     parser.add_argument("--sample", type=int, help="mutate this many sites, drawn by --seed")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workdir", type=Path, help="where the copy goes (default: a "
@@ -124,8 +113,7 @@ def main(argv=None) -> int:
     names = args.files or sorted(p.name for p in (ROOT / PACKAGE).glob("*.py"))
     sources = {name: (ROOT / PACKAGE / name).read_text() for name in names}
     plain = {name: ast.unparse(ast.parse(source)) + "\n" for name, source in sources.items()}
-    sites = [(name, *site) for name in names
-             for site in _sites(ast.parse(sources[name]), args.functions)]
+    sites = [(name, *site) for name in names for site in _sites(ast.parse(sources[name]))]
     if args.sample is not None:
         sites = random.Random(args.seed).sample(sites, min(args.sample, len(sites)))
     sites.sort(key=lambda site: (site[0], site[3], site[1]))  # file, line, walk index
