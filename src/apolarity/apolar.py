@@ -202,6 +202,18 @@ def _annihilator(f: Polynomial, max_degree: int) -> tuple:
     return kernel, span
 
 
+def _kernel_and_length(f: Polynomial, max_degree: int) -> tuple:
+    """(kernel, length): the kernel of `_annihilator(f, max_degree)` and dim
+    Diff(f), from one elimination up to max(max_degree, deg f).  The images
+    go in grlex ascending and the span only grows, so the relations whose
+    labels have degree <= max_degree are those found by then, whatever is
+    inserted after them."""
+    # below 1, `_annihilator` rejects max_degree after checking f
+    top = max(max_degree, f.degree()) if max_degree >= 1 else max_degree
+    kernel, span = _annihilator(f, top)
+    return [(w, den) for w, den in kernel if max(map(sum, w)) <= max_degree], span.dim
+
+
 def _generators(f: Polynomial, kernel) -> list:
     """The int relations of `_annihilator(f, ...)` as dual polynomials over
     f's field, built without re-validating the span's terms."""
@@ -217,12 +229,13 @@ def annihilator_stabilized(f: Polynomial, max_degree: int, generators=None,
     True when the count of dual monomials of degree <= max_degree minus the
     kernel dimension equals dim Diff(f) (`length`, if given); beyond that
     degree every dual monomial contracts f to 0 and the kernel gains nothing.
-    Only the number of `generators` (the kernel's, if given) is read.
+    Only the number of `generators` (the kernel's, if given) is read.  What
+    is not given comes from one elimination of f's table.
     """
-    if generators is None:
-        generators = _annihilator(f, max_degree)[0]
-    if length is None:
-        length = apolar_length(f)
+    if generators is None or length is None:
+        kernel, dim = _kernel_and_length(f, max_degree)
+        generators = kernel if generators is None else generators
+        length = dim if length is None else length
     total = comb(f.nvars + max_degree, f.nvars)  # dual monomials of degree <= max_degree
     return total - len(generators) == length
 

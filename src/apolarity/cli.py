@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import bounds as bounds_mod
-from .apolar import _annihilator, _generators, annihilator_stabilized, diff_space, local_scheme
+from .apolar import _generators, _kernel_and_length, annihilator_stabilized, diff_space, local_scheme
 from .enumeration import admissible_decompositions
 from .hilbert import embedding_dims, hilbert_function, symmetric_decomposition
 from .poly import DUAL, PRIMAL, parse, poly_str
@@ -169,10 +169,8 @@ def _cmd_hilbert(args) -> int:
 def _cmd_annihilator(args) -> int:
     f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     max_degree = args.max_degree if args.max_degree is not None else f.degree() + 1
-    kernel, span = _annihilator(f, max_degree)
+    kernel, length = _kernel_and_length(f, max_degree)
     generators = _generators(f, kernel)
-    # the span is Diff(f) from deg f on; below that, apolar_length gives the length
-    length = span.dim if max_degree >= f.degree() else None
     stabilized = annihilator_stabilized(f, max_degree, kernel, length)
     lines = [f"kernel dimension (degree <= {max_degree}) = {len(generators)}",
              f"stabilized = {stabilized}"]

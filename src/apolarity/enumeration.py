@@ -17,6 +17,9 @@ done once per process:
   Macaulay growth as each entry is placed; `_CHAINS` keeps the row chains
   below each (a, remainder).
 * Rows Delta_1 and Delta_0 are forced by their symmetries (`_last_rows`).
+* A remainder below a placed row is searched only if it passes
+  `_feasible`, the window bound that the forced Delta_1 and Delta_0 >= 1
+  put on it, so most remainders with no chain are never stored.
 * Each H's validated candidates are built once, and `_CHAINS` keeps them
   under H, so clearing it clears them too.
 
@@ -164,6 +167,32 @@ def _last_rows(remainder: tuple) -> tuple:
     return ((tuple(base), tuple(row)),) if is_o_sequence(base) else ()
 
 
+def _feasible(a: int, remainder: tuple) -> bool:
+    """Whether the level-a remainder R = Delta_0 + ... + Delta_a, a >= 1,
+    passes a necessary condition for having a chain: with T(i) = sum over
+    k <= i of R(k) - R(d - k), every 1 <= i <= d - 1 has T(i) <= the sum of
+    R(k) - 1 over the window max(1, i - a + 1) <= k <= i.
+
+    Delta_0 is symmetric about d/2, so it adds nothing to T.  Delta_b, b >=
+    1, is symmetric about (d - b)/2, Delta_b(d - k) = Delta_b(k - b), and
+    vanishes at k <= 0, so it adds the sum of Delta_b(k) - Delta_b(k - b)
+    over 1 <= k <= i: the window of its b entries ending at i.  Rows are
+    nonnegative and b <= a, so T(i) is at most the sum over the window of
+    length a of R(k) - Delta_0(k).  Delta_0 is an O-sequence with Delta_0(d)
+    = 1, so Delta_0(k) >= 1 for k <= d, which gives the bound.  At a = 1,
+    T is Delta_1 and the condition is exactly Delta_0(i) >= 1.
+    """
+    d = len(remainder) - 1
+    run = 0
+    slack = [0] * d  # slack[i]: sum of R(k) - 1 over 1 <= k <= i
+    for i in range(1, d):
+        run += remainder[i] - remainder[d - i]
+        slack[i] = slack[i - 1] + remainder[i] - 1
+        if run > slack[i] - slack[max(0, i - a)]:
+            return False
+    return True
+
+
 # (a, remainder) -> `_chains(a, remainder)`, and H -> `_candidates(H)`, keyed
 # by ints and kept for the process, so it grows with the largest length
 # asked for.  The keys cannot meet: a remainder pair has 2 items, H at least 4.
@@ -176,6 +205,8 @@ def _chains(a: int, remainder: tuple) -> tuple:
     Every partial sum below Delta_a is the Hilbert function of a quotient
     Q(a), so the chains depend only on (a, remainder), not on the length,
     n or the filter: `_CHAINS` keeps them, dead ends as (), across calls.
+    A remainder below Delta_a that fails `_feasible` has no chain and is
+    neither searched nor stored.
     """
     key = (a, remainder)
     chains = _CHAINS.get(key)
@@ -185,20 +216,23 @@ def _chains(a: int, remainder: tuple) -> tuple:
         else:
             chains = tuple(chain + (row,)
                            for row, new_remainder in _rows(len(remainder) - 1, a, remainder)
+                           if _feasible(a - 1, new_remainder)
                            for chain in _chains(a - 1, new_remainder))
         _CHAINS[key] = chains
     return chains
 
 
 def _candidates(h: tuple) -> tuple:
-    """H's candidates, validated once and sorted by their rows."""
+    """H's candidates, validated once and sorted by their rows; H itself is
+    validated only when it has one."""
     candidates = _CHAINS.get(h)
     if candidates is None:
         d = len(h) - 1
-        hilbert = HilbertFunction(h)
+        chains = sorted(_chains(d - 2, h))
+        hilbert = HilbertFunction(h) if chains else None
         candidates = _CHAINS[h] = tuple(
             DecompositionCandidate(hilbert, SymmetricDecomposition(d=d, rows=rows))
-            for rows in sorted(_chains(d - 2, h)))
+            for rows in chains)
     return candidates
 
 

@@ -9,6 +9,7 @@ import pytest
 from apolarity import apolar
 from apolarity.apolar import (
     _annihilator,
+    _kernel_and_length,
     _scheme,
     annihilator_generators,
     annihilator_stabilized,
@@ -762,6 +763,38 @@ class TestAnnihilatorSpanIsDiff:
         assert annihilator_stabilized(parse(text, nvars), 1) is expected
         assert run(["annihilator", "--f", text, "--nvars", str(nvars), "--max-degree", "1"]) == 0
         assert f"stabilized = {expected}" in capsys.readouterr().out.splitlines()
+
+
+class TestStabilizedEliminatesOnce:
+    """`annihilator_stabilized` and the `annihilator` command take the kernel
+    up to max_degree and the length from one elimination up to max(max_degree,
+    deg f), checked against the two eliminations they replace."""
+
+    def test_one_span_per_call(self, monkeypatch, capsys):
+        from apolarity.cli import run
+
+        f = parse("x1^3*x2 + x2^4 + x1*x2", 2)
+        built = counted_spans(monkeypatch)
+        for max_degree, expected in ((5, True), (2, False), (4, True)):
+            assert annihilator_stabilized(f, max_degree) is expected
+            assert len(built) == 1, max_degree
+            built.clear()
+        assert run(["annihilator", "--f", "x1^3*x2 + x2^4 + x1*x2", "--nvars", "2",
+                    "--max-degree", "2"]) == 0
+        assert len(built) == 1
+        assert "stabilized = False" in capsys.readouterr().out.splitlines()
+
+    def test_kernel_up_to_max_degree_is_the_short_run(self, rng):
+        for _ in range(12):
+            drawn = random_polynomial(rng, rng.randint(1, 3), rng.randint(1, 5), max_terms=6)
+            for f in over_fields(drawn):
+                top = int(f.degree())
+                for max_degree in range(1, top + 2):
+                    kernel, length = _kernel_and_length(f, max_degree)
+                    assert kernel == _annihilator(f, max_degree)[0], (str(f), max_degree)
+                    assert length == apolar_length(f)
+                    total = len(list(monomials_up_to(f.nvars, max_degree)))
+                    assert annihilator_stabilized(f, max_degree) is (total - len(kernel) == length)
 
 
 class TestIntApolarityCheckCanFail:

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from apolarity import bounds
 from apolarity.bounds import (
     c_bound,
     d_flag,
@@ -41,6 +42,16 @@ class TestScalarBounds:
         for n in (4, 5, 6, 7, 8, 9):
             assert w_bound(c_bound(n) - 1, n) == comb(n + 3, 3) - n
 
+    def test_smallest_n(self):
+        assert c_bound(1) == min(-(-4 // 2), 4) == 2
+        with pytest.raises(ValueError):
+            c_bound(0)
+
+    def test_w_at_length_1(self):
+        # the smallest length in range, where 1 <= length is an equality
+        assert w_bound(1, 8) == comb(11, 3) - 8 - 9 * (18 - 1 - 1) == 13
+        assert w_bound(1, 1) == comb(4, 3) - 1 - 2 * (2 - 1 - 1) == 3
+
     def test_w_range_errors(self):
         with pytest.raises(ValueError):
             w_bound(0, 8)
@@ -67,6 +78,14 @@ class TestExoticAndFlagDimensions:
             d_infty(TRIVIAL_1661, 5)
         with pytest.raises(ValueError):
             d_flag(TRIVIAL_1661, 5)
+
+    def test_n_is_checked_against_h1_not_the_row_below(self):
+        # embedding dims (7, 8): n = 7 is enough for n_{d-3}, not for H(1)
+        dec = SymmetricDecomposition(d=3, rows=((1, 7, 7, 1), (0, 1, 0, 0)))
+        assert embedding_dims(dec) == (7, 8)
+        for bound in (d_infty, d_flag):
+            with pytest.raises(ValueError, match=r"n = 7 is smaller than H\(1\) = 8"):
+                bound(dec, 7)
 
 
 class TestVBound:
@@ -178,6 +197,34 @@ class TestVerifyTheorem:
         assert not report.filtered
         assert len(report.rows) > 1
         assert report.worst_margin is not None
+
+
+class TestVerdictComparison:
+    """The verdict and `max_v_by_length` with `_v` replaced by a constant,
+    so that the comparisons meet their edge cases."""
+
+    @staticmethod
+    def constant_v(monkeypatch, v):
+        monkeypatch.setattr(bounds, "_v", lambda decomposition, n, h: (v,))
+
+    @pytest.mark.parametrize("v,passed", [(113, False), (112, True), (114, False)])
+    def test_a_zero_margin_fails(self, monkeypatch, v, passed):
+        # n = 7 has one row, threshold 113: margin 0 fails, margin 1 passes
+        self.constant_v(monkeypatch, v)
+        report = verify_theorem(7)
+        assert [row.margin for row in report.rows] == [113 - v]
+        assert report.passed is passed
+
+    def test_max_v_keeps_the_first_of_equal_candidates(self, monkeypatch):
+        self.constant_v(monkeypatch, 1)
+        report = verify_theorem(8)
+        several = []
+        for r, (h, v) in report.max_v_by_length.items():
+            candidates = admissible_decompositions(r, 8, nonsmoothable_only=True)
+            assert (h, v) == (candidates[0].hilbert.values, 1)
+            if len({c.hilbert.values for c in candidates}) > 1:
+                several.append(r)
+        assert several == [15, 16, 17]  # r = 14 has only (1, 6, 6, 1)
 
 
 class TestInformationalReports:

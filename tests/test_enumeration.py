@@ -10,6 +10,7 @@ import pytest
 from apolarity import enumeration
 from apolarity.bounds import verify_theorem
 from apolarity.enumeration import (
+    _feasible,
     _hilbert_candidates,
     _last_rows,
     _rows,
@@ -222,6 +223,25 @@ def _level_one_by_row_builder(remainder: tuple) -> set:
     return {(new, row) for row, new in _rows(d, 1, remainder) if new == new[::-1]}
 
 
+def _run_the_program(monkeypatch, prune: bool) -> dict:
+    """`_CHAINS` after a cold `verify_theorem(7..9)` and every length up to
+    18 at n = 9, which covers every n <= 9; without `prune`, `_feasible`
+    passes every remainder."""
+    monkeypatch.setattr(enumeration, "_CHAINS", {})
+    if not prune:
+        monkeypatch.setattr(enumeration, "_feasible", lambda a, remainder: True)
+    for n in (7, 8, 9):
+        verify_theorem(n)
+    for length in range(3, 19):
+        admissible_decompositions(length, 9)
+    return enumeration._CHAINS
+
+
+def _level_one_remainders(monkeypatch, prune: bool) -> list:
+    return [key[1] for key in _run_the_program(monkeypatch, prune)
+            if len(key) == 2 and key[0] == 1]
+
+
 class TestLastRows:
     """Delta_1 and Delta_0 in closed form against `_rows(d, 1, .)` and the
     palindrome test that they replace."""
@@ -241,15 +261,33 @@ class TestLastRows:
                 cases += 1
         assert (cases, accepted) == (221, 68)
 
+    def test_feasible_at_level_one_is_positive_delta_0(self):
+        # at a = 1 the window bound says Delta_0 = R - Delta_1, Delta_1 the
+        # running sum of R(i) - R(d - i), is at least 1 inside
+        cases = feasible = 0
+        for d in range(3, 7):
+            for remainder in _o_sequence_remainders(d):
+                run, positive = 0, True
+                for i in range(1, d):
+                    run += remainder[i] - remainder[d - i]
+                    positive = positive and remainder[i] - run >= 1
+                got = _feasible(1, remainder)
+                assert got == positive, remainder
+                feasible += got
+                cases += 1
+        # the 68 remainders with a chain are among the 132 that pass
+        assert (cases, feasible) == (221, 132)
+
     def test_every_remainder_the_program_reaches(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_CHAINS", {})
-        for n in (7, 8, 9):
-            verify_theorem(n)
-        for length in range(3, 19):
-            admissible_decompositions(length, 9)  # n = 9 covers every n <= 9
-        reached = [key[1] for key in enumeration._CHAINS if len(key) == 2 and key[0] == 1]
+        # the unpruned search, which reaches every remainder the rows allow
+        reached = _level_one_remainders(monkeypatch, prune=False)
         accepted = sum(self.check(remainder) for remainder in reached)
         assert (len(reached), accepted) == (1806, 203)
+
+    def test_the_pruned_search_reaches_the_same_chains(self, monkeypatch):
+        reached = _level_one_remainders(monkeypatch, prune=True)
+        accepted = sum(self.check(remainder) for remainder in reached)
+        assert (len(reached), accepted) == (465, 203)
 
 
 class TestTailMemo:
@@ -329,13 +367,30 @@ class TestWorkCounts:
         monkeypatch.setattr(HilbertFunction, "__post_init__", counting_validate)
         verify_theorem(9)
         # one per H, built with its candidates; v reads them, builds none
-        assert hilbert_functions[0] == 1006
+        assert hilbert_functions[0] == 665  # an H with no chain is never built
         assert 1 not in levels  # Delta_1 is solved, not searched
-        assert len(levels) == 4122
+        assert len(levels) == 2541
         stored = Counter(key[0] if len(key) == 2 else "H" for key in enumeration._CHAINS)
         assert 0 not in stored
-        assert (stored["H"], stored[1], len(enumeration._CHAINS)) == (1006, 1535, 6663)
+        assert (stored["H"], stored[1], len(enumeration._CHAINS)) == (1006, 393, 3940)
+        dead = [key for key, chains in enumeration._CHAINS.items() if len(key) == 2 and not chains]
+        assert len(dead) == 1370
         assert len(enumeration._TAILS) == 1859
+
+
+class TestFeasibleIsSound:
+    """`_feasible` is a necessary condition: in the unpruned search, every
+    remainder that has a chain passes it, and so does every H with one."""
+
+    def test_every_live_remainder_passes(self, monkeypatch):
+        chains = _run_the_program(monkeypatch, prune=False)
+        live, dead = [], []
+        for key, found in chains.items():
+            # an H is the remainder at level d - 2
+            (live if found else dead).append(key if len(key) == 2 else (len(key) - 3, key))
+        assert all(_feasible(a, remainder) for a, remainder in live)
+        rejected = sum(not _feasible(a, remainder) for a, remainder in dead)
+        assert (len(live), len(dead), rejected) == (3971, 6130, 3989)
 
 
 class TestChainMemo:
