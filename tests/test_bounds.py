@@ -52,6 +52,10 @@ class TestScalarBounds:
         assert w_bound(1, 8) == comb(11, 3) - 8 - 9 * (18 - 1 - 1) == 13
         assert w_bound(1, 1) == comb(4, 3) - 1 - 2 * (2 - 1 - 1) == 3
 
+    def test_w_range_is_named(self):
+        with pytest.raises(ValueError, match=r"^length must lie in 1\.\.17 for n = 8$"):
+            w_bound(18, 8)
+
     def test_w_range_errors(self):
         with pytest.raises(ValueError):
             w_bound(0, 8)
