@@ -183,12 +183,13 @@ def _feasible(a: int, remainder: tuple) -> bool:
     T is Delta_1 and the condition is exactly Delta_0(i) >= 1.
     """
     d = len(remainder) - 1
-    run = 0
-    slack = [0] * d  # slack[i]: sum of R(k) - 1 over 1 <= k <= i
+    run = window = 0
     for i in range(1, d):
         run += remainder[i] - remainder[d - i]
-        slack[i] = slack[i - 1] + remainder[i] - 1
-        if run > slack[i] - slack[max(0, i - a)]:
+        window += remainder[i] - 1
+        if i > a:
+            window -= remainder[i - a] - 1
+        if run > window:
             return False
     return True
 
