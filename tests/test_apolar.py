@@ -794,7 +794,11 @@ class TestStabilizedEliminatesOnce:
                     assert kernel == _annihilator(f, max_degree)[0], (str(f), max_degree)
                     assert length == apolar_length(f)
                     total = len(list(monomials_up_to(f.nvars, max_degree)))
-                    assert annihilator_stabilized(f, max_degree) is (total - len(kernel) == length)
+                    expected = total - len(kernel) == length
+                    assert annihilator_stabilized(f, max_degree) is expected
+                    # either one given, the other is computed
+                    assert annihilator_stabilized(f, max_degree, generators=kernel) is expected
+                    assert annihilator_stabilized(f, max_degree, length=length) is expected
 
 
 class TestIntApolarityCheckCanFail:
