@@ -14,7 +14,8 @@ import random
 import sys
 
 from . import bounds as bounds_mod
-from .apolar import _generators, _kernel_and_length, annihilator_stabilized, diff_space, local_scheme
+from .apolar import (_generators, _kernel_and_length, annihilator_stabilized, diff_space,
+                     local_scheme)
 from .enumeration import admissible_decompositions
 from .hilbert import embedding_dims, hilbert_function, symmetric_decomposition
 from .poly import DUAL, PRIMAL, parse, poly_str
