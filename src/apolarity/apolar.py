@@ -17,6 +17,11 @@ rows it combines: coordinates in an echelon basis are unique.  The first
 read of `rows` or `orders` back-substitutes the basis in place; each
 reduced row keeps its combination of the appended rows, whose tags give
 its order.
+
+Every span here eliminates one contraction table, and sees only its
+monomials and rows made of them: the table's monomials are ranked once,
+grlex ascending (`_ranked`), the span works on those int columns, and
+pivots and rows are mapped back to monomials where they are read.
 """
 
 from __future__ import annotations
@@ -60,20 +65,20 @@ class FilteredSpace:
         # action, y^beta(y^alpha f) = y^(alpha + beta) f, so no partial of a
         # partial is missing from the table.  They go in grlex-descending,
         # level |alpha| descending first, so the rows tagged >= j span O_j
-        table = _contractions(_int_terms(f.terms, self._p)[0])
-        self._span = _IntSpan(self._p)
+        columns, self._rank, table = _ranked(_contractions(_int_terms(f.terms, self._p)[0]))
+        span = self._span = _IntSpan(self._p, columns)
         self._bidegrees = []
         # (level, int row) of the appended rows of degree <= 1; back-
         # substitution replaces row dicts and never modifies them
         self._linear = []
         for alpha in sorted(table, key=grlex_key, reverse=True):
-            if (index := self._span.insert_tagged(table[alpha], alpha)) is not None:
-                degree = sum(self._span.pivots[index])
+            if (index := span.insert_tagged(table[alpha], alpha)) is not None:
+                degree = sum(columns[span.pivots[index]])
                 self._bidegrees.append((sum(alpha), degree))
                 if degree <= 1:
-                    self._linear.append((sum(alpha), self._span.int_row(index)))
-        self._pivots = sorted(self._span.pivots, key=grlex_key, reverse=True)
-        self.degrees = tuple(sum(p) for p in self._pivots)
+                    self._linear.append((sum(alpha), span.int_row(index)))
+        self._pivots = sorted(span.pivots, reverse=True)  # columns, grlex descending
+        self.degrees = tuple(sum(columns[pivot]) for pivot in self._pivots)
         self.dim = len(self._pivots)
         self._reduced = False
         self._orders = None
@@ -91,13 +96,16 @@ class FilteredSpace:
     def rows(self) -> tuple:
         """Basis partials as polynomials, pivot-descending (RREF order)."""
         reduced = self._reduced_span()
-        rows, by_pivot = reduced.rows, reduced.by_pivot
-        return tuple(Polynomial(self.nvars, rows[by_pivot[p]], PRIMAL) for p in self._pivots)
+        rows, by_pivot, columns = reduced.rows, reduced.by_pivot, reduced.columns
+        return tuple(Polynomial(self.nvars, {columns[c]: v for c, v in rows[by_pivot[p]].items()},
+                                PRIMAL) for p in self._pivots)
 
     def contains(self, g: Polynomial) -> bool:
         if g.nvars != self.nvars or g.side != PRIMAL:
             return False
-        return self._span.contains(_int_terms(g.terms, self._p)[0])
+        # a monomial that no image has is on no row
+        w = _on_columns(_int_terms(g.terms, self._p)[0], self._rank)
+        return w is not None and self._span.contains(w)
 
     def hilbert_values(self) -> tuple:
         values = [0] * (self.socle_degree + 1)
@@ -122,17 +130,18 @@ class FilteredSpace:
         The reduced echelon basis of O_j ∩ Diff(f)_1 without the constant
         row, which full reduction keeps out of the degree-1 rows.
         """
-        span = _IntSpan(self._p)
+        columns = self._span.columns
+        span = _IntSpan(self._p, columns)
         for level, row in self._linear:
             if level >= j:
                 span.insert(row)
         span.back_substitute()
         out = []
         for row, pivot in zip(span.rows, span.pivots):
-            if sum(pivot) == 1:
+            if sum(columns[pivot]) == 1:
                 vec = [row[pivot] - row[pivot]] * self.nvars  # the field's zero
                 for m, c in row.items():
-                    vec[m.index(1)] = c
+                    vec[columns[m].index(1)] = c
                 out.append(vec)
         return out
 
@@ -158,10 +167,18 @@ def diff_space(f: Polynomial) -> FilteredSpace:
 
 
 def apolar_length(f: Polynomial) -> int:
-    """dim_K Diff(f); 0 for the zero polynomial."""
+    """dim_K Diff(f); 0 for the zero polynomial.  The rank of f's table:
+    its images go into one span untagged, in any order."""
     if f.is_zero():
         return 0
-    return FilteredSpace(f).dim
+    if f.side != PRIMAL:
+        raise ValueError("apolar_length expects a primal polynomial")
+    p = characteristic(f.terms.values())
+    columns, _, table = _ranked(_contractions(_int_terms(f.terms, p)[0]))
+    span = _IntSpan(p, columns)
+    for image in table.values():
+        span.insert(image)
+    return span.dim
 
 
 def annihilator_generators(f: Polynomial, max_degree: int) -> list:
@@ -188,9 +205,9 @@ def _annihilator(f: Polynomial, max_degree: int) -> tuple:
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     p = characteristic(f.terms.values())
-    span = _IntSpan(p)
+    columns, _, table = _ranked(_contractions(_int_terms(f.terms, p)[0], max_degree))
+    span = _IntSpan(p, columns)
     kernel = []
-    table = _contractions(_int_terms(f.terms, p)[0], max_degree)
     for alpha in monomials_up_to(f.nvars, max_degree):
         image = table.get(alpha)
         if image is None:
@@ -254,14 +271,16 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
     if target.side != PRIMAL or target.nvars != f.nvars:
         raise ValueError("target must be a primal polynomial in the variables of f")
     p = characteristic(f.terms.values(), target.terms.values())
-    span = _IntSpan(p)
     ints, den = _int_terms(f.terms, p)
-    table = _contractions(ints)
+    columns, rank, table = _ranked(_contractions(ints))
+    span = _IntSpan(p, columns)
     for alpha in sorted(table, key=grlex_key):
         if sum(alpha) >= min_order:
             span.insert_labelled(table[alpha], alpha)
     ints, target_den = _int_terms(target.terms, p)
-    combo = span.solve(ints)
+    # a target monomial that no image has is on no contraction of f
+    w = _on_columns(ints, rank)
+    combo = None if w is None else span.solve(w)
     if combo is None:
         return None
     # the table contracts den * f, and combo reaches target_den * target
@@ -317,10 +336,32 @@ def _kills(form: dict, operators, p: int) -> bool:
 
 def _int_terms(terms: dict, p: int) -> tuple:
     """(w, den): the term dict is w / den in the field of characteristic p,
-    w an int dict without zeros, as an `_IntSpan` reads it.  The factor den
-    moves no relation, tag set, kernel test or normalised row."""
+    w an int dict without zeros, which `_ranked` keys by column for an
+    `_IntSpan`.  The factor den moves no relation, tag set, kernel test or
+    normalised row."""
     ints, den = to_integers(terms.values(), p)
     return {m: c for m, c in zip(terms, ints) if c}, den
+
+
+def _ranked(table: dict) -> tuple:
+    """(columns, rank, ranked): the monomials of the table's images sorted
+    grlex ascending, each one's index there, and the table with every image
+    keyed by those indices, its entries in the same order.  A larger column
+    is a grlex-greater monomial, as an `_IntSpan` needs."""
+    support = set()
+    for image in table.values():
+        support.update(image)  # takes the hashes the image holds
+    columns = sorted(support, key=grlex_key)
+    rank = dict(zip(columns, range(len(columns))))
+    return columns, rank, {alpha: {rank[m]: c for m, c in image.items()}
+                           for alpha, image in table.items()}
+
+
+def _on_columns(w: dict, rank: dict):
+    """The dict w keyed by rank, or None if a key of w has no rank."""
+    if not rank.keys() >= w.keys():
+        return None
+    return {rank[m]: c for m, c in w.items()}
 
 
 @dataclass(frozen=True)
@@ -384,7 +425,7 @@ def _scheme(f: Polynomial, max_degree: int, form: Polynomial) -> tuple:
     kernel, span = _annihilator(f, max_degree)
     hilbert = [0] * (f.degree() + 1)
     for pivot in span.pivots:
-        hilbert[sum(pivot)] += 1
+        hilbert[sum(span.columns[pivot])] += 1
 
     def homogenized(w):
         top = max(map(sum, w))

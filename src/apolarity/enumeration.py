@@ -207,7 +207,7 @@ def _chains(a: int, remainder: tuple) -> tuple:
     Q(a), so the chains depend only on (a, remainder), not on the length,
     n or the filter: `_CHAINS` keeps them, dead ends as (), across calls.
     A remainder below Delta_a that fails `_feasible` has no chain and is
-    neither searched nor stored.
+    neither searched nor stored; one already stored is not checked again.
     """
     key = (a, remainder)
     chains = _CHAINS.get(key)
@@ -217,7 +217,7 @@ def _chains(a: int, remainder: tuple) -> tuple:
         else:
             chains = tuple(chain + (row,)
                            for row, new_remainder in _rows(len(remainder) - 1, a, remainder)
-                           if _feasible(a - 1, new_remainder)
+                           if (a - 1, new_remainder) in _CHAINS or _feasible(a - 1, new_remainder)
                            for chain in _chains(a - 1, new_remainder))
         _CHAINS[key] = chains
     return chains

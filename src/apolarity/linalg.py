@@ -4,6 +4,16 @@ Vectors are dicts mapping exponent tuples to field scalars.  Pivots are the
 graded-lex greatest monomials, so a stored row's total degree can be read
 off its pivot; that property drives every degree-filtration computation.
 
+The kernel itself sees no monomial: its rows are keyed by int columns,
+where a larger column is a grlex-greater monomial, so the greatest entry
+of a row is its greatest key and a column hashes and compares as an int.
+A `MonomialSpan` maps at its boundary: a monomial entering it becomes its
+grlex rank, the number of monomials in as many variables below it (exact
+for any exponents, memoised per span), and rows, pivots and remainders
+leave keyed by monomials again.  `_IntSpan` takes int columns as they
+are; its caller ranks a table's monomials once and maps pivots and rows
+back where it reads them.
+
 The span is an echelon basis: an inserted row is fully reduced against the
 older rows and normalised, and it never changes afterwards.  Reducing a
 vector against it always picks the greatest pivot monomial still present,
@@ -25,12 +35,13 @@ crossed by the rule of `scalars`.  A span is built over the field its
 caller names by its characteristic, 0 for the rationals and p for GF(p),
 and reads every vector in that field, so a vector of ints goes in as it
 is.  Ints enter without that rule through `_IntSpan`, the span `apolar`
-builds: its vectors are int contraction tables and `int_row`s, already in
-its field, and each is copied in with no conversion; a relation leaves as
-ints through `insert_relation`.  Over GF(p) a row holds residues in
-[0, p) with leading coefficient 1, and an int or a `Fraction` given to
-the span is coerced as `PrimeFieldElement` coerces it.  Over the rationals a vector enters as
-integers over a common denominator; a stored row has a positive leading
+builds: its vectors are int contraction tables on ranked columns and
+`int_row`s, already in its field, and each is copied in with no
+conversion; a relation leaves as ints through `insert_relation`.  Over
+GF(p) a row holds residues in [0, p) with leading coefficient 1, and an
+int or a `Fraction` given to the span is coerced as `PrimeFieldElement`
+coerces it.  Over the rationals a vector enters as integers over a common
+denominator; a stored row has a positive leading
 coefficient, and no factor is common to all of its entries (and, for a
 labelled row, of its combination).  Reducing an
 entry a of the working vector by a row with leading coefficient b
@@ -53,19 +64,30 @@ field elimination gives.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd
-from operator import neg
+from math import comb, gcd
 
-from .poly import grlex_key
 from .scalars import from_integers, to_integers
 
 
 _CONTENT_BITS = 512  # see MonomialSpan._reduce
 
 
-def _descending(m: tuple) -> tuple:
-    """Heap entry of monomial m; the least entry has the grlex-greatest m."""
-    return (-sum(m), tuple(map(neg, m)), m)
+def grlex_rank(m: tuple) -> int:
+    """The column of monomial m: the number of monomials in as many
+    variables that are grlex-smaller, those of lower degree and then those
+    of its degree that are lexicographically smaller, counted a position at
+    a time.  It is m's index in `poly.monomials_up_to`, exact for any
+    exponents."""
+    n, left = len(m), sum(m)
+    rank = comb(n + left - 1, n) if left else 0
+    for i, e in enumerate(m, 1):
+        # an exponent below e at variable i leaves degree left - e + 1 ..
+        # left to the n - i variables after it (none after the last, whose
+        # exponent is left)
+        after = n - i
+        rank += comb(left + after, after) - comb(left - e + after, after)
+        left -= e
+    return rank
 
 
 class MonomialSpan:
@@ -73,25 +95,29 @@ class MonomialSpan:
     row insertion; see the module docstring."""
 
     def __init__(self, p: int):
-        self.pivots: list[tuple] = []
-        self.by_pivot: dict[tuple, int] = {}
+        self.pivots: list = []  # each row's pivot monomial
+        self.by_pivot: dict = {}  # pivot monomial -> row index
         self._p = p  # the characteristic: 0 for the rationals, p for GF(p)
-        self._rows: list[dict] = []  # int rows, parallel to pivots
-        self._keys: dict[tuple, tuple] = {}  # pivot -> its heap entry in _reduce
+        self._rows: list[dict] = []  # int rows on int columns
+        self._leads: list[int] = []  # each row's pivot column
+        self._row_of: dict[int, int] = {}  # pivot column -> row index
         # int label combinations parallel to _rows: row = sum coeff * g_label
         self._combos: list[dict] = []
         self._view: list[dict] = []  # rows as field scalars, converted when read
+        self._columns: dict[tuple, int] = {}  # monomial -> column, its grlex rank
+        self._monomials: dict[int, tuple] = {}  # column -> monomial
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
     def int_row(self, index: int) -> dict:
-        """Row `index` as the span holds it, not to be modified: over the
-        rationals a positive int multiple of the field row, over GF(p) its
-        residues.  A span over the same field reads it as that row, so it is
-        inserted there as it is, with no field scalars in between."""
-        return self._rows[index]
+        """Row `index` as ints, keyed like the span's vectors and not to be
+        modified: over the rationals a positive int multiple of the field
+        row, over GF(p) its residues.  A span over the same field reads it
+        as that row, so it is inserted there as it is, with no field scalars
+        in between."""
+        return self._keyed(self._rows[index])
 
     @property
     def rows(self) -> list:
@@ -101,31 +127,48 @@ class MonomialSpan:
             view.append(self._field_row(len(view)))
         return view
 
-    # -- the boundary: field scalars in and out --------------------------
+    # -- the boundary: monomials and field scalars in and out ------------
 
     def _integral(self, vec: dict):
-        """(w, den): vec = w / den with w an int dict without zeros; den = 1
-        over GF(p), where w holds residues."""
+        """(w, den): vec = w / den with w an int dict on columns without
+        zeros; den = 1 over GF(p), where w holds residues."""
         ints, den = to_integers(vec.values(), self._p)
-        return {m: c for m, c in zip(vec, ints) if c}, den
+        return {self._column(m): c for m, c in zip(vec, ints) if c}, den
+
+    def _column(self, m: tuple) -> int:
+        """The column of monomial m: its grlex rank, computed once."""
+        column = self._columns.get(m)
+        if column is None:
+            column = self._columns[m] = grlex_rank(m)
+            self._monomials[column] = m
+        return column
+
+    def _monomial(self, column: int) -> tuple:
+        return self._monomials[column]
+
+    def _keyed(self, w: dict) -> dict:
+        """The int dict w on columns, keyed by monomials."""
+        monomials = self._monomials
+        return {monomials[column]: c for column, c in w.items()}
 
     def _field_row(self, index: int) -> dict:
         """Row `index` over the field, divided by its leading coefficient."""
         row = self._rows[index]
-        return self._scalars(row, 1 if self._p else row[self.pivots[index]])
+        return self._scalars(self._keyed(row), 1 if self._p else row[self._leads[index]])
 
     def _scalars(self, w: dict, den: int) -> dict:
         """The field dict w / den."""
         return dict(zip(w, from_integers(w.values(), den, self._p)))
 
-    # -- the kernel: int rows only ---------------------------------------
+    # -- the kernel: int rows on int columns only ------------------------
 
     def _reduce(self, w: dict, combo: dict | None) -> int:
         """Fully reduce the int vector w in place; returns a positive int s
         such that the reduced w is s * (w as given) minus an integer
         combination of stored rows.  A given `combo` is scaled and reduced
         alongside w, so if w = sum combo[L] * g_L held on entry it holds on
-        return.
+        return.  The heap holds the negated pivot columns present in w, so
+        it pops the greatest first.
 
         Over the rationals, once the multipliers since the last time reach
         _CONTENT_BITS bits, the factor common to s, w and combo is divided
@@ -135,27 +178,26 @@ class MonomialSpan:
         and the relations about 270.  Dividing at every step costs more in
         gcds than it saves; 512 and 1024 bits were the fastest of 32..4096.
         """
-        pivots = self.by_pivot
-        keys = self._keys
-        heap = [keys[m] for m in w if m in keys]
+        row_of = self._row_of
+        heap = [-m for m in w if m in row_of]
         heapify(heap)
         p = self._p
         scale = 1
         grown = 0  # bits of the multipliers since the content was last taken out
         while heap:
-            lead = heappop(heap)[2]
+            lead = -heappop(heap)
             a = w.get(lead)
             if a is None:  # cancelled since it was pushed, or pushed twice
                 continue
-            index = pivots[lead]
+            index = row_of[lead]
             row = self._rows[index]
             if p:
                 for m, c in row.items():
                     v = w.get(m)
                     if v is None:
                         w[m] = -a * c % p
-                        if m in keys:
-                            heappush(heap, keys[m])
+                        if m in row_of:
+                            heappush(heap, -m)
                     elif v := (v - a * c) % p:
                         w[m] = v
                     else:
@@ -184,8 +226,8 @@ class MonomialSpan:
                 v = w.get(m)
                 if v is None:
                     w[m] = -a * c
-                    if m in keys:
-                        heappush(heap, keys[m])
+                    if m in row_of:
+                        heappush(heap, -m)
                 elif v := v - a * c:
                     w[m] = v
                 else:
@@ -215,7 +257,7 @@ class MonomialSpan:
         entry; over the rationals by the common factor of both, signed so
         that the leading coefficient is positive.
         """
-        lead = max(w, key=grlex_key)
+        lead = max(w)
         p = self._p
         if p:
             inv = pow(w[lead], -1, p)
@@ -231,10 +273,12 @@ class MonomialSpan:
                 if combo is not None:
                     combo = {k: c // g for k, c in combo.items()}
         index = len(self._rows)
-        self.by_pivot[lead] = index
-        self._keys[lead] = _descending(lead)
+        self._row_of[lead] = index
+        self._leads.append(lead)
         self._rows.append(w)
-        self.pivots.append(lead)
+        pivot = self._monomial(lead)
+        self.by_pivot[pivot] = index
+        self.pivots.append(pivot)
         if combo is not None:
             self._combos.append(combo)
         return index
@@ -249,11 +293,12 @@ class MonomialSpan:
         entries it clears, not to the square of the dimension.  A changed
         row replaces the old dict, which is never modified.
         """
-        for index in sorted(range(self.dim), key=lambda i: grlex_key(self.pivots[i])):
+        row_of = self._row_of
+        for pivot in sorted(row_of):
+            index = row_of[pivot]
             row = self._rows[index]
-            pivot = self.pivots[index]
             rest = {m: c for m, c in row.items() if m != pivot}
-            if not any(m in self.by_pivot for m in rest):
+            if not any(m in row_of for m in rest):
                 continue
             combo = dict(self._combos[index]) if self._combos else None
             rest[pivot] = row[pivot] * self._reduce(rest, combo)
@@ -274,7 +319,7 @@ class MonomialSpan:
         """Fully reduce vec against the span; returns a fresh dict."""
         w, den = self._integral(vec)
         den *= self._reduce(w, None)
-        return self._scalars(w, den)
+        return self._scalars(self._keyed(w), den)
 
     def labels(self, vec: dict) -> set:
         """The labels that a full reduction of vec combines with a nonzero
@@ -323,7 +368,7 @@ class MonomialSpan:
         if not w:
             return None
         index = self._append(w, None)
-        self._combos.append({tag: self._rows[index][self.pivots[index]]})
+        self._combos.append({tag: self._rows[index][self._leads[index]]})
         return index
 
     def solve(self, vec: dict):
@@ -343,11 +388,24 @@ class MonomialSpan:
 
 
 class _IntSpan(MonomialSpan):
-    """A span that reads every vector as an int dict without zero entries,
-    already in its field: over the rationals the vector itself, over GF(p)
-    its residues, as `int_row` and int contraction tables give them.  The
-    way in is a copy, as `_reduce` works in place; the way out, rows,
-    relations and `solve` results, is the field's."""
+    """A span that reads every vector as an int dict on int columns without
+    zero entries, already in its field: over the rationals the vector
+    itself, over GF(p) its residues, as `int_row` and the ranked int
+    contraction tables of `apolar` give them.  `columns[c]` is the monomial
+    that its caller ranked as column c; the span reads none of them.  The
+    way in is a copy, as `_reduce` works in place; pivots, rows and
+    remainders leave keyed by column, relations and `solve` results by
+    label, in the field's scalars."""
+
+    def __init__(self, p: int, columns):
+        super().__init__(p)
+        self.columns = columns
 
     def _integral(self, vec: dict):
         return dict(vec), 1
+
+    def _monomial(self, column: int) -> int:
+        return column
+
+    def _keyed(self, w: dict) -> dict:
+        return w

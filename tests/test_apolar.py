@@ -135,6 +135,30 @@ class TestApolarLength:
             back, _ = dehomogenize(G, Polynomial.variable(3, 0))
             assert apolar_length(back) == apolar_length(g)
 
+    def test_one_untagged_elimination(self, monkeypatch, rng):
+        # the rank of f's table, from one span with nothing tagged: the
+        # dimension of the tagged FilteredSpace
+        cases = []
+        for _ in range(8):
+            drawn = random_polynomial(rng, rng.randint(1, 4), rng.randint(1, 5), max_terms=8)
+            cases += [(f, diff_space(f).dim) for f in over_fields(drawn)]
+        built = counted_spans(monkeypatch)
+        tagged = []
+        insert_tagged = MonomialSpan.insert_tagged
+
+        def recording(self, vec, tag):
+            tagged.append(tag)
+            return insert_tagged(self, vec, tag)
+
+        monkeypatch.setattr(MonomialSpan, "insert_tagged", recording)
+        for f, dim in cases:
+            assert apolar_length(f) == dim, str(f)
+            assert len(built) == 1 and tagged == [], str(f)
+            built.clear()
+        with pytest.raises(ValueError, match="expects a primal polynomial"):
+            apolar_length(parse("y1^2", 1, side=DUAL))
+        assert built == []
+
 
 class TestAnnihilator:
     def test_trivial_kernel_below_stabilization(self):

@@ -351,21 +351,30 @@ class TestWorkCounts:
     def test_verify_theorem_9(self, monkeypatch):
         levels = []
         hilbert_functions = [0]
+        checked = [0]
         validate = HilbertFunction.__post_init__
 
         def counting_rows(d, a, remainder):
             levels.append(a)
             return _rows(d, a, remainder)
 
+        def counting_feasible(a, remainder):
+            checked[0] += 1
+            return _feasible(a, remainder)
+
         def counting_validate(self):
             hilbert_functions[0] += 1
             validate(self)
 
         monkeypatch.setattr(enumeration, "_rows", counting_rows)
+        monkeypatch.setattr(enumeration, "_feasible", counting_feasible)
         monkeypatch.setattr(enumeration, "_CHAINS", {})
         monkeypatch.setattr(enumeration, "_TAILS", {})
         monkeypatch.setattr(HilbertFunction, "__post_init__", counting_validate)
         verify_theorem(9)
+        # a remainder already in `_CHAINS` is not checked again (5,685 checks
+        # when every one was)
+        assert checked[0] == 3696
         # one per H, built with its candidates; v reads them, builds none
         assert hilbert_functions[0] == 665  # an H with no chain is never built
         assert 1 not in levels  # Delta_1 is solved, not searched

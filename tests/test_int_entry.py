@@ -1,20 +1,21 @@
 """Ints into the elimination layer.
 
 The spans that `apolar` builds are `linalg._IntSpan`s: they read int
-contraction tables and stored int rows as they are, with no conversion,
-and must give what a `MonomialSpan` gives for the same vectors as field
-scalars.  The apolarity check converts no operator that cannot contract
-the form."""
+contraction tables on ranked int columns and stored int rows as they are,
+with no conversion, and must give what a `MonomialSpan` gives for the same
+vectors as field scalars on monomials.  The apolarity check converts no
+operator that cannot contract the form."""
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from apolarity import apolar, linalg
-from apolarity.apolar import _int_terms, _kills, diff_space, is_apolar, local_scheme
+from apolarity import apolar, linalg, poly
+from apolarity.apolar import _int_terms, _kills, _ranked, diff_space, is_apolar, local_scheme
 from apolarity.linalg import MonomialSpan, _IntSpan
 from apolarity.poly import (DUAL, PRIMAL, Polynomial, _contractions, grlex_key,
                             monomials_of_degree, parse)
@@ -49,20 +50,31 @@ def field_of(w: dict, p: int) -> dict:
 
 
 class TestIntEntryOracle:
-    """Table images given to an `_IntSpan` as ints and to a `MonomialSpan`
-    as field scalars give the same spans, and no dict given in changes."""
+    """Table images given to an `_IntSpan` as ints on ranked columns and to
+    a `MonomialSpan` as field scalars on monomials give the same spans, and
+    no dict given in changes."""
 
     @pytest.mark.parametrize("f", [g for f in ORACLE_FORMS for g in on_fields(f)], ids=str)
     def test_same_spans_as_field_scalars(self, f):
         p = characteristic(f.terms.values())
         table = _contractions(_int_terms(f.terms, p)[0])
+        columns, rank, ranked = _ranked(table)
+        # a monomial above deg f is on no image; grlex-greater than every
+        # column, it takes the next one
+        outside = next(monomials_of_degree(f.nvars, 1 + int(f.degree())))
+        columns.append(outside)
+        rank[outside] = len(rank)
+
+        def keyed(w):
+            return {columns[column]: c for column, c in w.items()}
+
         alphas = sorted(table, key=grlex_key, reverse=True)
-        pairs = {kind: (_IntSpan(p), MonomialSpan(p))
+        pairs = {kind: (_IntSpan(p, columns), MonomialSpan(p))
                  for kind in ("plain", "labelled", "relation", "tagged")}
         for alpha in alphas:
-            image = table[alpha]
+            image = ranked[alpha]
             given = dict(image)
-            field = field_of(image, p)
+            field = field_of(table[alpha], p)
             ints, scalars = pairs["plain"]
             assert ints.insert(image) == scalars.insert(field)
             ints, scalars = pairs["labelled"]
@@ -87,8 +99,8 @@ class TestIntEntryOracle:
                 if reduced:
                     ints.back_substitute()
                     scalars.back_substitute()
-                assert ints.pivots == scalars.pivots, kind
-                assert repr(ints.rows) == repr(scalars.rows), kind
+                assert [columns[pivot] for pivot in ints.pivots] == scalars.pivots, kind
+                assert repr([keyed(row) for row in ints.rows]) == repr(scalars.rows), kind
                 if kind == "plain":
                     continue
                 for index in range(ints.dim):
@@ -108,23 +120,23 @@ class TestIntEntryOracle:
                         target[m] = target.get(m, 0) + c * v
                 target = {m: v % p if p else v for m, v in target.items()}
                 target = {m: v for m, v in target.items() if v}
-                outside = next(monomials_of_degree(f.nvars, 1 + int(f.degree())))
-                for vec in (target, {**target, outside: 1}):
+                for monomials in (target, {**target, outside: 1}):
+                    vec = {rank[m]: c for m, c in monomials.items()}
                     given = dict(vec)
-                    field = field_of(vec, p)
+                    field = field_of(monomials, p)
                     if kind != "plain":
                         got, expected = ints.solve(vec), scalars.solve(field)
                         assert repr(got) == repr(expected) and got == expected, kind
-                        assert (got is None) == (vec is not target)
-                    assert repr(ints.reduce(vec)) == repr(scalars.reduce(field))
-                    assert ints.contains(vec) == scalars.contains(field) == (vec is target)
+                        assert (got is None) == (monomials is not target)
+                    assert repr(keyed(ints.reduce(vec))) == repr(scalars.reduce(field))
+                    assert ints.contains(vec) == scalars.contains(field) == (monomials is target)
                     assert vec == given
 
     def test_the_tagged_basis_holds_no_given_dict(self):
         # the span copies what it is given; a table image stays the caller's
         f = ORACLE_FORMS[0]
-        table = _contractions(_int_terms(f.terms, 0)[0])
-        span = _IntSpan(0)
+        columns, _, table = _ranked(_contractions(_int_terms(f.terms, 0)[0]))
+        span = _IntSpan(0, columns)
         for alpha in sorted(table, key=grlex_key, reverse=True):
             span.insert_tagged(table[alpha], alpha)
         held = {id(image) for image in table.values()}
@@ -156,15 +168,58 @@ def recorded_spans(monkeypatch) -> list:
     return spans
 
 
+def watched_elimination(monkeypatch) -> dict:
+    """Counts, from now on, of the monomial-order work the elimination
+    layer does: `grlex_key` calls made from `linalg`, heap entries that are
+    not ints, and all heap entries."""
+    seen = dict.fromkeys(("grlex_key", "not_int", "entries"), 0)
+    original = poly.grlex_key
+
+    def key(exponents):
+        if sys._getframe(1).f_globals["__name__"] == linalg.__name__:
+            seen["grlex_key"] += 1
+        return original(exponents)
+
+    monkeypatch.setattr(poly, "grlex_key", key)
+    monkeypatch.setattr(linalg, "grlex_key", key, raising=False)
+
+    def entries(items):
+        items = list(items)
+        seen["entries"] += len(items)
+        seen["not_int"] += sum(type(item) is not int for item in items)
+
+    heapify, heappush = linalg.heapify, linalg.heappush
+
+    def watched_heapify(heap):
+        entries(heap)
+        heapify(heap)
+
+    def watched_heappush(heap, item):
+        entries((item,))
+        heappush(heap, item)
+
+    monkeypatch.setattr(linalg, "heapify", watched_heapify)
+    monkeypatch.setattr(linalg, "heappush", watched_heappush)
+    return seen
+
+
+def assert_int_columns(seen: dict):
+    """The elimination ordered its work by int columns alone: no
+    `grlex_key` call, no per-pivot key, and it did eliminate."""
+    assert seen["grlex_key"] == 0
+    assert seen["not_int"] == 0 and seen["entries"] > 0
+
+
 class TestNoPerVectorConversion:
-    """Per-vector work the elimination layer no longer repeats: no field
-    conversion of a table image or stored row, and one heap key per pivot."""
+    """Per-vector work the elimination layer no longer does: no field
+    conversion of a table image or stored row, and no monomial order: its
+    heap holds the int columns themselves and no `grlex_key` is called."""
 
     @pytest.mark.parametrize("F", list(on_fields(cubic_in_nine())), ids=("QQ", "GF"))
     def test_local_scheme(self, monkeypatch, F):
         span_conversions = counted(monkeypatch, linalg, "to_integers")
         conversions = counted(monkeypatch, apolar, "to_integers")
-        keys = counted(monkeypatch, linalg, "_descending")
+        seen = watched_elimination(monkeypatch)
         spans = recorded_spans(monkeypatch)
         scheme = local_scheme(F, parse("x0 + x1 - x8", 9, base=0))
         assert scheme.apolarity_checked and scheme.length == 18  # 2n + 2, n = 8
@@ -175,7 +230,7 @@ class TestNoPerVectorConversion:
         assert len(low) == 147 and len(scheme.annihilator) - len(low) == 330
         assert conversions[0] == 2
         assert len(spans) == 1
-        assert keys[0] <= sum(span.dim for span in spans)
+        assert_int_columns(seen)
 
     @pytest.mark.parametrize("f", list(on_fields(parse("x0^3 + 2*x1^3 - x2^3 + x0*x1*x2", 3,
                                                         base=0))), ids=("QQ", "GF"))
@@ -209,7 +264,7 @@ class TestNoPerVectorConversion:
     def test_orders_and_linear_partials(self, monkeypatch, F):
         span_conversions = counted(monkeypatch, linalg, "to_integers")
         conversions = counted(monkeypatch, apolar, "to_integers")
-        keys = counted(monkeypatch, linalg, "_descending")
+        seen = watched_elimination(monkeypatch)
         spans = recorded_spans(monkeypatch)
         space = diff_space(F)
         assert space.orders == (0,) + (1,) * 9 + (2,) * 9 + (3,)
@@ -217,7 +272,7 @@ class TestNoPerVectorConversion:
         assert span_conversions[0] == 0
         assert conversions[0] == 1  # F's table
         assert len(spans) == 2 and spans[0].dim == space.dim == 20
-        assert keys[0] <= sum(span.dim for span in spans)
+        assert_int_columns(seen)
 
 
 class TestKillsDegreeSkip:

@@ -8,8 +8,8 @@ from math import gcd
 
 import pytest
 
-from apolarity.apolar import annihilator_generators, diff_space
-from apolarity.linalg import MonomialSpan
+from apolarity.apolar import _annihilator, _kills, annihilator_generators, apolar_length, diff_space
+from apolarity.linalg import MonomialSpan, grlex_rank
 from apolarity.poly import PRIMAL, Polynomial, _contractions, grlex_key, monomials_up_to
 from apolarity.scalars import RATIONALS, PrimeField
 
@@ -18,9 +18,10 @@ from conftest import BackSubstitutingSpan
 GF = PrimeField(32003)
 
 
-def random_vectors(rng: random.Random, coerce, count: int) -> list:
-    """Sparse vectors over a few monomials, about a third of them dependent."""
-    monomials = list(monomials_up_to(3, 3))
+def random_vectors(rng: random.Random, coerce, count: int, monomials=None) -> list:
+    """Sparse vectors over a few monomials (those of degree <= 3 in 3
+    variables unless given), about a third of them dependent."""
+    monomials = list(monomials_up_to(3, 3)) if monomials is None else monomials
     out = []
     while len(out) < count:
         if out and rng.random() < 0.35:
@@ -179,6 +180,15 @@ class TestContentStep:
         annihilator_generators(dense_binary(24), 25)
         assert 0 < peak[0] <= 1500
 
+    def test_relations_stay_exact_through_the_content_step(self):
+        # the factor divided out of a labelled reduction is common to its
+        # combination too, so every relation still kills f; the unlabelled
+        # elimination of the same table takes the step without a combination
+        f = dense_binary(24)
+        kernel, span = _annihilator(f, 25)
+        assert _kills(f.terms, [w for w, _ in kernel], 0)
+        assert len(kernel) == 182 and span.dim == apolar_length(f) == 169
+
 
 class TestAgainstBackSubstitutingKernel:
     """Inserts, remainders and relations equal those of the kernel that
@@ -333,3 +343,65 @@ class TestAgainstBackSubstitutingKernel:
         assert labelled_typed(span.insert_labelled({}, "c")[1]) == labelled_typed({"c": GF(1)})
         assert labelled_typed(MonomialSpan(0).insert_labelled({}, "c")[1]) == \
             labelled_typed({"c": Fraction(1)})
+
+
+def wide_monomials(rng: random.Random, nvars: int, count: int) -> list:
+    """At least `count` distinct monomials in nvars variables with exponents
+    up to past 2^16, each with a permutation of itself, which has its degree
+    but not its place in lex order."""
+    exponents = (0, 1, 2, 255, 256, 257, 65535, 65536, 65537)
+    pool = set()
+    while len(pool) < count:
+        m = [0] * nvars
+        for i in rng.sample(range(nvars), rng.randint(1, min(3, nvars))):
+            m[i] = rng.choice(exponents)
+        pool.add(tuple(m))
+        pool.add(tuple(rng.sample(m, nvars)))
+    return sorted(pool)
+
+
+class TestColumnMap:
+    """A `MonomialSpan` eliminates on int columns, each monomial's grlex
+    rank: exact and order-preserving for any exponents and variable count,
+    so it decides, reduces and relates as a span on the monomials does."""
+
+    def test_the_rank_counts_along_monomials_up_to(self):
+        for n in range(1, 5):
+            for d in range(7):
+                ranks = [grlex_rank(m) for m in monomials_up_to(n, d)]
+                assert ranks == list(range(len(ranks))), (n, d)
+
+    @pytest.mark.parametrize("nvars", [2, 3, 12])
+    def test_the_rank_orders_wide_monomials_as_grlex(self, nvars):
+        monomials = wide_monomials(random.Random(nvars), nvars, 60)
+        assert max(map(max, monomials)) >= 65536
+        by_rank = sorted(monomials, key=grlex_rank)
+        assert by_rank == sorted(monomials, key=grlex_key)
+        ranks = [grlex_rank(m) for m in by_rank]
+        assert all(a < b for a, b in zip(ranks, ranks[1:]))
+
+    @pytest.mark.parametrize("field", [RATIONALS, GF], ids=("QQ", "GF"))
+    @pytest.mark.parametrize("nvars", [2, 3, 12])
+    def test_wide_spans_match_the_back_substituting_kernel(self, field, nvars):
+        rng = random.Random(20 + nvars)
+        for _ in range(8):
+            monomials = wide_monomials(rng, nvars, 10)
+            vectors = random_vectors(rng, field, 12, monomials)
+            span, oracle = MonomialSpan(field.characteristic), BackSubstitutingSpan()
+            labelled, labelled_oracle = MonomialSpan(field.characteristic), BackSubstitutingSpan()
+            for label, vec in enumerate(vectors):
+                probe = random_vectors(rng, field, 1, monomials)[0]
+                assert typed(span.reduce(probe)) == typed(oracle.reduce(probe))
+                index = span.insert(vec)
+                assert index == oracle.insert(vec)
+                if index is not None:
+                    assert span.pivots[index] == oracle.pivots[index]
+                    assert typed(span.rows[index]) == typed(oracle.rows[index])
+                assert labelled.insert_labelled(vec, label) == \
+                    labelled_oracle.insert_labelled(vec, label)
+            for vec in random_vectors(rng, field, 6, monomials):
+                assert labelled.solve(vec) == labelled_oracle.solve(vec)
+                assert span.contains(vec) == oracle.contains(vec)
+            span.back_substitute()
+            assert span.by_pivot == oracle.by_pivot
+            assert [typed(row) for row in span.rows] == [typed(row) for row in oracle.rows]
