@@ -4,6 +4,8 @@ Exit status: 0 on success, 1 when a verification fails, 2 on usage errors,
 3 on an internal error (an unexpected exception inside a command).
 Every subcommand accepts --json for machine output and --out to write the
 report to a file; outputs are deterministic for fixed inputs and seeds.
+Each command imports the library modules it runs inside its handler, so a
+start compiles only those (`verify-theorem` loads no polynomial code).
 """
 
 from __future__ import annotations
@@ -12,15 +14,6 @@ import argparse
 import json
 import random
 import sys
-
-from . import bounds as bounds_mod
-from .apolar import (_generators, _kernel_and_length, annihilator_stabilized, diff_space,
-                     local_scheme)
-from .enumeration import admissible_decompositions
-from .hilbert import embedding_dims, hilbert_function, symmetric_decomposition
-from .poly import DUAL, PRIMAL, parse, poly_str
-from .selftest import run_selftest
-from .witness import LENGTH_NOTE, cusp_witness, exotic_extend, random_general_cubic
 
 
 def _add_common(sub, base_default: int):
@@ -128,6 +121,9 @@ def _emit(args, text_lines, payload) -> None:
 
 
 def _cmd_diff(args) -> int:
+    from .apolar import diff_space
+    from .poly import PRIMAL, parse, poly_str
+
     f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     space = diff_space(f)
     lines = [
@@ -150,6 +146,9 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    from .hilbert import embedding_dims, symmetric_decomposition
+    from .poly import PRIMAL, parse
+
     f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     decomposition = symmetric_decomposition(f)
     dims = embedding_dims(decomposition)
@@ -168,6 +167,9 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_annihilator(args) -> int:
+    from .apolar import _generators, _kernel_and_length, annihilator_stabilized
+    from .poly import PRIMAL, parse, poly_str
+
     f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     max_degree = args.max_degree if args.max_degree is not None else f.degree() + 1
     kernel, length = _kernel_and_length(f, max_degree)
@@ -186,6 +188,9 @@ def _cmd_annihilator(args) -> int:
 
 
 def _cmd_local_length(args) -> int:
+    from .apolar import local_scheme
+    from .poly import PRIMAL, parse, poly_str
+
     F = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     support = parse(args.at, args.nvars, side=PRIMAL, base=args.base)
     scheme = local_scheme(F, support)
@@ -202,6 +207,8 @@ def _cmd_local_length(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import admissible_decompositions
+
     candidates = admissible_decompositions(
         args.length, args.n,
         nonsmoothable_only=args.nonsmoothable_only,
@@ -216,18 +223,24 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import BINOMIAL_GROUPING_NOTE, v_bound
+    from .enumeration import admissible_decompositions
+    from .hilbert import symmetric_decomposition
+
     reports = []
     if args.f:
         if args.nvars is None:
             raise ValueError("--nvars is required with --f")
+        from .poly import PRIMAL, parse
+
         f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
-        reports.append(bounds_mod.v_bound(symmetric_decomposition(f), args.n))
+        reports.append(v_bound(symmetric_decomposition(f), args.n))
     elif args.length is not None:
         for candidate in admissible_decompositions(
             args.length, args.n,
             nonsmoothable_only=args.nonsmoothable_only,
         ):
-            reports.append(bounds_mod.v_bound(candidate.decomposition, args.n))
+            reports.append(v_bound(candidate.decomposition, args.n))
     else:
         raise ValueError("one of --length or --f is required")
     lines = []
@@ -239,13 +252,15 @@ def _cmd_bounds(args) -> int:
             f"H={h} v={r.v} (v_theta={r.v_theta} d_flag={r.d_flag} "
             f"d_infty={r.d_infty}) w={w} margin={margin}"
         )
-    lines.append(bounds_mod.BINOMIAL_GROUPING_NOTE)
+    lines.append(BINOMIAL_GROUPING_NOTE)
     _emit(args, lines, [r.as_dict() for r in reports])
     return 0
 
 
 def _cmd_verify_theorem(args) -> int:
-    report = bounds_mod.verify_theorem(args.n, nonsmoothable_only=not args.no_filter)
+    from .bounds import verify_theorem
+
+    report = verify_theorem(args.n, nonsmoothable_only=not args.no_filter)
     lines = []
     if not report.in_scope:
         lines.append(f"note: n={args.n} is outside the verified range 7..8; informational only")
@@ -275,6 +290,10 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_exotic_extend(args) -> int:
+    from .hilbert import hilbert_function
+    from .poly import DUAL, PRIMAL, parse, poly_str
+    from .witness import exotic_extend
+
     f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     phis = [parse(text, args.nvars, side=DUAL, base=args.base) for text in args.phi]
     extended = exotic_extend(f, phis)
@@ -296,6 +315,9 @@ def _cmd_exotic_extend(args) -> int:
 
 
 def _cmd_cusp_witness(args) -> int:
+    from .poly import PRIMAL, parse, poly_str
+    from .witness import LENGTH_NOTE, cusp_witness, random_general_cubic
+
     reports = []
     failures = 0
     if args.f:
@@ -331,6 +353,8 @@ def _cmd_cusp_witness(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     lines, payload, status = run_selftest()
     _emit(args, lines, payload)
     return status

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ne
+from typing import TYPE_CHECKING
 
-from .apolar import diff_space
-from .linalg import MonomialSpan
-from .poly import ChangeOfBasis, Polynomial, dp_substitute
-from .scalars import characteristic, one_like
+# The polynomial side is imported inside the three functions that compute
+# Diff(f), so the verifier (bounds, enumeration, macaulay) never loads it.
+if TYPE_CHECKING:
+    from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,8 @@ class HilbertFunction:
 
 def hilbert_function(f: Polynomial) -> HilbertFunction:
     """Hilbert function of the apolar algebra of f, by partial degree."""
+    from .apolar import diff_space
+
     if f.is_zero():
         raise ValueError("Hilbert function of the zero polynomial is undefined")
     return HilbertFunction(diff_space(f).hilbert_values())
@@ -139,6 +142,8 @@ class SymmetricDecomposition:
 
 def symmetric_decomposition(f: Polynomial) -> SymmetricDecomposition:
     """Symmetric decomposition of the Hilbert function of the algebra of f."""
+    from .apolar import diff_space
+
     if f.is_zero():
         raise ValueError("decomposition of the zero polynomial is undefined")
     space = diff_space(f)
@@ -174,6 +179,11 @@ def adapt_coordinates(f: Polynomial):
     Variables outside the linear-partial span can still occur: they enter
     through hidden-variable summands and no linear change eliminates them.
     """
+    from .apolar import diff_space
+    from .linalg import MonomialSpan
+    from .poly import ChangeOfBasis, dp_substitute
+    from .scalars import characteristic, one_like
+
     if f.is_zero():
         raise ValueError("cannot adapt the zero polynomial")
     space = diff_space(f)

@@ -40,6 +40,7 @@ from .poly import (
     _drop_first,
     contract,
     homogenize,
+    monomials_of_degree,
     poly_str,
 )
 from .scalars import one_like
@@ -161,8 +162,6 @@ def cusp_witness(f: Polynomial) -> WitnessReport:
 
 def random_general_cubic(rng: random.Random) -> Polynomial:
     """Random rational cubic in x0, x1, x2 with nonzero x2^3 coefficient."""
-    from .poly import monomials_of_degree
-
     while True:
         terms = {}
         for exponents in monomials_of_degree(3, 3):

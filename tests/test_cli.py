@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
+from inspect import isclass, isfunction
 from pathlib import Path
 
 import pytest
 
 import apolarity
-from apolarity.cli import run
+from apolarity.cli import build_parser, run
 
 from test_readme import readme_cli_examples
 
@@ -94,6 +97,13 @@ class TestVerifyTheorem:
         assert data["cactus_rank"] == 15
         assert data["rows"][0]["v"] == 97 and data["rows"][0]["threshold"] == 113
 
+    def test_a_failed_margin_exits_1(self, capsys, monkeypatch):
+        # n = 7 has one row, threshold 113: v = 113 leaves margin 0, which fails
+        monkeypatch.setattr("apolarity.bounds._v", lambda decomposition, n, h: (113,))
+        status, out, _ = capture(capsys, ["verify-theorem", "--n", "7"])
+        assert status == 1
+        assert out.endswith("worst margin = 0\nFAIL n=7 cactus_rank=15\n")
+
     def test_determinism(self, capsys):
         _, first, _ = capture(capsys, ["verify-theorem", "--n", "8"])
         _, second, _ = capture(capsys, ["verify-theorem", "--n", "8"])
@@ -110,6 +120,8 @@ class TestLocalLength:
         assert "length = 2" in out
         assert "hilbert = (1,1)" in out
         assert "apolarity_checked = True" in out
+        # the generators are dual polynomials of f dehomogenized, indexed from y1
+        assert out.endswith("annihilator (3 generators):\n  y1^2\n  y1^3\n  y1^4\n")
 
     def test_json_schema(self, capsys):
         status, out, _ = capture(
@@ -118,6 +130,19 @@ class TestLocalLength:
         )
         data = json.loads(out)
         assert set(data) >= {"length", "hilbert", "annihilator", "apolarity_checked"}
+        assert data["annihilator"] == ["y1^2", "y1^3", "y1^4"]
+
+
+class TestAnnihilator:
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_default_degree_bound_is_deg_f_plus_1(self, capsys, mode):
+        status, out, _ = capture(
+            capsys, ["annihilator", "--f", "x1^6 + x1^3*x2", "--nvars", "2"] + mode)
+        assert status == 0
+        if mode:
+            assert json.loads(out)["max_degree"] == 7
+        else:
+            assert out.startswith("kernel dimension (degree <= 7) = ")
 
 
 class TestWitnessCommands:
@@ -130,11 +155,34 @@ class TestWitnessCommands:
         assert "x1^6 + x1^4*x3 + x1^3*x2 + x1^2*x3^2 + x1*x2*x3 + x3^3" in out
         assert "hilbert preserved = True" in out
 
+    def test_exotic_extend_json(self, capsys):
+        status, out, _ = capture(
+            capsys,
+            ["exotic-extend", "--f", "x1^6 + x1^3*x2", "--nvars", "2", "--phi", "y1^2", "--json"],
+        )
+        assert status == 0
+        data = json.loads(out)
+        assert data["hilbert_preserved"] is True and data["nvars"] == 3
+
     def test_cusp_witness_fixed_input(self, capsys):
         status, out, _ = capture(capsys, ["cusp-witness", "--f", "x0^3 + x1^3 + x2^3"])
         assert status == 0
-        assert "length_G_scheme = 7" in out
+        assert out.startswith("input: f = x0^3 + x1^3 + x2^3\n  length_G_scheme = 7 (<= 7: True),")
         assert "failures = 0 / 1" in out
+
+    def test_a_witness_that_fails_its_check_is_counted(self, capsys, monkeypatch):
+        original = apolarity.cusp_witness
+        # the length, 7, passes its check: failing apolarity alone must fail the report
+        monkeypatch.setattr("apolarity.witness.cusp_witness",
+                            lambda f: replace(original(f), apolar_ok=False))
+        status, out, _ = capture(capsys, ["cusp-witness", "--f", "x0^3 + x1^3 + x2^3"])
+        assert status == 1
+        assert out.endswith("failures = 1 / 1\n")
+
+    def test_cusp_witness_seed_defaults_to_0(self, capsys):
+        _, default, _ = capture(capsys, ["cusp-witness", "--trials", "2"])
+        _, seeded, _ = capture(capsys, ["cusp-witness", "--trials", "2", "--seed", "0"])
+        assert default == seeded
 
     def test_cusp_witness_trials_deterministic(self, capsys):
         argv = ["cusp-witness", "--trials", "3", "--seed", "11", "--json"]
@@ -172,6 +220,14 @@ def rename_to_base_0(text: str) -> str:
 
 
 class TestBase:
+    def test_base_defaults(self):
+        # README: x0 for the homogeneous forms of local-length and cusp-witness, else x1
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        defaults = {name: sub.get_default("base") for name, sub in commands.choices.items()}
+        expected = dict.fromkeys(commands.choices, 1)
+        expected.update({"local-length": 0, "cusp-witness": 0, "selftest": None})
+        assert defaults == expected
+
     @pytest.mark.parametrize("command", ["diff", "hilbert"])
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     def test_base_0_renames_the_base_1_output(self, capsys, command, mode):
@@ -196,6 +252,12 @@ class TestBase:
 class TestErrorsAndPlumbing:
     def test_usage_error_exit_2(self, capsys):
         assert run(["diff", "--nvars", "2"]) == 2  # --f missing
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify-theorem", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        status, out, _ = capture(capsys, argv)
+        assert status == 0
+        assert out.startswith("usage: ")
 
     def test_unknown_flag_exit_2(self, capsys):
         assert run(["diff", "--f", "x1", "--nvars", "1", "--bogus"]) == 2
@@ -355,7 +417,7 @@ class TestErrorsAndPlumbing:
         def broken(*args, **kwargs):
             raise AssertionError("bound composition routes disagree")
 
-        monkeypatch.setattr("apolarity.cli.bounds_mod.verify_theorem", broken)
+        monkeypatch.setattr("apolarity.bounds.verify_theorem", broken)
         status, out, err = capture(capsys, ["verify-theorem", "--n", "7"])
         assert status == 3
         assert out == ""
@@ -366,12 +428,75 @@ class TestPublicSurface:
     def test_all_names_resolve(self):
         missing = [name for name in apolarity.__all__ if not hasattr(apolarity, name)]
         assert missing == []
+        for name in apolarity.__all__:
+            value = getattr(apolarity, name)
+            # a function or class names its defining module; a constant, its owner in the table
+            defined = isclass(value) or isfunction(value)
+            module = value.__module__ if defined else f"apolarity.{apolarity._OWNERS[name]}"
+            assert getattr(importlib.import_module(module), name) is value, name
+        assert set(apolarity.__all__) <= set(dir(apolarity))
+        with pytest.raises(AttributeError):
+            apolarity.no_such_name
+        # a name is looked up on every read, never stored in the package,
+        # so a binding swapped in its submodule never goes stale here
+        assert apolarity.diff_space is not None
+        assert "diff_space" not in vars(apolarity)
 
     def test_removed_option_is_rejected(self, capsys):
         argv = ["enumerate", "--length", "15", "--n", "8", "--threads", "3"]
         status, _, err = capture(capsys, argv)
         assert status == 2
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+
+def source_env() -> dict:
+    """The environment for a child that imports the same source tree as this process."""
+    package_root = str(Path(apolarity.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs one command (or only builds the parser) and prints the package's modules.
+LIST_MODULES = """\
+import contextlib, io, sys
+import apolarity.cli
+status = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = apolarity.cli.run(sys.argv[1:])
+else:
+    apolarity.cli.build_parser()
+print(" ".join(sorted(name for name in sys.modules if name.startswith("apolarity"))))
+sys.exit(status)
+"""
+
+
+def loaded_modules(*argv) -> set:
+    """The `apolarity` modules a fresh interpreter loads to run `argv`."""
+    result = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv],
+                            capture_output=True, text=True, env=source_env())
+    assert result.returncode == 0, result.stderr
+    return {name.removeprefix("apolarity.") for name in result.stdout.split()}
+
+
+class TestImportsPerCommand:
+    """Each command compiles only the modules it runs: start-up dominates a CLI run."""
+
+    def test_parser_alone_loads_only_the_cli(self):
+        assert loaded_modules() == {"apolarity", "cli"}
+
+    def test_verifier_loads_no_polynomial_code(self):
+        loaded = loaded_modules("verify-theorem", "--n", "7")
+        assert "bounds" in loaded
+        assert loaded.isdisjoint({"apolar", "linalg", "poly", "scalars", "witness", "selftest"})
+
+    def test_local_length_loads_no_verifier_code(self):
+        [argv] = [a for a in readme_cli_examples() if a[0] == "local-length"]
+        loaded = loaded_modules(*argv)
+        assert "apolar" in loaded
+        assert loaded.isdisjoint(
+            {"bounds", "enumeration", "hilbert", "macaulay", "witness", "selftest"})
 
 
 class TestInstalledEntryPoint:
@@ -386,15 +511,11 @@ class TestInstalledEntryPoint:
             f"import sys; from {module} import {attr}; "
             f"sys.argv[0] = 'apolarity'; sys.exit({attr}())"
         )
-        # The child imports the same source tree as this process.
-        package_root = str(Path(apolarity.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-c", launcher, "verify-theorem", "--n", "7"],
             capture_output=True,
             text=True,
-            env=env,
+            env=source_env(),
         )
         assert result.returncode == 0, result.stderr
         assert "PASS n=7 cactus_rank=15" in result.stdout
