@@ -18,10 +18,11 @@ read of `rows` or `orders` back-substitutes the basis in place; each
 reduced row keeps its combination of the appended rows, whose tags give
 its order.
 
-Every span here eliminates one contraction table, and sees only its
-monomials and rows made of them: the table's monomials are ranked once,
-grlex ascending (`_ranked`), the span works on those int columns, and
-pivots and rows are mapped back to monomials where they are read.
+Every span here is a `linalg.MonomialSpan` that eliminates one int
+contraction table: the table's monomials are ranked once, grlex ascending
+(`_ranked`), the span works on those int columns alone, and its caller
+keeps the list of them and maps pivots and rows back to monomials where it
+reads them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .linalg import _IntSpan
+from .linalg import MonomialSpan
 from .poly import (
     DUAL,
     PRIMAL,
@@ -66,7 +67,8 @@ class FilteredSpace:
         # partial is missing from the table.  They go in grlex-descending,
         # level |alpha| descending first, so the rows tagged >= j span O_j
         columns, self._rank, table = _ranked(_contractions(_int_terms(f.terms, self._p)[0]))
-        span = self._span = _IntSpan(self._p, columns)
+        self._columns = columns
+        span = self._span = MonomialSpan(self._p)
         self._bidegrees = []
         # (level, int row) of the appended rows of degree <= 1; back-
         # substitution replaces row dicts and never modifies them
@@ -83,7 +85,7 @@ class FilteredSpace:
         self._reduced = False
         self._orders = None
 
-    def _reduced_span(self) -> _IntSpan:
+    def _reduced_span(self) -> MonomialSpan:
         """The span, back-substituted in place on first call."""
         if not self._reduced:
             self._span.back_substitute()
@@ -96,7 +98,7 @@ class FilteredSpace:
     def rows(self) -> tuple:
         """Basis partials as polynomials, pivot-descending (RREF order)."""
         reduced = self._reduced_span()
-        rows, by_pivot, columns = reduced.rows, reduced.by_pivot, reduced.columns
+        rows, by_pivot, columns = reduced.rows, reduced.by_pivot, self._columns
         return tuple(Polynomial(self.nvars, {columns[c]: v for c, v in rows[by_pivot[p]].items()},
                                 PRIMAL) for p in self._pivots)
 
@@ -130,8 +132,8 @@ class FilteredSpace:
         The reduced echelon basis of O_j ∩ Diff(f)_1 without the constant
         row, which full reduction keeps out of the degree-1 rows.
         """
-        columns = self._span.columns
-        span = _IntSpan(self._p, columns)
+        columns = self._columns
+        span = MonomialSpan(self._p)
         for level, row in self._linear:
             if level >= j:
                 span.insert(row)
@@ -174,8 +176,8 @@ def apolar_length(f: Polynomial) -> int:
     if f.side != PRIMAL:
         raise ValueError("apolar_length expects a primal polynomial")
     p = characteristic(f.terms.values())
-    columns, _, table = _ranked(_contractions(_int_terms(f.terms, p)[0]))
-    span = _IntSpan(p, columns)
+    _, _, table = _ranked(_contractions(_int_terms(f.terms, p)[0]))
+    span = MonomialSpan(p)
     for image in table.values():
         span.insert(image)
     return span.dim
@@ -192,12 +194,12 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
 
 
 def _annihilator(f: Polynomial, max_degree: int) -> tuple:
-    """(kernel, span): the kernel of `annihilator_generators(f, max_degree)`
-    as int relations (w, den), each generator being w / den in f's field,
-    and the labelled span of the images y^alpha(f) with |alpha| <=
-    max_degree.  From max_degree = deg f on the span is Diff(f), and its
-    pivots are Diff(f)'s leading monomials, unique whatever the order the
-    images went in."""
+    """(kernel, span, columns): the kernel of `annihilator_generators(f,
+    max_degree)` as int relations (w, den), each generator being w / den in
+    f's field; the labelled span of the images y^alpha(f) with |alpha| <=
+    max_degree; and the monomials its columns stand for.  From max_degree =
+    deg f on the span is Diff(f), and its pivots are the columns of Diff(f)'s
+    leading monomials, unique whatever the order the images went in."""
     if f.side != PRIMAL:
         raise ValueError("annihilator_generators expects a primal polynomial")
     if f.is_zero():
@@ -206,7 +208,7 @@ def _annihilator(f: Polynomial, max_degree: int) -> tuple:
         raise ValueError("max_degree must be at least 1")
     p = characteristic(f.terms.values())
     columns, _, table = _ranked(_contractions(_int_terms(f.terms, p)[0], max_degree))
-    span = _IntSpan(p, columns)
+    span = MonomialSpan(p)
     kernel = []
     for alpha in monomials_up_to(f.nvars, max_degree):
         image = table.get(alpha)
@@ -216,7 +218,7 @@ def _annihilator(f: Polynomial, max_degree: int) -> tuple:
         _, relation = span.insert_relation(image, alpha)
         if relation is not None:
             kernel.append(relation)
-    return kernel, span
+    return kernel, span, columns
 
 
 def _kernel_and_length(f: Polynomial, max_degree: int) -> tuple:
@@ -227,7 +229,7 @@ def _kernel_and_length(f: Polynomial, max_degree: int) -> tuple:
     inserted after them."""
     # below 1, `_annihilator` rejects max_degree after checking f
     top = max(max_degree, f.degree()) if max_degree >= 1 else max_degree
-    kernel, span = _annihilator(f, top)
+    kernel, span, _ = _annihilator(f, top)
     return [(w, den) for w, den in kernel if max(map(sum, w)) <= max_degree], span.dim
 
 
@@ -272,11 +274,11 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
         raise ValueError("target must be a primal polynomial in the variables of f")
     p = characteristic(f.terms.values(), target.terms.values())
     ints, den = _int_terms(f.terms, p)
-    columns, rank, table = _ranked(_contractions(ints))
-    span = _IntSpan(p, columns)
+    _, rank, table = _ranked(_contractions(ints))
+    span = MonomialSpan(p)
     for alpha in sorted(table, key=grlex_key):
         if sum(alpha) >= min_order:
-            span.insert_labelled(table[alpha], alpha)
+            span.insert_relation(table[alpha], alpha)
     ints, target_den = _int_terms(target.terms, p)
     # a target monomial that no image has is on no contraction of f
     w = _on_columns(ints, rank)
@@ -336,8 +338,8 @@ def _kills(form: dict, operators, p: int) -> bool:
 
 def _int_terms(terms: dict, p: int) -> tuple:
     """(w, den): the term dict is w / den in the field of characteristic p,
-    w an int dict without zeros, which `_ranked` keys by column for an
-    `_IntSpan`.  The factor den moves no relation, tag set, kernel test or
+    w an int dict without zeros, which `_ranked` keys by column for a
+    `MonomialSpan`.  The factor den moves no relation, tag set, kernel test or
     normalised row."""
     ints, den = to_integers(terms.values(), p)
     return {m: c for m, c in zip(terms, ints) if c}, den
@@ -347,7 +349,7 @@ def _ranked(table: dict) -> tuple:
     """(columns, rank, ranked): the monomials of the table's images sorted
     grlex ascending, each one's index there, and the table with every image
     keyed by those indices, its entries in the same order.  A larger column
-    is a grlex-greater monomial, as an `_IntSpan` needs."""
+    is a grlex-greater monomial, as a `MonomialSpan` needs."""
     support = set()
     for image in table.values():
         support.update(image)  # takes the hashes the image holds
@@ -422,10 +424,10 @@ def _scheme(f: Polynomial, max_degree: int, form: Polynomial) -> tuple:
     span's dimension and pivot degrees give the length and H; apolar: every
     kernel element, homogenized to its degree with a new first variable,
     kills the form."""
-    kernel, span = _annihilator(f, max_degree)
+    kernel, span, columns = _annihilator(f, max_degree)
     hilbert = [0] * (f.degree() + 1)
     for pivot in span.pivots:
-        hilbert[sum(span.columns[pivot])] += 1
+        hilbert[sum(columns[pivot])] += 1
 
     def homogenized(w):
         top = max(map(sum, w))

@@ -10,11 +10,9 @@ has dimension at most
 equivalently v_theta + d_flag, where v_theta collects the coordinate-fixed
 family (cubic in n_{d-3} variables, quadric in n_{d-2}, the hidden-variable
 term d_infty) and d_flag is the dimension of the compatible variable flags.
-An alternative grouping of v_theta that replaces C(n_{d-3}+2, 3) by
-C(n_{d-3}+3, 3) circulates in prose statements of the bound; it is
-inconsistent with the worked values 105 (n = 8) and 97 (n = 7), so the
-closed form above is authoritative here and the alternative is reported
-alongside for audit.
+The grouping C(n_{d-3}+2, 3) is the authoritative one: it gives the
+paper's worked values 105 (n = 8) and 97 (n = 7), which C(n_{d-3}+3, 3)
+does not.
 
 The verifier compares v against the thresholds
 C(n+3, 3) - n - (n+1)(l - r) for all 14 <= r <= l <= c(n) - 1; strict
@@ -30,11 +28,6 @@ from math import ceil, comb
 
 from .enumeration import admissible_decompositions
 from .hilbert import SymmetricDecomposition, embedding_dims
-
-BINOMIAL_GROUPING_NOTE = (
-    "v_theta uses the simplified grouping C(n_{d-3}+2,3); the alternative "
-    "C(n_{d-3}+3,3) form is recorded as v_theta_alt and is not used."
-)
 
 
 def c_bound(n: int) -> int:
@@ -101,7 +94,6 @@ class DimBoundReport:
     deltas: tuple
     embedding: tuple
     v_theta: int
-    v_theta_alt: int
     d_infty: int
     d_flag: int
     v: int
@@ -117,13 +109,11 @@ class DimBoundReport:
             "deltas": [list(r) for r in self.deltas],
             "embedding_dims": list(self.embedding),
             "v_theta": self.v_theta,
-            "v_theta_alt": self.v_theta_alt,
             "d_infty": self.d_infty,
             "d_flag": self.d_flag,
             "v": self.v,
             "w": self.w,
             "margin": self.margin,
-            "note": BINOMIAL_GROUPING_NOTE,
         }
 
 
@@ -134,7 +124,7 @@ def v_bound(decomposition: SymmetricDecomposition, n: int) -> DimBoundReport:
     independently and must agree; a mismatch is a programming error.
     """
     h = decomposition.hilbert().values
-    dims, exotic, flag, v_theta, v_theta_alt, closed = _v(decomposition, n, h)
+    dims, exotic, flag, v_theta, closed = _v(decomposition, n, h)
     length = sum(h)
     c = c_bound(n)
     if 1 <= length <= c - 1:
@@ -151,7 +141,6 @@ def v_bound(decomposition: SymmetricDecomposition, n: int) -> DimBoundReport:
         deltas=decomposition.rows,
         embedding=dims,
         v_theta=v_theta,
-        v_theta_alt=v_theta_alt,
         d_infty=exotic,
         d_flag=flag,
         v=closed,
@@ -161,7 +150,7 @@ def v_bound(decomposition: SymmetricDecomposition, n: int) -> DimBoundReport:
 
 
 def _v(decomposition: SymmetricDecomposition, n: int, h: tuple) -> tuple:
-    """(embedding dims, d_infty, d_flag, v_theta, v_theta_alt, v) of a
+    """(embedding dims, d_infty, d_flag, v_theta, v) of a
     decomposition whose H values are h, as `v_bound` reports them; both
     routes to v are computed and compared."""
     d = decomposition.d
@@ -171,7 +160,6 @@ def _v(decomposition: SymmetricDecomposition, n: int, h: tuple) -> tuple:
     exotic = _d_infty(decomposition, n, dims)
     flag = _d_flag(decomposition, n, dims)
     v_theta = comb(dims[d - 3] + 2, 3) + comb(dims[d - 2] + 1, 2) + dims[d - 2] + 1 + exotic
-    v_theta_alt = comb(dims[d - 3] + 3, 3) + comb(dims[d - 2] + 1, 2) + dims[d - 2] + 1 + exotic
     closed = (
         comb(dims[d - 3] + 2, 3)
         + comb(dims[d - 2] + 1, 2)
@@ -181,7 +169,7 @@ def _v(decomposition: SymmetricDecomposition, n: int, h: tuple) -> tuple:
     )
     if v_theta + flag != closed:
         raise AssertionError("bound composition routes disagree")
-    return dims, exotic, flag, v_theta, v_theta_alt, closed
+    return dims, exotic, flag, v_theta, closed
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,19 @@ import random
 import sys
 
 
-def _add_common(sub, base_default: int):
+def _add_common(sub, base_default: int | None = None):
+    """--json and --out, and --base for a command that reads or prints
+    polynomials."""
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub.add_argument("--out", metavar="PATH", help="write the report to PATH")
-    sub.add_argument(
-        "--base",
-        type=int,
-        choices=(0, 1),
-        default=base_default,
-        help=f"variable index base (default {base_default})",
-    )
+    if base_default is not None:
+        sub.add_argument(
+            "--base",
+            type=int,
+            choices=(0, 1),
+            default=base_default,
+            help=f"variable index base (default {base_default})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nonsmoothable-only", action="store_true")
-    _add_common(p, 1)
+    _add_common(p)
 
     p = commands.add_parser("bounds", help="dimension bound v(3, Delta, n) per candidate")
     p.add_argument("--n", type=int, required=True)
@@ -82,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--no-filter", action="store_true",
                    help="include smoothable candidates (informational)")
-    _add_common(p, 1)
+    _add_common(p)
 
     p = commands.add_parser("exotic-extend", help="hidden-variable extension of f")
     p.add_argument("--f", required=True)
@@ -223,7 +226,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .bounds import BINOMIAL_GROUPING_NOTE, v_bound
+    from .bounds import v_bound
     from .enumeration import admissible_decompositions
     from .hilbert import symmetric_decomposition
 
@@ -252,7 +255,6 @@ def _cmd_bounds(args) -> int:
             f"H={h} v={r.v} (v_theta={r.v_theta} d_flag={r.d_flag} "
             f"d_infty={r.d_infty}) w={w} margin={margin}"
         )
-    lines.append(BINOMIAL_GROUPING_NOTE)
     _emit(args, lines, [r.as_dict() for r in reports])
     return 0
 

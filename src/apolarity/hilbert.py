@@ -182,42 +182,53 @@ def adapt_coordinates(f: Polynomial):
     from .apolar import diff_space
     from .linalg import MonomialSpan
     from .poly import ChangeOfBasis, dp_substitute
-    from .scalars import characteristic, one_like
+    from .scalars import characteristic, one_like, to_integers
 
     if f.is_zero():
         raise ValueError("cannot adapt the zero polynomial")
     space = diff_space(f)
     n = f.nvars
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    one = one_like(next(iter(f.terms.values())))
-    zero = one - one
     p = characteristic(f.terms.values())
+    zero = one_like(next(iter(f.terms.values()))) * 0
+
+    def entered(vec: list) -> tuple:
+        # (w, den): vec = w / den, variable i at column n - 1 - i, so that
+        # x_0 is the greatest column, as in grlex
+        ints, den = to_integers(vec, p)
+        return {n - 1 - i: c for i, c in enumerate(ints) if c}, den
+
     span = MonomialSpan(p)
     new_to_old: list = []
 
-    def choose(vec: dict):
+    def choose(w: dict):
         # the new row is the normalised remainder, pivot at its lowest variable
-        index = span.insert(vec)
+        index = span.insert(w)
         if index is not None:
-            new_to_old.append([span.rows[index].get(unit, zero) for unit in units])
+            row = span.rows[index]
+            new_to_old.append([row.get(n - 1 - i, zero) for i in range(n)])
 
     # a level without a degree-1 pair adds no row, so its partials are already chosen
     for j in sorted({j for j, i in space.bidegrees() if i == 1}, reverse=True):
         for vec in space.linear_partials(j):
-            choose({units[i]: c for i, c in enumerate(vec) if c != 0})
+            choose(entered(vec)[0])
     for i in range(n):
-        if units[i] not in span.by_pivot:
-            choose({units[i]: one})
+        if n - 1 - i not in span.by_pivot:
+            choose({n - 1 - i: 1})
     if len(new_to_old) != n:
         raise AssertionError("could not complete the linear-partial flag to a basis")
-    # old variable i is the combination of flag rows that solves for unit i
+    # old variable i is the combination of flag rows that solves for unit i;
+    # flag row k goes in as dens[k] times itself, so its coefficient is
+    # dens[k] times the one the span finds
     inverse = MonomialSpan(p)
+    dens = []
     for k, row in enumerate(new_to_old):
-        inverse.insert_labelled({units[i]: c for i, c in enumerate(row) if c != 0}, k)
+        w, den = entered(row)
+        inverse.insert_relation(w, k)
+        dens.append(den)
     old_to_new = []
     for i in range(n):
-        combination = inverse.solve({units[i]: one})
-        old_to_new.append([combination.get(k, zero) for k in range(n)])
+        combination = inverse.solve({n - 1 - i: 1})
+        old_to_new.append([combination.get(k, zero) * den for k, den in enumerate(dens)])
     adapted = dp_substitute(f, old_to_new)
     kept = 0
     for exponents in adapted.terms:

@@ -9,7 +9,7 @@ from typing import Sequence
 import pytest
 
 from apolarity.poly import DUAL, PRIMAL, Polynomial, grlex_key
-from apolarity.scalars import one_like
+from apolarity.scalars import from_integers, one_like, to_integers
 
 
 def random_coefficient(rng: random.Random) -> Fraction:
@@ -246,3 +246,42 @@ class BackSubstitutingSpan:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
+
+
+# -- monomials as the int columns of a span ----------------------------------
+
+class Columns:
+    """The given monomials as the int columns of a `linalg.MonomialSpan`,
+    ranked grlex ascending as `apolar` ranks a table's, so that a row's
+    pivot column is its grlex-greatest monomial.  A field vector on the
+    monomials enters a span as the int vector that `scalars.to_integers`
+    writes it as; rows and int vectors leave keyed by monomials."""
+
+    def __init__(self, monomials):
+        self.monomials = sorted(set(monomials), key=grlex_key)
+        self.rank = {m: column for column, m in enumerate(self.monomials)}
+
+    def ints(self, vec: dict, p: int) -> dict:
+        """The int vector w on columns with vec = w / den in the field of
+        characteristic p, for some den."""
+        values, _ = to_integers(vec.values(), p)
+        return {self.rank[m]: c for m, c in zip(vec, values) if c}
+
+    def field(self, w: dict, p: int) -> dict:
+        """The int vector w as field scalars on monomials: the vector that a
+        span given w holds."""
+        return self.keyed(dict(zip(w, from_integers(w.values(), 1, p))))
+
+    def keyed(self, row: dict) -> dict:
+        return {self.monomials[column]: c for column, c in row.items()}
+
+
+def field_relation(inserted, p: int):
+    """`MonomialSpan.insert_relation`'s (index, None) as it is, and its
+    (None, (w, den)) as (None, the relation w / den in field scalars), as
+    `BackSubstitutingSpan.insert_labelled` gives it."""
+    index, relation = inserted
+    if relation is None:
+        return inserted
+    w, den = relation
+    return None, dict(zip(w, from_integers(w.values(), den, p)))

@@ -110,7 +110,7 @@ class TestDiffSpace:
             space = diff_space(f)
             top = int(f.degree())
             for j in range(top + 1):
-                level = MonomialSpan(0)
+                level = BackSubstitutingSpan()
                 for alpha in monomials_up_to(2, top):
                     if sum(alpha) >= j:
                         image = contract(Polynomial.monomial(alpha, Fraction(1), DUAL), f)
@@ -183,7 +183,7 @@ class TestAnnihilator:
             f = random_polynomial(rng, 2, 4)
             bound = int(f.degree()) + 1
             generators = annihilator_generators(f, bound)
-            span = MonomialSpan(0)
+            span = BackSubstitutingSpan()
             total = 0
             for alpha in monomials_up_to(2, bound):
                 total += 1
@@ -834,7 +834,7 @@ class TestIntApolarityCheckCanFail:
         original = apolar._annihilator
 
         def perturbed(f, max_degree):
-            kernel, span = original(f, max_degree)
+            kernel, span, columns = original(f, max_degree)
             # the first relation's lead has a nonzero image on f, so one more
             # of it (den more in the int relation w, the element being w / den)
             # takes the relation out of the kernel
@@ -844,7 +844,7 @@ class TestIntApolarityCheckCanFail:
             lead = max(w, key=grlex_key)
             w[lead] += den
             kernel[index] = w, den
-            return kernel, span
+            return kernel, span, columns
 
         monkeypatch.setattr(apolar, "_annihilator", perturbed)
 

@@ -155,17 +155,6 @@ class TestVBound:
         with pytest.raises(ValueError):
             v_bound(dec, 4)
 
-    def test_alt_grouping_recorded(self):
-        # C(m+3, 3) - C(m+2, 3) = C(m+2, 2), m = n_{d-3}; the candidates
-        # include ones with n_{d-3} < n_{d-2}, where WORKED has them equal
-        reports = [v_bound(WORKED, 8)] + [v_bound(c.decomposition, n) for n in (7, 9)
-                                          for c in admissible_decompositions(15, n)]
-        assert any(r.embedding[r.d - 3] < r.embedding[r.d - 2] for r in reports)
-        for report in reports:
-            assert report.v_theta_alt - report.v_theta == comb(
-                report.embedding[report.d - 3] + 2, 2
-            )
-
 
 class TestVerifyTheorem:
     def test_n7(self):

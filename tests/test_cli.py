@@ -211,6 +211,16 @@ class TestBoundsCommand:
         assert status == 0
         assert "v=" in out
 
+    def test_one_line_and_one_record_per_candidate(self, capsys):
+        argv = ["bounds", "--n", "7", "--length", "14", "--nonsmoothable-only"]
+        _, out, _ = capture(capsys, argv)
+        assert out == "H=(1,6,6,1) v=97 (v_theta=91 d_flag=6 d_infty=7) w=113 margin=16\n"
+        status, out, _ = capture(capsys, argv + ["--json"])
+        assert status == 0
+        assert [sorted(record) for record in json.loads(out)] == [sorted((
+            "n", "length", "d", "H", "deltas", "embedding_dims", "v_theta", "d_infty",
+            "d_flag", "v", "w", "margin"))]
+
 
 def rename_to_base_0(text: str) -> str:
     """x1, x2, x3 -> x0, x1, x2 (single-digit indices)."""
@@ -225,8 +235,17 @@ class TestBase:
         commands = next(a for a in build_parser()._actions if a.dest == "command")
         defaults = {name: sub.get_default("base") for name, sub in commands.choices.items()}
         expected = dict.fromkeys(commands.choices, 1)
-        expected.update({"local-length": 0, "cusp-witness": 0, "selftest": None})
+        expected.update({"local-length": 0, "cusp-witness": 0})
+        # commands that read and print no polynomial take no --base
+        expected.update(dict.fromkeys(("enumerate", "verify-theorem", "selftest")))
         assert defaults == expected
+
+    @pytest.mark.parametrize("argv", [["verify-theorem", "--n", "7", "--base", "0"],
+                                      ["enumerate", "--length", "14", "--n", "7", "--base", "1"]])
+    def test_commands_without_polynomials_refuse_base(self, capsys, argv):
+        status, out, err = capture(capsys, argv)
+        assert status == 2 and out == ""
+        assert "unrecognized arguments: --base" in err
 
     @pytest.mark.parametrize("command", ["diff", "hilbert"])
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])

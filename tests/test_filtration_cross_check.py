@@ -3,7 +3,8 @@
 The decomposition machinery counts dim(Diff(f)_i ∩ O_j) by reading pivot
 degrees off level snapshots of one incremental reduction.  Here the same
 dimensions are recomputed the slow way: materialize both subspaces and
-intersect them with an explicit kernel computation.
+intersect them with an explicit kernel computation, in spans that share
+no code with the library's elimination kernel.
 """
 
 from __future__ import annotations
@@ -11,17 +12,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from apolarity.apolar import diff_space
-from apolarity.linalg import MonomialSpan
 from apolarity.poly import DUAL, Polynomial, contract, monomials_up_to, parse
 
-from conftest import random_polynomial
+from conftest import BackSubstitutingSpan, random_polynomial
 
 
 def explicit_m_table(f: Polynomial, i: int, j: int) -> int:
     """dim(Diff_i ∩ O_j) via dim A + dim B - dim(A + B)."""
-    degree_span = MonomialSpan(0)
-    order_span = MonomialSpan(0)
-    joint_span = MonomialSpan(0)
+    degree_span = BackSubstitutingSpan()
+    order_span = BackSubstitutingSpan()
+    joint_span = BackSubstitutingSpan()
     top = int(f.degree())
     for alpha in monomials_up_to(f.nvars, top):
         image = contract(Polynomial.monomial(alpha, Fraction(1), DUAL), f)

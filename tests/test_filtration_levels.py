@@ -212,7 +212,7 @@ class TestOneEliminationPerSpace:
 
         monkeypatch.setattr(apolar.FilteredSpace, "__init__", counted_build)
         monkeypatch.setattr(apolar, "_contractions", counted_contractions)
-        for name in ("insert", "insert_labelled", "insert_tagged"):
+        for name in ("insert", "insert_relation", "insert_tagged"):
 
             def counted_insert(self, *args, _method=getattr(MonomialSpan, name)):
                 inserts[0] += 1

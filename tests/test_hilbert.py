@@ -396,8 +396,11 @@ class TestAdaptCoordinatesDenseOracle:
         from apolarity.scalars import PrimeField
 
         gf = PrimeField(32003)
+        # L^[4] + x2^2 with L = 2x1 + 3x2 has the flag row x1 + 3/2 x2: its
+        # denominator must come back out of the inverse elimination
         for text, n in (("x2^6 + x2^3*x1", 2), ("x1^2 + x1*x2 + x2^2", 2),
-                        ("4*x1*x2 - 7*x3", 3), ("x1^3 + x2^2*x3 + x1*x3^2", 4)):
+                        ("4*x1*x2 - 7*x3", 3), ("x1^3 + x2^2*x3 + x1*x3^2", 4),
+                        ("16*x1^4 + 24*x1^3*x2 + 36*x1^2*x2^2 + 54*x1*x2^3 + 81*x2^4 + x2^2", 2)):
             self.check(parse(text, n))
             self.check(parse(text, n, field=gf))
 

@@ -1,10 +1,11 @@
 """Ints into the elimination layer.
 
-The spans that `apolar` builds are `linalg._IntSpan`s: they read int
-contraction tables on ranked int columns and stored int rows as they are,
-with no conversion, and must give what a `MonomialSpan` gives for the same
-vectors as field scalars on monomials.  The apolarity check converts no
-operator that cannot contract the form."""
+A `linalg.MonomialSpan` reads int vectors on int columns as they are: the
+contraction tables of `apolar`, ranked once, and stored `int_row`s, with no
+conversion.  It must give what `conftest.BackSubstitutingSpan`, an
+elimination that shares no code with it, gives for the same vectors as
+field scalars on monomials, over QQ and GF(32003).  The apolarity check
+converts no operator that cannot contract the form."""
 
 from __future__ import annotations
 
@@ -16,10 +17,12 @@ import pytest
 
 from apolarity import apolar, linalg, poly
 from apolarity.apolar import _int_terms, _kills, _ranked, diff_space, is_apolar, local_scheme
-from apolarity.linalg import MonomialSpan, _IntSpan
+from apolarity.linalg import MonomialSpan
 from apolarity.poly import (DUAL, PRIMAL, Polynomial, _contractions, grlex_key,
                             monomials_of_degree, parse)
 from apolarity.scalars import PrimeField, characteristic, from_integers
+
+from conftest import BackSubstitutingSpan, field_relation
 
 GF = PrimeField(32003)
 
@@ -49,10 +52,17 @@ def field_of(w: dict, p: int) -> dict:
     return dict(zip(w, from_integers(w.values(), 1, p)))
 
 
+def in_field(vec, p: int) -> bool:
+    """Whether every entry of the dict vec is a scalar of the field of
+    characteristic p; the oracle leaves some as ints."""
+    kind = type(from_integers([1], 1, p)[0])
+    return vec is None or all(type(c) is kind for c in vec.values())
+
+
 class TestIntEntryOracle:
-    """Table images given to an `_IntSpan` as ints on ranked columns and to
-    a `MonomialSpan` as field scalars on monomials give the same spans, and
-    no dict given in changes."""
+    """Table images given to a span as ints on ranked columns and to the
+    oracle as field scalars on monomials give the same spans, and no dict
+    given changes."""
 
     @pytest.mark.parametrize("f", [g for f in ORACLE_FORMS for g in on_fields(f)], ids=str)
     def test_same_spans_as_field_scalars(self, f):
@@ -69,49 +79,55 @@ class TestIntEntryOracle:
             return {columns[column]: c for column, c in w.items()}
 
         alphas = sorted(table, key=grlex_key, reverse=True)
-        pairs = {kind: (_IntSpan(p, columns), MonomialSpan(p))
-                 for kind in ("plain", "labelled", "relation", "tagged")}
+        pairs = {kind: (MonomialSpan(p), BackSubstitutingSpan())
+                 for kind in ("plain", "relation", "tagged")}
+        # a tag's generator is its row as appended, with leading coefficient
+        # 1, which is what this oracle is given under the tag
+        appended = BackSubstitutingSpan()
         for alpha in alphas:
             image = ranked[alpha]
             given = dict(image)
             field = field_of(table[alpha], p)
-            ints, scalars = pairs["plain"]
-            assert ints.insert(image) == scalars.insert(field)
-            ints, scalars = pairs["labelled"]
-            got, expected = ints.insert_labelled(image, alpha), scalars.insert_labelled(field, alpha)
-            assert repr(got) == repr(expected) and got == expected
+            ints, oracle = pairs["plain"]
+            index = ints.insert(image)
+            assert index == oracle.insert(field)
             # the same relation as ints w over den, w without zeros
-            ints, scalars = pairs["relation"]
-            got, expected = ints.insert_relation(image, alpha), scalars.insert_labelled(field, alpha)
+            ints, oracle = pairs["relation"]
+            got = ints.insert_relation(image, alpha)
             if got[1] is not None:
                 w, den = got[1]
                 assert all(w.values()) and den == (1 if p else w[alpha])
-                got = None, dict(zip(w, from_integers(w.values(), den, p)))
-            assert repr(got) == repr(expected) and got == expected
-            ints, scalars = pairs["tagged"]
-            assert ints.insert_tagged(image, alpha) == scalars.insert_tagged(field, alpha)
+            got = field_relation(got, p)
+            assert got == oracle.insert_labelled(field, alpha) and in_field(got[1], p)
+            ints, oracle = pairs["tagged"]
+            assert ints.insert_tagged(image, alpha) == oracle.insert_tagged(field, alpha)
+            if index is not None:
+                appended.insert_labelled(keyed(ints.rows[index]), alpha)
+            for ints, oracle in pairs.values():
+                if index is not None:  # the new row is the normalised remainder
+                    assert keyed(ints.rows[-1]) == oracle.rows[-1], alpha
+                    assert in_field(ints.rows[-1], p)
             assert image == given, alpha
 
         rng = random.Random(5)
-        for kind, (ints, scalars) in pairs.items():
-            assert ints.dim > 0
-            for reduced in (False, True):
-                if reduced:
-                    ints.back_substitute()
-                    scalars.back_substitute()
-                assert [columns[pivot] for pivot in ints.pivots] == scalars.pivots, kind
-                assert repr([keyed(row) for row in ints.rows]) == repr(scalars.rows), kind
-                if kind == "plain":
-                    continue
-                for index in range(ints.dim):
-                    row = ints.int_row(index)
-                    held = dict(row)
-                    tags = ints.labels(row)
-                    assert tags == scalars.labels(scalars.rows[index]) and tags, (kind, index)
-                    assert ints.int_row(index) is row and row == held
+        for kind, (ints, oracle) in pairs.items():
+            assert ints.dim == oracle.dim > 0
+            assert [columns[pivot] for pivot in ints.pivots] == oracle.pivots, kind
+            # the oracle back-substitutes every untagged insert
+            if kind != "tagged":
+                ints.back_substitute()
+            assert [keyed(row) for row in ints.rows] == oracle.rows, kind
+            for index in range(ints.dim if kind != "plain" else 0):
+                row = ints.int_row(index)
+                held = dict(row)
+                used: dict = {}
+                oracle.reduce(keyed(ints.rows[index]), used)
+                tags = ints.labels(row)
+                assert tags == {label for label, c in used.items() if c != 0} and tags
+                assert ints.int_row(index) is row and row == held
 
             # an int combination of images, and the same with one entry moved
-            # off the span: solve, reduce and contains agree on both
+            # off the span: solve and contains agree on both
             for _ in range(4):
                 target: dict = {}
                 for alpha in rng.sample(alphas, min(3, len(alphas))):
@@ -125,18 +141,18 @@ class TestIntEntryOracle:
                     given = dict(vec)
                     field = field_of(monomials, p)
                     if kind != "plain":
-                        got, expected = ints.solve(vec), scalars.solve(field)
-                        assert repr(got) == repr(expected) and got == expected, kind
+                        got = ints.solve(vec)
+                        solver = appended if kind == "tagged" else oracle
+                        assert got == solver.solve(field) and in_field(got, p), kind
                         assert (got is None) == (monomials is not target)
-                    assert repr(keyed(ints.reduce(vec))) == repr(scalars.reduce(field))
-                    assert ints.contains(vec) == scalars.contains(field) == (monomials is target)
+                    assert ints.contains(vec) == oracle.contains(field) == (monomials is target)
                     assert vec == given
 
     def test_the_tagged_basis_holds_no_given_dict(self):
         # the span copies what it is given; a table image stays the caller's
         f = ORACLE_FORMS[0]
-        columns, _, table = _ranked(_contractions(_int_terms(f.terms, 0)[0]))
-        span = _IntSpan(0, columns)
+        _, _, table = _ranked(_contractions(_int_terms(f.terms, 0)[0]))
+        span = MonomialSpan(0)
         for alpha in sorted(table, key=grlex_key, reverse=True):
             span.insert_tagged(table[alpha], alpha)
         held = {id(image) for image in table.values()}
@@ -217,13 +233,11 @@ class TestNoPerVectorConversion:
 
     @pytest.mark.parametrize("F", list(on_fields(cubic_in_nine())), ids=("QQ", "GF"))
     def test_local_scheme(self, monkeypatch, F):
-        span_conversions = counted(monkeypatch, linalg, "to_integers")
         conversions = counted(monkeypatch, apolar, "to_integers")
         seen = watched_elimination(monkeypatch)
         spans = recorded_spans(monkeypatch)
         scheme = local_scheme(F, parse("x0 + x1 - x8", 9, base=0))
         assert scheme.apolarity_checked and scheme.length == 18  # 2n + 2, n = 8
-        assert span_conversions[0] == 0
         # f's table and the form's table only: the kernel leaves the span as
         # int relations, 147 of degree <= 3 and 330 dual monomials of degree 4
         low = [g for g in scheme.annihilator if g.degree() <= 3]
@@ -262,14 +276,12 @@ class TestNoPerVectorConversion:
 
     @pytest.mark.parametrize("F", list(on_fields(cubic_in_nine())), ids=("QQ", "GF"))
     def test_orders_and_linear_partials(self, monkeypatch, F):
-        span_conversions = counted(monkeypatch, linalg, "to_integers")
         conversions = counted(monkeypatch, apolar, "to_integers")
         seen = watched_elimination(monkeypatch)
         spans = recorded_spans(monkeypatch)
         space = diff_space(F)
         assert space.orders == (0,) + (1,) * 9 + (2,) * 9 + (3,)
         assert len(space.linear_partials(0)) == 9
-        assert span_conversions[0] == 0
         assert conversions[0] == 1  # F's table
         assert len(spans) == 2 and spans[0].dim == space.dim == 20
         assert_int_columns(seen)

@@ -1,4 +1,9 @@
-"""The sparse elimination kernel: an echelon basis with one reduction pass."""
+"""The sparse elimination kernel: an echelon basis with one reduction pass.
+
+A span reads int vectors on int columns; here random vectors on monomials
+enter it through `conftest.Columns`, as `apolar` ranks a table, and its
+rows, relations and solutions are compared with dense Gauss-Jordan
+elimination and with `conftest.BackSubstitutingSpan` on the monomials."""
 
 from __future__ import annotations
 
@@ -9,19 +14,20 @@ from math import gcd
 import pytest
 
 from apolarity.apolar import _annihilator, _kills, annihilator_generators, apolar_length, diff_space
-from apolarity.linalg import MonomialSpan, grlex_rank
+from apolarity.linalg import MonomialSpan
 from apolarity.poly import PRIMAL, Polynomial, _contractions, grlex_key, monomials_up_to
 from apolarity.scalars import RATIONALS, PrimeField
 
-from conftest import BackSubstitutingSpan
+from conftest import BackSubstitutingSpan, Columns, field_relation
 
 GF = PrimeField(32003)
+SMALL = Columns(monomials_up_to(3, 3))  # the monomials of `random_vectors`
 
 
 def random_vectors(rng: random.Random, coerce, count: int, monomials=None) -> list:
     """Sparse vectors over a few monomials (those of degree <= 3 in 3
     variables unless given), about a third of them dependent."""
-    monomials = list(monomials_up_to(3, 3)) if monomials is None else monomials
+    monomials = SMALL.monomials if monomials is None else monomials
     out = []
     while len(out) < count:
         if out and rng.random() < 0.35:
@@ -35,6 +41,16 @@ def random_vectors(rng: random.Random, coerce, count: int, monomials=None) -> li
         vec = {m: v for m, v in vec.items() if v != 0}
         if vec:
             out.append(vec)
+    return out
+
+
+def entered(columns: Columns, vectors: list, p: int) -> list:
+    """(w, g) for each vector: the int vector a span is given and the same
+    generator as field scalars on monomials, for an oracle."""
+    out = []
+    for vec in vectors:
+        w = columns.ints(vec, p)
+        out.append((w, columns.field(w, p)))
     return out
 
 
@@ -95,12 +111,13 @@ class TestBackSubstitute:
                 rng.shuffle(vectors)
                 span = MonomialSpan(field.characteristic)
                 for vec in vectors:
-                    span.insert(vec)
+                    span.insert(SMALL.ints(vec, field.characteristic))
                 span.back_substitute()
                 expected = gauss_jordan(vectors)
-                assert sorted(span.pivots, key=grlex_key) == sorted(expected, key=grlex_key)
-                for row, pivot in zip(span.rows, span.pivots):
-                    assert typed(row) == typed(expected[pivot])
+                pivots = [SMALL.monomials[pivot] for pivot in span.pivots]
+                assert sorted(pivots, key=grlex_key) == sorted(expected, key=grlex_key)
+                for row, pivot in zip(span.rows, pivots):
+                    assert typed(SMALL.keyed(row)) == typed(expected[pivot])
 
     def test_fractional_entries_match_dense_gauss_jordan(self):
         rng = random.Random(11)
@@ -108,10 +125,11 @@ class TestBackSubstitute:
             vectors = random_vectors(rng, fractional, rng.randint(1, 14))
             span = MonomialSpan(0)
             for vec in vectors:
-                span.insert(vec)
+                span.insert(SMALL.ints(vec, 0))
             span.back_substitute()
             expected = gauss_jordan(vectors)
-            assert {p: typed(row) for p, row in zip(span.pivots, span.rows)} == \
+            assert {SMALL.monomials[p]: typed(SMALL.keyed(row))
+                    for p, row in zip(span.pivots, span.rows)} == \
                 {p: typed(row) for p, row in expected.items()}
 
     def test_dense_closure_with_wide_entries_matches_gauss_jordan(self):
@@ -131,7 +149,7 @@ class TestBackSubstitute:
         vectors = random_vectors(rng, Fraction, 12)
         span = MonomialSpan(0)
         for vec in vectors:
-            span.insert(vec)
+            span.insert(SMALL.ints(vec, 0))
         span.back_substitute()
         reduced = [dict(row) for row in span.rows]
         span.back_substitute()
@@ -154,8 +172,9 @@ class TestBackSubstitute:
                        for vec in random_vectors(rng, fractional, 12)]
             plain, tagged = MonomialSpan(0), MonomialSpan(0)
             for tag, vec in enumerate(vectors):
-                plain.insert(vec)
-                tagged.insert_tagged(vec, tag)
+                w = SMALL.ints(vec, 0)
+                plain.insert(w)
+                tagged.insert_tagged(w, tag)
             assert_primitive(tagged)
             assert_primitive(plain)
             plain.back_substitute()
@@ -185,7 +204,7 @@ class TestContentStep:
         # combination too, so every relation still kills f; the unlabelled
         # elimination of the same table takes the step without a combination
         f = dense_binary(24)
-        kernel, span = _annihilator(f, 25)
+        kernel, span, _ = _annihilator(f, 25)
         assert _kills(f.terms, [w for w, _ in kernel], 0)
         assert len(kernel) == 182 and span.dim == apolar_length(f) == 169
 
@@ -198,29 +217,29 @@ class TestAgainstBackSubstitutingKernel:
     def test_unlabelled_decisions_and_remainders(self):
         rng = random.Random(9)
         for field in (RATIONALS, GF):
+            p = field.characteristic
             for _ in range(20):
-                vectors = random_vectors(rng, field, 12)
-                span, oracle = MonomialSpan(field.characteristic), BackSubstitutingSpan()
-                for vec in vectors:
-                    probe = random_vectors(rng, field, 1)[0]
-                    assert typed(span.reduce(probe)) == typed(oracle.reduce(probe))
-                    index = span.insert(vec)
+                span, oracle = MonomialSpan(p), BackSubstitutingSpan()
+                for w, vec in entered(SMALL, random_vectors(rng, field, 12), p):
+                    probe = SMALL.ints(random_vectors(rng, field, 1)[0], p)
+                    assert span.contains(probe) == oracle.contains(SMALL.field(probe, p))
+                    index = span.insert(w)
                     assert index == oracle.insert(vec)
                     if index is not None:
                         # the new row is the normalised unique remainder
-                        assert typed(span.rows[index]) == typed(oracle.rows[index])
+                        assert typed(SMALL.keyed(span.rows[index])) == typed(oracle.rows[index])
 
     def test_labelled_relations_and_solutions(self):
         rng = random.Random(10)
         for field in (RATIONALS, GF):
+            p = field.characteristic
             for _ in range(20):
-                vectors = random_vectors(rng, field, 12)
-                span, oracle = MonomialSpan(field.characteristic), BackSubstitutingSpan()
-                for label, vec in enumerate(vectors):
-                    got = span.insert_labelled(vec, label)
+                span, oracle = MonomialSpan(p), BackSubstitutingSpan()
+                for label, (w, vec) in enumerate(entered(SMALL, random_vectors(rng, field, 12), p)):
+                    got = field_relation(span.insert_relation(w, label), p)
                     assert got == oracle.insert_labelled(vec, label)
-                for vec in random_vectors(rng, field, 6):
-                    assert span.solve(vec) == oracle.solve(vec)
+                for w, vec in entered(SMALL, random_vectors(rng, field, 6), p):
+                    assert span.solve(w) == oracle.solve(vec)
 
     def test_tagged_labels_and_solutions(self):
         # a tag's generator is its row as appended, with leading coefficient
@@ -228,121 +247,127 @@ class TestAgainstBackSubstitutingKernel:
         rng = random.Random(14)
         for characteristic, coerce in ((0, RATIONALS), (0, fractional), (GF.p, GF)):
             for _ in range(20):
-                vectors = random_vectors(rng, coerce, 12)
                 span, oracle = MonomialSpan(characteristic), BackSubstitutingSpan()
                 appended = BackSubstitutingSpan()
-                for tag, vec in enumerate(vectors):
-                    index = span.insert_tagged(vec, tag)
+                vectors = entered(SMALL, random_vectors(rng, coerce, 12), characteristic)
+                for tag, (w, vec) in enumerate(vectors):
+                    index = span.insert_tagged(w, tag)
                     assert index == oracle.insert_tagged(vec, tag)
                     if index is not None:
-                        appended.insert_labelled(span.rows[index], tag)
-                for vec in random_vectors(rng, coerce, 6):
-                    assert span.solve(vec) == appended.solve(vec)
+                        appended.insert_labelled(SMALL.keyed(span.rows[index]), tag)
+                for w, vec in entered(SMALL, random_vectors(rng, coerce, 6), characteristic):
+                    assert span.solve(w) == appended.solve(vec)
                     used: dict = {}
                     oracle.reduce(vec, used)
-                    assert span.labels(vec) == {tag for tag, c in used.items() if c != 0}
+                    assert span.labels(w) == {tag for tag, c in used.items() if c != 0}
 
     def test_back_substitute_keeps_each_rows_combination(self):
         # back-substituting halfway moves no relation, solution or label set,
         # and a tag still names its row as appended
         def assert_same(span, oracle, probes):
             span.back_substitute()
-            assert {p: typed(r) for p, r in zip(span.pivots, span.rows)} == \
+            assert {SMALL.monomials[p]: typed(SMALL.keyed(r)) for p, r in zip(span.pivots, span.rows)} == \
                 {p: typed(r) for p, r in zip(oracle.pivots, oracle.rows)}
-            for vec in probes:
-                assert span.solve(vec) == oracle.solve(vec)
+            for w, vec in probes:
+                assert span.solve(w) == oracle.solve(vec)
                 used: dict = {}
                 oracle.reduce(vec, used)
-                assert span.labels(vec) == {label for label, c in used.items() if c != 0}
+                assert span.labels(w) == {label for label, c in used.items() if c != 0}
 
         rng = random.Random(16)
         for characteristic, coerce in ((0, RATIONALS), (0, fractional), (GF.p, GF)):
             for _ in range(20):
-                vectors = random_vectors(rng, coerce, 12)
-                probes = random_vectors(rng, coerce, 6)
+                vectors = entered(SMALL, random_vectors(rng, coerce, 12), characteristic)
+                probes = entered(SMALL, random_vectors(rng, coerce, 6), characteristic)
                 labelled, tagged = MonomialSpan(characteristic), MonomialSpan(characteristic)
                 labelled_oracle, appended = BackSubstitutingSpan(), BackSubstitutingSpan()
-                for label, vec in enumerate(vectors):
+                for label, (w, vec) in enumerate(vectors):
                     if label == len(vectors) // 2:
                         assert_same(labelled, labelled_oracle, probes)
                         assert_same(tagged, appended, probes)
-                    got = labelled.insert_labelled(vec, label)
+                    got = field_relation(labelled.insert_relation(w, label), characteristic)
                     assert got == labelled_oracle.insert_labelled(vec, label)
-                    if (index := tagged.insert_tagged(vec, label)) is not None:
-                        appended.insert_labelled(tagged.rows[index], label)
+                    if (index := tagged.insert_tagged(w, label)) is not None:
+                        appended.insert_labelled(SMALL.keyed(tagged.rows[index]), label)
                 assert_same(labelled, labelled_oracle, probes)
                 assert_same(tagged, appended, probes)
 
     def test_fractional_entries(self):
+        # a vector enters as ints over its common denominator: the decisions
+        # and rows are those of the fractions, and a relation is one among
+        # the int generators
         rng = random.Random(12)
         for _ in range(20):
             vectors = random_vectors(rng, fractional, 12)
             span, oracle = MonomialSpan(0), BackSubstitutingSpan()
             labelled, labelled_oracle = MonomialSpan(0), BackSubstitutingSpan()
             for label, vec in enumerate(vectors):
+                w = SMALL.ints(vec, 0)
                 probe = random_vectors(rng, fractional, 1)[0]
-                assert typed(span.reduce(probe)) == typed(oracle.reduce(probe))
-                index = span.insert(vec)
+                assert span.contains(SMALL.ints(probe, 0)) == oracle.contains(probe)
+                index = span.insert(w)
                 assert index == oracle.insert(vec)
                 if index is not None:
-                    assert typed(span.rows[index]) == typed(oracle.rows[index])
-                got = labelled.insert_labelled(vec, label)
-                assert got == labelled_oracle.insert_labelled(vec, label)
-            for vec in random_vectors(rng, fractional, 6):
-                assert labelled.solve(vec) == labelled_oracle.solve(vec)
+                    assert typed(SMALL.keyed(span.rows[index])) == typed(oracle.rows[index])
+                got = field_relation(labelled.insert_relation(w, label), 0)
+                assert got == labelled_oracle.insert_labelled(SMALL.field(w, 0), label)
+            for w, vec in entered(SMALL, random_vectors(rng, fractional, 6), 0):
+                assert labelled.solve(w) == labelled_oracle.solve(vec)
 
     def test_prime_field_coerces_ints_and_fractions(self):
+        # over GF(p) an int or a Fraction enters a span as the residue of
+        # the element of GF(p) it names, as `PrimeFieldElement` coerces it
         rng = random.Random(13)
+        element = type(GF(1))
         for coerce in (int, fractional):
             for _ in range(10):
-                vectors = random_vectors(rng, coerce, 12)
-                fields = [{m: GF(c) for m, c in vec.items()} for vec in vectors]
-                # the span is told its field, so ints and Fractions are read
-                # in GF(p) from the first vector on
-                given_span, field_span = MonomialSpan(GF.p), MonomialSpan(GF.p)
-                for label, (vec, field_vec) in enumerate(zip(vectors, fields)):
-                    got = given_span.insert_labelled(vec, label)
-                    expected = field_span.insert_labelled(field_vec, label)
-                    assert got[0] == expected[0]
-                    assert labelled_typed(got[1]) == labelled_typed(expected[1])
+                span, oracle = MonomialSpan(GF.p), BackSubstitutingSpan()
+                for label, vec in enumerate(random_vectors(rng, coerce, 12)):
+                    field_vec = {m: GF(c) for m, c in vec.items()}
+                    w = SMALL.ints(vec, GF.p)
+                    assert w == SMALL.ints(field_vec, GF.p)
+                    got = field_relation(span.insert_relation(w, label), GF.p)
+                    assert got == oracle.insert_labelled(field_vec, label)
+                    assert all(type(c) is element for c in (got[1] or {}).values())
                 for vec in random_vectors(rng, coerce, 6):
                     field_vec = {m: GF(c) for m, c in vec.items()}
-                    assert typed(given_span.reduce(vec)) == typed(field_span.reduce(field_vec))
-                    assert labelled_typed(given_span.solve(vec)) == \
-                        labelled_typed(field_span.solve(field_vec))
-                    assert given_span.contains(vec) == field_span.contains(field_vec)
-                assert [typed(r) for r in given_span.rows] == [typed(r) for r in field_span.rows]
+                    w = SMALL.ints(vec, GF.p)
+                    assert span.solve(w) == oracle.solve(field_vec)
+                    assert span.contains(w) == oracle.contains(field_vec)
+                span.back_substitute()
+                assert [typed(SMALL.keyed(r)) for r in span.rows] == [typed(r) for r in oracle.rows]
 
     def test_a_denominator_divisible_by_p_raises(self):
-        span = MonomialSpan(GF.p)
-        span.insert({(1,): GF(1)})
-        for call in (span.insert, span.reduce, span.contains, span.solve):
+        # such a value names no element of GF(p), so no vector holding it
+        # has an int vector to enter a span with
+        for vec in ({(0, 0, 0): Fraction(1, 32003)},
+                    {(1, 0, 0): GF(1), (0, 0, 0): Fraction(2, 3 * 32003)}):
             with pytest.raises(ZeroDivisionError):
-                call({(0,): Fraction(1, 32003)})
-        with pytest.raises(ZeroDivisionError):
-            span.insert_labelled({(0,): Fraction(2, 3 * 32003)}, "a")
+                SMALL.ints(vec, GF.p)
 
     def test_a_prime_field_value_in_a_rational_span_raises(self):
-        span = MonomialSpan(0)
-        span.insert({(0,): Fraction(1)})
-        for call in (span.insert, span.reduce, span.contains, span.solve, span.labels):
+        for vec in ({(1, 0, 0): GF(1)}, {(1, 0, 0): Fraction(1, 2), (0, 0, 0): GF(1)}):
             with pytest.raises(ValueError, match=r"GF\(32003\)"):
-                call({(1,): GF(1)})
-        with pytest.raises(ValueError, match=r"GF\(32003\)"):
-            span.insert_labelled({(1,): Fraction(1, 2), (0,): GF(1)}, "a")
-        with pytest.raises(ValueError, match=r"GF\(32003\)"):
-            MonomialSpan(0).insert({(1,): GF(1)})
+                SMALL.ints(vec, 0)
 
     def test_relation_coefficients_stay_in_the_field(self):
+        x = SMALL.rank[(1, 0, 0)]
         span = MonomialSpan(GF.p)
-        span.insert_labelled({(1,): GF(2)}, "a")
-        _, relation = span.insert_labelled({(1,): GF(4)}, "b")
+        span.insert_relation({x: 2}, "a")
+        # residues over 1, the new label's entry 1
+        assert span.insert_relation({x: 4}, "b") == (None, ({"b": 1, "a": GF.p - 2}, 1))
+        relation = field_relation(span.insert_relation({x: 4}, "b"), GF.p)[1]
         assert relation == {"a": GF(-2), "b": GF(1)}
         assert all(type(c) is type(GF(1)) for c in relation.values())
+        # over QQ the relation -2 a + b = 0 among 2x and 4x, in ints
+        span = MonomialSpan(0)
+        span.insert_relation({x: 2}, "a")
+        assert span.insert_relation({x: 4}, "b") == (None, ({"b": 1, "a": -2}, 1))
         # an empty generator is a relation by itself, with the field's one
-        assert labelled_typed(span.insert_labelled({}, "c")[1]) == labelled_typed({"c": GF(1)})
-        assert labelled_typed(MonomialSpan(0).insert_labelled({}, "c")[1]) == \
+        assert labelled_typed(field_relation(span.insert_relation({}, "c"), 0)[1]) == \
             labelled_typed({"c": Fraction(1)})
+        assert labelled_typed(field_relation(MonomialSpan(GF.p).insert_relation({}, "c"), GF.p)[1]) \
+            == labelled_typed({"c": GF(1)})
 
 
 def wide_monomials(rng: random.Random, nvars: int, count: int) -> list:
@@ -361,47 +386,37 @@ def wide_monomials(rng: random.Random, nvars: int, count: int) -> list:
 
 
 class TestColumnMap:
-    """A `MonomialSpan` eliminates on int columns, each monomial's grlex
-    rank: exact and order-preserving for any exponents and variable count,
-    so it decides, reduces and relates as a span on the monomials does."""
-
-    def test_the_rank_counts_along_monomials_up_to(self):
-        for n in range(1, 5):
-            for d in range(7):
-                ranks = [grlex_rank(m) for m in monomials_up_to(n, d)]
-                assert ranks == list(range(len(ranks))), (n, d)
-
-    @pytest.mark.parametrize("nvars", [2, 3, 12])
-    def test_the_rank_orders_wide_monomials_as_grlex(self, nvars):
-        monomials = wide_monomials(random.Random(nvars), nvars, 60)
-        assert max(map(max, monomials)) >= 65536
-        by_rank = sorted(monomials, key=grlex_rank)
-        assert by_rank == sorted(monomials, key=grlex_key)
-        ranks = [grlex_rank(m) for m in by_rank]
-        assert all(a < b for a, b in zip(ranks, ranks[1:]))
+    """Monomials with exponents past 2^16, in up to 12 variables, ranked as
+    int columns: a span decides, reduces and relates on them as the oracle
+    does on the monomials themselves."""
 
     @pytest.mark.parametrize("field", [RATIONALS, GF], ids=("QQ", "GF"))
     @pytest.mark.parametrize("nvars", [2, 3, 12])
     def test_wide_spans_match_the_back_substituting_kernel(self, field, nvars):
         rng = random.Random(20 + nvars)
+        p = field.characteristic
+        widest = 0
         for _ in range(8):
             monomials = wide_monomials(rng, nvars, 10)
-            vectors = random_vectors(rng, field, 12, monomials)
-            span, oracle = MonomialSpan(field.characteristic), BackSubstitutingSpan()
-            labelled, labelled_oracle = MonomialSpan(field.characteristic), BackSubstitutingSpan()
-            for label, vec in enumerate(vectors):
-                probe = random_vectors(rng, field, 1, monomials)[0]
-                assert typed(span.reduce(probe)) == typed(oracle.reduce(probe))
-                index = span.insert(vec)
+            widest = max(widest, *map(max, monomials))
+            columns = Columns(monomials)
+            span, oracle = MonomialSpan(p), BackSubstitutingSpan()
+            labelled, labelled_oracle = MonomialSpan(p), BackSubstitutingSpan()
+            for label, (w, vec) in enumerate(entered(columns, random_vectors(rng, field, 12, monomials), p)):
+                probe = columns.ints(random_vectors(rng, field, 1, monomials)[0], p)
+                assert span.contains(probe) == oracle.contains(columns.field(probe, p))
+                index = span.insert(w)
                 assert index == oracle.insert(vec)
                 if index is not None:
-                    assert span.pivots[index] == oracle.pivots[index]
-                    assert typed(span.rows[index]) == typed(oracle.rows[index])
-                assert labelled.insert_labelled(vec, label) == \
-                    labelled_oracle.insert_labelled(vec, label)
-            for vec in random_vectors(rng, field, 6, monomials):
-                assert labelled.solve(vec) == labelled_oracle.solve(vec)
-                assert span.contains(vec) == oracle.contains(vec)
+                    assert columns.monomials[span.pivots[index]] == oracle.pivots[index]
+                    assert typed(columns.keyed(span.rows[index])) == typed(oracle.rows[index])
+                got = field_relation(labelled.insert_relation(w, label), p)
+                assert got == labelled_oracle.insert_labelled(vec, label)
+            for w, vec in entered(columns, random_vectors(rng, field, 6, monomials), p):
+                assert labelled.solve(w) == labelled_oracle.solve(vec)
+                assert span.contains(w) == oracle.contains(vec)
             span.back_substitute()
-            assert span.by_pivot == oracle.by_pivot
-            assert [typed(row) for row in span.rows] == [typed(row) for row in oracle.rows]
+            assert {columns.monomials[c]: i for c, i in span.by_pivot.items()} == oracle.by_pivot
+            assert [typed(columns.keyed(row)) for row in span.rows] == \
+                [typed(row) for row in oracle.rows]
+        assert widest >= 65536
