@@ -423,16 +423,15 @@ def _scheme(f: Polynomial, max_degree: int, form: Polynomial) -> tuple:
     max_degree)`, max_degree >= deg f: the kernel as its int relations; the
     span's dimension and pivot degrees give the length and H; apolar: every
     kernel element, homogenized to its degree with a new first variable,
-    kills the form."""
+    kills the form.  An element above the form's degree kills it term by
+    term, as in `_kills`, and is not homogenized."""
     kernel, span, columns = _annihilator(f, max_degree)
     hilbert = [0] * (f.degree() + 1)
     for pivot in span.pivots:
         hilbert[sum(columns[pivot])] += 1
-
-    def homogenized(w):
-        top = max(map(sum, w))
-        return {(top - sum(e),) + e: c for e, c in w.items()}
-
     p = characteristic(form.terms.values(), f.terms.values())
-    operators = (homogenized(w) for w, _ in kernel)  # w / den kills the form iff w does
+    degree = max(map(sum, form.terms), default=-1)
+    tops = ((max(map(sum, w)), w) for w, _ in kernel)  # w / den kills the form iff w does
+    operators = ({(top - sum(e),) + e: c for e, c in w.items()}
+                 for top, w in tops if top <= degree)
     return kernel, span.dim, tuple(hilbert), _kills(form.terms, operators, p)

@@ -5,13 +5,14 @@ Exit status: 0 on success, 1 when a verification fails, 2 on usage errors,
 Every subcommand accepts --json for machine output and --out to write the
 report to a file; outputs are deterministic for fixed inputs and seeds.
 Each command imports the library modules it runs inside its handler, so a
-start compiles only those (`verify-theorem` loads no polynomial code).
+start compiles only those (`verify-theorem` loads no polynomial code).  A
+command builds only the output it writes, its text lines or its --json
+payload, and loads `json` only for --json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -117,10 +118,14 @@ def _write(args, output: str) -> None:
 
 
 def _emit(args, text_lines, payload) -> None:
+    """Write the payload as JSON with --json, else the text lines; both are
+    zero-argument callables, and only the one written is called."""
     if args.json:
-        _write(args, json.dumps(payload, indent=2) + "\n")
+        import json
+
+        _write(args, json.dumps(payload(), indent=2) + "\n")
     else:
-        _write(args, "\n".join(text_lines) + "\n")
+        _write(args, "\n".join(text_lines()) + "\n")
 
 
 def _cmd_diff(args) -> int:
@@ -129,22 +134,18 @@ def _cmd_diff(args) -> int:
 
     f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     space = diff_space(f)
-    lines = [
+    partials = tuple(zip(space.rows, space.degrees, space.orders))
+    _emit(args, lambda: [
         f"dim_Diff = {space.dim}",
         "hilbert = (" + ",".join(map(str, space.hilbert_values())) + ")",
         "partials (degree, order):",
-    ]
-    for row, degree, order in zip(space.rows, space.degrees, space.orders):
-        lines.append(f"  ({degree}, {order})  {poly_str(row, base=args.base)}")
-    payload = {
+        *(f"  ({d}, {o})  {poly_str(r, base=args.base)}" for r, d, o in partials),
+    ], lambda: {
         "dim": space.dim,
         "hilbert": list(space.hilbert_values()),
-        "partials": [
-            {"degree": d, "order": o, "partial": poly_str(r, base=args.base)}
-            for r, d, o in zip(space.rows, space.degrees, space.orders)
-        ],
-    }
-    _emit(args, lines, payload)
+        "partials": [{"degree": d, "order": o, "partial": poly_str(r, base=args.base)}
+                     for r, d, o in partials],
+    })
     return 0
 
 
@@ -155,17 +156,15 @@ def _cmd_hilbert(args) -> int:
     f = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     decomposition = symmetric_decomposition(f)
     dims = embedding_dims(decomposition)
-    lines = [
+    _emit(args, lambda: [
         decomposition.arrow_str(),
         "embedding_dims = (" + ",".join(map(str, dims)) + ")",
-    ]
-    payload = {
+    ], lambda: {
         "H": list(decomposition.hilbert()),
         "d": decomposition.d,
         "deltas": [list(r) for r in decomposition.trimmed_rows()],
         "embedding_dims": list(dims),
-    }
-    _emit(args, lines, payload)
+    })
     return 0
 
 
@@ -178,15 +177,15 @@ def _cmd_annihilator(args) -> int:
     kernel, length = _kernel_and_length(f, max_degree)
     generators = _generators(f, kernel)
     stabilized = annihilator_stabilized(f, max_degree, kernel, length)
-    lines = [f"kernel dimension (degree <= {max_degree}) = {len(generators)}",
-             f"stabilized = {stabilized}"]
-    lines += ["  " + poly_str(g, base=args.base) for g in generators]
-    payload = {
+    _emit(args, lambda: [
+        f"kernel dimension (degree <= {max_degree}) = {len(generators)}",
+        f"stabilized = {stabilized}",
+        *("  " + poly_str(g, base=args.base) for g in generators),
+    ], lambda: {
         "max_degree": max_degree,
         "generators": [poly_str(g, base=args.base) for g in generators],
         "stabilized": stabilized,
-    }
-    _emit(args, lines, payload)
+    })
     return 0
 
 
@@ -197,15 +196,14 @@ def _cmd_local_length(args) -> int:
     F = parse(args.f, args.nvars, side=PRIMAL, base=args.base)
     support = parse(args.at, args.nvars, side=PRIMAL, base=args.base)
     scheme = local_scheme(F, support)
-    lines = [
+    _emit(args, lambda: [
         f"length = {scheme.length}",
         "hilbert = (" + ",".join(map(str, scheme.hilbert)) + ")",
         f"apolarity_checked = {scheme.apolarity_checked}",
         f"stabilized = {scheme.stabilized}",
         f"annihilator ({len(scheme.annihilator)} generators):",
-    ]
-    lines += ["  " + poly_str(g, base=1) for g in scheme.annihilator]
-    _emit(args, lines, scheme.as_dict(base=1))
+        *("  " + poly_str(g, base=1) for g in scheme.annihilator),
+    ], lambda: scheme.as_dict(base=1))
     return 0
 
 
@@ -217,11 +215,12 @@ def _cmd_enumerate(args) -> int:
         nonsmoothable_only=args.nonsmoothable_only,
     )
     if args.json:  # JSON lines, one candidate each
+        import json
+
         _write(args, "".join(json.dumps(c.as_dict()) + "\n" for c in candidates))
     else:
-        lines = [c.decomposition.arrow_str() for c in candidates]
-        lines.append(f"total = {len(candidates)}")
-        _emit(args, lines, None)
+        _write(args, "".join(c.decomposition.arrow_str() + "\n" for c in candidates)
+               + f"total = {len(candidates)}\n")
     return 0
 
 
@@ -246,16 +245,16 @@ def _cmd_bounds(args) -> int:
             reports.append(v_bound(candidate.decomposition, args.n))
     else:
         raise ValueError("one of --length or --f is required")
-    lines = []
-    for r in reports:
-        h = "(" + ",".join(map(str, r.hilbert)) + ")"
-        w = "-" if r.w is None else str(r.w)
-        margin = "-" if r.margin is None else str(r.margin)
-        lines.append(
-            f"H={h} v={r.v} (v_theta={r.v_theta} d_flag={r.d_flag} "
-            f"d_infty={r.d_infty}) w={w} margin={margin}"
-        )
-    _emit(args, lines, [r.as_dict() for r in reports])
+
+    def lines():
+        for r in reports:
+            h = "(" + ",".join(map(str, r.hilbert)) + ")"
+            w = "-" if r.w is None else str(r.w)
+            margin = "-" if r.margin is None else str(r.margin)
+            yield (f"H={h} v={r.v} (v_theta={r.v_theta} d_flag={r.d_flag} "
+                   f"d_infty={r.d_infty}) w={w} margin={margin}")
+
+    _emit(args, lines, lambda: [r.as_dict() for r in reports])
     return 0
 
 
@@ -263,31 +262,30 @@ def _cmd_verify_theorem(args) -> int:
     from .bounds import verify_theorem
 
     report = verify_theorem(args.n, nonsmoothable_only=not args.no_filter)
-    lines = []
-    if not report.in_scope:
-        lines.append(f"note: n={args.n} is outside the verified range 7..8; informational only")
-    lines.append(f"{'l':>3} {'r':>3} {'v':>5} {'thr':>5} {'margin':>6}  H -> decomposition")
-    for row in report.rows:
-        h = "(" + ",".join(map(str, row.hilbert)) + ")"
-        deltas = ",".join("(" + ",".join(map(str, d)) + ")" for d in row.deltas if any(d))
-        lines.append(
-            f"{row.l:>3} {row.r:>3} {row.v:>5} {row.threshold:>5} {row.margin:>6}  {h} -> {deltas}"
-        )
-    for r, (h, v) in sorted(report.max_v_by_length.items()):
-        match = report.conjectured_extremal[r][1]
-        lines.append(
-            f"max v at length {r}: H=({','.join(map(str, h))}) v={v}"
-            f" (matches conjectured extremal: {match})"
-        )
-    lines.append(f"worst margin = {report.worst_margin}")
-    if not report.in_scope:
-        # no rank is established outside 7..8, so no PASS/FAIL claim either
-        lines.append(f"INFORMATIONAL n={report.n} rows={len(report.rows)} "
-                     f"worst_margin={report.worst_margin}")
-    else:
-        verdict = "PASS" if report.passed else "FAIL"
-        lines.append(f"{verdict} n={report.n} cactus_rank={report.cactus_rank}")
-    _emit(args, lines, report.as_dict())
+
+    def lines():
+        if not report.in_scope:
+            yield f"note: n={args.n} is outside the verified range 7..8; informational only"
+        yield f"{'l':>3} {'r':>3} {'v':>5} {'thr':>5} {'margin':>6}  H -> decomposition"
+        for row in report.rows:
+            h = "(" + ",".join(map(str, row.hilbert)) + ")"
+            deltas = ",".join("(" + ",".join(map(str, d)) + ")" for d in row.deltas if any(d))
+            yield (f"{row.l:>3} {row.r:>3} {row.v:>5} {row.threshold:>5} {row.margin:>6}"
+                   f"  {h} -> {deltas}")
+        for r, (h, v) in sorted(report.max_v_by_length.items()):
+            match = report.conjectured_extremal[r][1]
+            yield (f"max v at length {r}: H=({','.join(map(str, h))}) v={v}"
+                   f" (matches conjectured extremal: {match})")
+        yield f"worst margin = {report.worst_margin}"
+        if not report.in_scope:
+            # no rank is established outside 7..8, so no PASS/FAIL claim either
+            yield (f"INFORMATIONAL n={report.n} rows={len(report.rows)} "
+                   f"worst_margin={report.worst_margin}")
+        else:
+            verdict = "PASS" if report.passed else "FAIL"
+            yield f"{verdict} n={report.n} cactus_rank={report.cactus_rank}"
+
+    _emit(args, lines, report.as_dict)
     return 0 if report.passed else 1
 
 
@@ -301,18 +299,16 @@ def _cmd_exotic_extend(args) -> int:
     extended = exotic_extend(f, phis)
     h_before = hilbert_function(f).values
     h_after = hilbert_function(extended).values
-    lines = [
-        f"f~ = {poly_str(extended, base=args.base)}",
-        f"hilbert preserved = {h_before == h_after} "
-        f"({','.join(map(str, h_after))})",
-    ]
-    payload = {
-        "extended": poly_str(extended, base=args.base),
+    text = poly_str(extended, base=args.base)
+    _emit(args, lambda: [
+        f"f~ = {text}",
+        f"hilbert preserved = {h_before == h_after} ({','.join(map(str, h_after))})",
+    ], lambda: {
+        "extended": text,
         "nvars": extended.nvars,
         "hilbert": list(h_after),
         "hilbert_preserved": h_before == h_after,
-    }
-    _emit(args, lines, payload)
+    })
     return 0
 
 
@@ -321,7 +317,6 @@ def _cmd_cusp_witness(args) -> int:
     from .witness import LENGTH_NOTE, cusp_witness, random_general_cubic
 
     reports = []
-    failures = 0
     if args.f:
         reports.append(("input", cusp_witness(parse(args.f, 3, side=PRIMAL, base=args.base))))
     rng = random.Random(args.seed)
@@ -330,27 +325,24 @@ def _cmd_cusp_witness(args) -> int:
         reports.append((f"trial {index}", report))
     if not reports:
         raise ValueError("provide --f and/or --trials N")
-    lines = []
-    for label, report in reports:
-        ok = report.length_g <= 7 and report.apolar_ok
-        if report.general_signature and report.length_f != 8:
-            ok = False
-        if not ok:
-            failures += 1
-        lines.append(
-            f"{label}: f = {poly_str(report.cubic, base=0)}\n"
-            f"  length_G_scheme = {report.length_g} (<= 7: {report.length_g <= 7}), "
-            f"local H = ({','.join(map(str, report.local_hilbert_g))}), "
-            f"apolar = {report.apolar_ok}, "
-            f"general = {report.general_signature}, length_F_scheme = {report.length_f}"
-        )
-    lines.append(LENGTH_NOTE)
-    lines.append(f"failures = {failures} / {len(reports)}")
-    payload = {
+    # a general cubic's F scheme must have length 8
+    failures = sum(not (r.length_g <= 7 and r.apolar_ok)
+                   or (r.general_signature and r.length_f != 8) for _, r in reports)
+
+    def lines():
+        for label, report in reports:
+            yield (f"{label}: f = {poly_str(report.cubic, base=0)}\n"
+                   f"  length_G_scheme = {report.length_g} (<= 7: {report.length_g <= 7}), "
+                   f"local H = ({','.join(map(str, report.local_hilbert_g))}), "
+                   f"apolar = {report.apolar_ok}, "
+                   f"general = {report.general_signature}, length_F_scheme = {report.length_f}")
+        yield LENGTH_NOTE
+        yield f"failures = {failures} / {len(reports)}"
+
+    _emit(args, lines, lambda: {
         "reports": [dict(r.as_dict(), label=label) for label, r in reports],
         "failures": failures,
-    }
-    _emit(args, lines, payload)
+    })
     return 0 if failures == 0 else 1
 
 
@@ -358,7 +350,7 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
     lines, payload, status = run_selftest()
-    _emit(args, lines, payload)
+    _emit(args, lambda: lines, lambda: payload)
     return status
 
 

@@ -18,7 +18,7 @@ done once per process:
   below each (a, remainder).
 * Rows Delta_1 and Delta_0 are forced by their symmetries (`_last_rows`).
 * A remainder below a placed row is searched only if it passes
-  `_feasible`, the window bound that the forced Delta_1 and Delta_0 >= 1
+  `_feasible`, the window bounds that the rows' symmetries and Delta_0 >= 1
   put on it, so most remainders with no chain are never stored.
 * Each H's validated candidates are built once, and `_CHAINS` keeps them
   under H, so clearing it clears them too.
@@ -170,17 +170,18 @@ def _last_rows(remainder: tuple) -> tuple:
 def _feasible(a: int, remainder: tuple) -> bool:
     """Whether the level-a remainder R = Delta_0 + ... + Delta_a, a >= 1,
     passes a necessary condition for having a chain: with T(i) = sum over
-    k <= i of R(k) - R(d - k), every 1 <= i <= d - 1 has T(i) <= the sum of
-    R(k) - 1 over the window max(1, i - a + 1) <= k <= i.
+    k <= i of R(k) - R(d - k), every 1 <= i <= d - 1 has 0 <= T(i) <= the
+    sum of R(k) - 1 over the window max(1, i - a + 1) <= k <= i.
 
     Delta_0 is symmetric about d/2, so it adds nothing to T.  Delta_b, b >=
     1, is symmetric about (d - b)/2, Delta_b(d - k) = Delta_b(k - b), and
     vanishes at k <= 0, so it adds the sum of Delta_b(k) - Delta_b(k - b)
-    over 1 <= k <= i: the window of its b entries ending at i.  Rows are
-    nonnegative and b <= a, so T(i) is at most the sum over the window of
-    length a of R(k) - Delta_0(k).  Delta_0 is an O-sequence with Delta_0(d)
-    = 1, so Delta_0(k) >= 1 for k <= d, which gives the bound.  At a = 1,
-    T is Delta_1 and the condition is exactly Delta_0(i) >= 1.
+    over 1 <= k <= i: the window of its b entries ending at i, which is
+    nonnegative, so T(i) >= 0.  Rows are nonnegative and b <= a, so T(i) is
+    at most the sum over the window of length a of R(k) - Delta_0(k).
+    Delta_0 is an O-sequence with Delta_0(d) = 1, so Delta_0(k) >= 1 for k
+    <= d, which gives the upper bound.  At a = 1, T is Delta_1 and the
+    condition is exactly Delta_1(i) >= 0 and Delta_0(i) >= 1.
     """
     d = len(remainder) - 1
     run = window = 0
@@ -189,7 +190,7 @@ def _feasible(a: int, remainder: tuple) -> bool:
         window += remainder[i] - 1
         if i > a:
             window -= remainder[i - a] - 1
-        if run > window:
+        if not 0 <= run <= window:
             return False
     return True
 

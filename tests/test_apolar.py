@@ -761,6 +761,25 @@ class TestLocalSchemeBuildsDiffOnce:
         assert len(calls) == 1
         assert scheme.apolarity_checked
 
+    def test_dead_relations_are_not_homogenized(self, monkeypatch):
+        # a kernel element above deg F kills the form term by term, so it
+        # never reaches `_kills`; every one at or below deg F does
+        seen = []
+        original = apolar._kills
+
+        def recording(form, operators, p):
+            seen.extend(operators)
+            return original(form, seen, p)
+
+        monkeypatch.setattr(apolar, "_kills", recording)
+        F = parse("x0^3 + 2*x1^3 - x2^3 + 3*x0*x1*x2 + x1^2*x3 + x3^3", 4, base=0)
+        support = parse("x0 + x1 - x2", 4, base=0)
+        kernel, _, _ = _annihilator(dehomogenize(F, support)[0], 4)
+        assert local_scheme(F, support).apolarity_checked
+        tops = sorted(max(map(sum, w)) for w, _ in kernel)
+        assert tops.count(4) > 0
+        assert sorted(sum(next(iter(g))) for g in seen) == [t for t in tops if t <= 3]
+
 
 class TestAnnihilatorSpanIsDiff:
     """From max_degree = deg f on, the annihilator's labelled span is Diff(f),

@@ -133,6 +133,84 @@ class TestLocalLength:
         assert data["annihilator"] == ["y1^2", "y1^3", "y1^4"]
 
 
+class TestEachModeBuildsOnlyItsOutput:
+    """A command builds the text lines or the --json payload, only the one
+    it writes."""
+
+    @pytest.fixture
+    def no_payloads(self, monkeypatch):
+        """Make every payload builder of `local-length`, `verify-theorem` and
+        `hilbert` raise: once `symmetric_decomposition` has returned, the
+        decomposition's `hilbert()` and `trimmed_rows()` may run only inside
+        `arrow_str`, the text line that reads them."""
+        from apolarity import hilbert
+        from apolarity.apolar import ApolarScheme
+        from apolarity.bounds import TheoremReport
+        from apolarity.hilbert import SymmetricDecomposition
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a payload was built in text mode")
+
+        monkeypatch.setattr(ApolarScheme, "as_dict", refuse)
+        monkeypatch.setattr(TheoremReport, "as_dict", refuse)
+        returned, inside = [], []
+        decompose, arrow_str = hilbert.symmetric_decomposition, SymmetricDecomposition.arrow_str
+
+        def recorded(f):
+            returned.append(decompose(f))
+            return returned[-1]
+
+        def in_arrow_str(self):
+            inside.append(self)
+            try:
+                return arrow_str(self)
+            finally:
+                inside.pop()
+
+        def guarded(method):
+            return lambda self: refuse() if returned and not inside else method(self)
+
+        for name in ("hilbert", "trimmed_rows"):
+            monkeypatch.setattr(SymmetricDecomposition, name,
+                                guarded(getattr(SymmetricDecomposition, name)))
+        monkeypatch.setattr(SymmetricDecomposition, "arrow_str", in_arrow_str)
+        monkeypatch.setattr(hilbert, "symmetric_decomposition", recorded)
+
+    @pytest.mark.parametrize("argv", [a for a in readme_cli_examples()
+                                      if a[0] in ("local-length", "verify-theorem", "hilbert")],
+                             ids=" ".join)
+    def test_text_mode_builds_no_payload(self, argv, capsys, request):
+        status, expected, _ = capture(capsys, list(argv))
+        assert status == 0
+        request.getfixturevalue("no_payloads")
+        assert capture(capsys, list(argv)) == (0, expected, "")
+
+    def test_payload_builders_raise_under_the_fixture(self, no_payloads, capsys):
+        # the fixture is live: the same commands with --json reach a payload
+        for argv in (["verify-theorem", "--n", "7"], ["hilbert", "--f", "x1^3", "--nvars", "1"],
+                     ["local-length", "--f", "x0^2*x1", "--nvars", "2", "--at", "x0"]):
+            assert capture(capsys, argv + ["--json"])[0] == 3
+
+    def test_local_length_json_formats_each_generator_once(self, monkeypatch, capsys):
+        from apolarity import apolar, poly
+
+        original, calls = poly.poly_str, []
+
+        def counted(f, base=1):
+            calls.append(f)
+            return original(f, base)
+
+        monkeypatch.setattr(poly, "poly_str", counted)
+        monkeypatch.setattr(apolar, "poly_str", counted)
+        F = "x0^3 + 2*x1^3 - x2^3 + 3*x0*x1*x2 + x1^2*x2"
+        status, out, _ = capture(capsys, ["local-length", "--f", F, "--nvars", "3",
+                                          "--at", "x0 + x1 - x2", "--json"])
+        assert status == 0
+        generators = json.loads(out)["annihilator"]
+        assert len(generators) > 3
+        assert [original(g) for g in calls] == generators
+
+
 class TestAnnihilator:
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     def test_default_degree_bound_is_deg_f_plus_1(self, capsys, mode):
@@ -476,9 +554,11 @@ def source_env() -> dict:
     return env
 
 
-# Runs one command (or only builds the parser) and prints the package's modules.
+# Runs one command (or only builds the parser) and prints the package's
+# modules, and `json` if the run loaded it.
 LIST_MODULES = """\
 import contextlib, io, sys
+before = set(sys.modules)
 import apolarity.cli
 status = 0
 if sys.argv[1:]:
@@ -486,13 +566,15 @@ if sys.argv[1:]:
         status = apolarity.cli.run(sys.argv[1:])
 else:
     apolarity.cli.build_parser()
-print(" ".join(sorted(name for name in sys.modules if name.startswith("apolarity"))))
+print(" ".join(sorted(name for name in sys.modules if name.startswith("apolarity")
+                     or (name == "json" and name not in before))))
 sys.exit(status)
 """
 
 
 def loaded_modules(*argv) -> set:
-    """The `apolarity` modules a fresh interpreter loads to run `argv`."""
+    """The `apolarity` modules a fresh interpreter loads to run `argv`, and
+    `json` if it was not loaded before `apolarity.cli` was imported."""
     result = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv],
                             capture_output=True, text=True, env=source_env())
     assert result.returncode == 0, result.stderr
@@ -503,19 +585,26 @@ class TestImportsPerCommand:
     """Each command compiles only the modules it runs: start-up dominates a CLI run."""
 
     def test_parser_alone_loads_only_the_cli(self):
-        assert loaded_modules() == {"apolarity", "cli"}
+        assert loaded_modules() == {"apolarity", "cli"}  # and no json
 
     def test_verifier_loads_no_polynomial_code(self):
         loaded = loaded_modules("verify-theorem", "--n", "7")
         assert "bounds" in loaded
-        assert loaded.isdisjoint({"apolar", "linalg", "poly", "scalars", "witness", "selftest"})
+        assert loaded.isdisjoint(
+            {"apolar", "linalg", "poly", "scalars", "witness", "selftest", "json"})
 
     def test_local_length_loads_no_verifier_code(self):
         [argv] = [a for a in readme_cli_examples() if a[0] == "local-length"]
         loaded = loaded_modules(*argv)
         assert "apolar" in loaded
         assert loaded.isdisjoint(
-            {"bounds", "enumeration", "hilbert", "macaulay", "witness", "selftest"})
+            {"bounds", "enumeration", "hilbert", "macaulay", "witness", "selftest", "json"})
+
+    @pytest.mark.parametrize("argv", [("verify-theorem", "--n", "7"),
+                                      ("enumerate", "--length", "14", "--n", "7")])
+    def test_only_json_output_loads_json(self, argv):
+        assert "json" not in loaded_modules(*argv)
+        assert "json" in loaded_modules(*argv, "--json")
 
 
 class TestInstalledEntryPoint:
