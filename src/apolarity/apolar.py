@@ -27,9 +27,9 @@ reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
+from ._record import Record, setfield
 from .linalg import MonomialSpan
 from .poly import (
     DUAL,
@@ -366,18 +366,24 @@ def _on_columns(w: dict, rank: dict):
     return {rank[m]: c for m, c in w.items()}
 
 
-@dataclass(frozen=True)
-class ApolarScheme:
+class ApolarScheme(Record):
     """Local apolar scheme at a chosen linear support form."""
 
-    defining: Polynomial
-    length: int
-    hilbert: tuple
-    support: Polynomial
-    annihilator: tuple
-    apolarity_checked: bool
-    stabilized: bool
-    change: ChangeOfBasis = field(repr=False, default=None)
+    __match_args__ = ("defining", "length", "hilbert", "support", "annihilator",
+                      "apolarity_checked", "stabilized", "change")
+    _hidden = ("change",)
+
+    def __init__(self, defining: Polynomial, length: int, hilbert: tuple, support: Polynomial,
+                 annihilator: tuple, apolarity_checked: bool, stabilized: bool,
+                 change: ChangeOfBasis = None):
+        setfield(self, "defining", defining)
+        setfield(self, "length", length)
+        setfield(self, "hilbert", hilbert)
+        setfield(self, "support", support)
+        setfield(self, "annihilator", annihilator)
+        setfield(self, "apolarity_checked", apolarity_checked)
+        setfield(self, "stabilized", stabilized)
+        setfield(self, "change", change)
 
     def as_dict(self, base: int = 1) -> dict:
         return {

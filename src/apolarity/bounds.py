@@ -23,9 +23,9 @@ established upper bound (see `c_bound`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, comb
 
+from ._record import Record, setfield
 from .enumeration import admissible_decompositions
 from .hilbert import SymmetricDecomposition, embedding_dims
 
@@ -83,22 +83,27 @@ def _d_flag(decomposition: SymmetricDecomposition, n: int, dims: tuple) -> int:
     return sum((m - previous) * (n - m) for m, previous in zip(dims, (0,) + dims))
 
 
-@dataclass(frozen=True)
-class DimBoundReport:
+class DimBoundReport(Record):
     """Evaluation of the cubic-tail dimension bound for one decomposition."""
 
-    n: int
-    length: int
-    d: int
-    hilbert: tuple
-    deltas: tuple
-    embedding: tuple
-    v_theta: int
-    d_infty: int
-    d_flag: int
-    v: int
-    w: int | None
-    margin: int | None
+    __match_args__ = ("n", "length", "d", "hilbert", "deltas", "embedding", "v_theta",
+                      "d_infty", "d_flag", "v", "w", "margin")
+
+    def __init__(self, n: int, length: int, d: int, hilbert: tuple, deltas: tuple,
+                 embedding: tuple, v_theta: int, d_infty: int, d_flag: int, v: int,
+                 w: int | None, margin: int | None):
+        setfield(self, "n", n)
+        setfield(self, "length", length)
+        setfield(self, "d", d)
+        setfield(self, "hilbert", hilbert)
+        setfield(self, "deltas", deltas)
+        setfield(self, "embedding", embedding)
+        setfield(self, "v_theta", v_theta)
+        setfield(self, "d_infty", d_infty)
+        setfield(self, "d_flag", d_flag)
+        setfield(self, "v", v)
+        setfield(self, "w", w)
+        setfield(self, "margin", margin)
 
     def as_dict(self) -> dict:
         return {
@@ -172,17 +177,20 @@ def _v(decomposition: SymmetricDecomposition, n: int, h: tuple) -> tuple:
     return dims, exotic, flag, v_theta, closed
 
 
-@dataclass(frozen=True)
-class TheoremRow:
+class TheoremRow(Record):
     """One (l, r, candidate) comparison row of the verifier."""
 
-    l: int
-    r: int
-    hilbert: tuple
-    deltas: tuple
-    v: int
-    threshold: int
-    margin: int
+    __match_args__ = ("l", "r", "hilbert", "deltas", "v", "threshold", "margin")
+
+    def __init__(self, l: int, r: int, hilbert: tuple, deltas: tuple, v: int,
+                 threshold: int, margin: int):
+        setfield(self, "l", l)
+        setfield(self, "r", r)
+        setfield(self, "hilbert", hilbert)
+        setfield(self, "deltas", deltas)
+        setfield(self, "v", v)
+        setfield(self, "threshold", threshold)
+        setfield(self, "margin", margin)
 
     def as_dict(self) -> dict:
         return {
@@ -196,19 +204,24 @@ class TheoremRow:
         }
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Outcome of the generic-cubic cactus-rank verification for one n."""
 
-    n: int
-    cactus_rank: int
-    passed: bool
-    rows: tuple
-    worst_margin: int | None
-    max_v_by_length: dict
-    conjectured_extremal: dict
-    in_scope: bool
-    filtered: bool
+    __match_args__ = ("n", "cactus_rank", "passed", "rows", "worst_margin", "max_v_by_length",
+                      "conjectured_extremal", "in_scope", "filtered")
+
+    def __init__(self, n: int, cactus_rank: int, passed: bool, rows: tuple,
+                 worst_margin: int | None, max_v_by_length: dict, conjectured_extremal: dict,
+                 in_scope: bool, filtered: bool):
+        setfield(self, "n", n)
+        setfield(self, "cactus_rank", cactus_rank)
+        setfield(self, "passed", passed)
+        setfield(self, "rows", rows)
+        setfield(self, "worst_margin", worst_margin)
+        setfield(self, "max_v_by_length", max_v_by_length)
+        setfield(self, "conjectured_extremal", conjectured_extremal)
+        setfield(self, "in_scope", in_scope)
+        setfield(self, "filtered", filtered)
 
     def as_dict(self) -> dict:
         return {

@@ -23,27 +23,35 @@ done once per process:
 * Each H's validated candidates are built once, and `_CHAINS` keeps them
   under H, so clearing it clears them too.
 
-The nonsmoothable filter encodes two known classification facts as
-predicates: every local Gorenstein algebra of length <= 13 is smoothable,
-and so is every one with Hilbert function (1,a,b,c,...) when b <= 5 and
-c <= 2; at length exactly 14 the nonsmoothable ones all have Hilbert
-function (1,6,6,1).
+The nonsmoothable filter encodes three classification facts as
+predicates, each naming Hilbert functions whose local Gorenstein algebras
+are all smoothable:
+
+* length <= 13: Casnati-Jelisiejew-Notari, Algebra & Number Theory 9
+  (2015), the one fact the PASS of n = 7 and 8 needs;
+* (1,a,b,c,...) with b <= 5 and c <= 2;
+* length exactly 14 and H other than (1,6,6,1).
+
+No source in this repository confirms the last two.  The rows the
+verifier reports by default, and its PASS line, which it decides on those
+rows, rest on them (see `nonsmoothable_filter`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .hilbert import HilbertFunction, SymmetricDecomposition
 from .macaulay import _step, is_o_sequence, macaulay_bound
 
 
-@dataclass(frozen=True)
-class DecompositionCandidate:
+class DecompositionCandidate(Record):
     """An admissible (H, Delta) pair at socle degree d."""
 
-    hilbert: HilbertFunction
-    decomposition: SymmetricDecomposition
+    __match_args__ = ("hilbert", "decomposition")
+
+    def __init__(self, hilbert: HilbertFunction, decomposition: SymmetricDecomposition):
+        setfield(self, "hilbert", hilbert)
+        setfield(self, "decomposition", decomposition)
 
     @property
     def d(self) -> int:
@@ -58,7 +66,23 @@ class DecompositionCandidate:
 
 
 def nonsmoothable_filter(values) -> bool:
-    """Whether H could belong to a nonsmoothable local Gorenstein algebra."""
+    """Whether H could belong to a nonsmoothable local Gorenstein algebra.
+
+    False when a smoothability fact covers every algebra with Hilbert
+    function H:
+
+    * length <= 13 (Casnati-Jelisiejew-Notari, Algebra & Number Theory 9,
+      2015: the Gorenstein locus of the Hilbert scheme of at most 13
+      points is irreducible);
+    * H(2) <= 5 and H(3) <= 2;
+    * length 14 and H other than (1,6,6,1).
+
+    The last two are stated without a source that anything in this
+    repository confirms.  `verify_theorem` reports the candidates kept
+    here and decides PASS on them, so its rows and its PASS line rest on
+    those two facts; without the filter the verdicts for n = 7 and 8 are
+    the same (`tests/test_bounds.py::TestUnfilteredVerdicts`).
+    """
     values = tuple(values)
     length = sum(values)
     if length < 14:

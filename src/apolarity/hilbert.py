@@ -22,9 +22,10 @@ Each row is symmetric about (d - a) / 2, and the rows sum to H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ne
 from typing import TYPE_CHECKING
+
+from ._record import Record, setfield
 
 # The polynomial side is imported inside the three functions that compute
 # Diff(f), so the verifier (bounds, enumeration, macaulay) never loads it.
@@ -32,18 +33,22 @@ if TYPE_CHECKING:
     from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
+class HilbertFunction(Record):
     """Values (H(0), ..., H(d)) of the Hilbert function; d = socle degree."""
 
-    values: tuple
+    __match_args__ = ("values",)
+
+    def __init__(self, values: tuple):
+        setfield(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
+        # apart from __init__, as on a dataclass, so the validations can be counted
         raw = tuple(self.values)
         values = tuple(map(int, raw))
         if values != raw:
             raise ValueError("Hilbert function values must be integers")
-        object.__setattr__(self, "values", values)
+        setfield(self, "values", values)
         if not values:
             raise ValueError("empty Hilbert function")
         if values[0] != 1:
@@ -85,25 +90,27 @@ def hilbert_function(f: Polynomial) -> HilbertFunction:
     return HilbertFunction(diff_space(f).hilbert_values())
 
 
-@dataclass(frozen=True)
-class SymmetricDecomposition:
+class SymmetricDecomposition(Record):
     """Rows Delta_a, a = 0..max(d-2, 0), each of length d+1, summing to H."""
 
-    d: int
-    rows: tuple
+    __match_args__ = ("d", "rows")
 
-    def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
+    def __init__(self, d: int, rows: tuple):
+        if d < 0:
+            raise ValueError(f"socle degree {d} is negative")
+        raw = rows
+        rows = tuple(tuple(map(int, row)) for row in raw)
         # row by row: a second copy of all the rows would raise the peak memory
-        if any(map(ne, rows, map(tuple, self.rows))):
+        if any(map(ne, rows, map(tuple, raw))):
             raise ValueError("decomposition entries must be integers")
-        object.__setattr__(self, "rows", rows)
-        expected = max(self.d - 1, 1)
+        setfield(self, "d", d)
+        setfield(self, "rows", rows)
+        expected = max(d - 1, 1)
         if len(rows) != expected:
-            raise ValueError(f"expected {expected} rows for socle degree {self.d}")
+            raise ValueError(f"expected {expected} rows for socle degree {d}")
         for a, row in enumerate(rows):
-            w = self.d - a  # row a lives on 0..w, symmetric about w / 2
-            if len(row) != self.d + 1:
+            w = d - a  # row a lives on 0..w, symmetric about w / 2
+            if len(row) != d + 1:
                 raise ValueError("each row must have d+1 entries")
             if min(row) < 0:
                 raise ValueError("negative entry in a decomposition row")
@@ -113,7 +120,7 @@ class SymmetricDecomposition:
                 raise ValueError(f"row {a} has support beyond index {w}")
             if a >= 1 and row[0] != 0:
                 raise ValueError("rows a >= 1 must vanish at index 0")
-        if rows[0][0] != 1 or rows[0][self.d] != 1:
+        if rows[0][0] != 1 or rows[0][d] != 1:
             raise ValueError("row 0 must start and end with 1")
 
     def entry(self, a: int, i: int) -> int:

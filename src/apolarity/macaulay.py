@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import Record, setfield
 
-@dataclass(frozen=True)
-class BinomialExpansion:
+
+class BinomialExpansion(Record):
     """Greedy i-binomial expansion: value = sum C(m_k, k), m_i > ... > m_j >= j >= 1."""
 
-    i: int
-    terms: tuple  # pairs (m_k, k), k descending from i
+    __match_args__ = ("i", "terms")
+
+    def __init__(self, i: int, terms: tuple):
+        # terms: pairs (m_k, k), k descending from i
+        setfield(self, "i", i)
+        setfield(self, "terms", terms)
 
     def value(self) -> int:
         return sum(comb(m, k) for m, k in self.terms)

@@ -19,13 +19,13 @@ order of a dual polynomial is its least term degree (+inf for zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
 from operator import sub
 from typing import Iterator, Mapping, Sequence
 
+from ._record import Record, setfield
 from .scalars import RATIONALS, characteristic, from_integers, one_like, to_integers
 
 PRIMAL = "primal"
@@ -102,6 +102,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # for copy and pickle: the default restores __slots__ through __setattr__
+        return Polynomial, (self.nvars, self.terms, self.side)
 
     # -- constructors -------------------------------------------------
 
@@ -422,8 +426,7 @@ def dp_substitute(f: Polynomial, images: Sequence[Sequence]) -> Polynomial:
     return Polynomial(new_nvars, dict(zip(total, scalars)), PRIMAL)
 
 
-@dataclass(frozen=True)
-class ChangeOfBasis:
+class ChangeOfBasis(Record):
     """Audit record of an invertible linear change of variables.
 
     `old_to_new[i]` expresses old variable i as a linear form in the new
@@ -432,9 +435,12 @@ class ChangeOfBasis:
     they do not occur in the transformed polynomial.
     """
 
-    old_to_new: tuple
-    new_to_old: tuple
-    dropped: int = 0
+    __match_args__ = ("old_to_new", "new_to_old", "dropped")
+
+    def __init__(self, old_to_new: tuple, new_to_old: tuple, dropped: int = 0):
+        setfield(self, "old_to_new", old_to_new)
+        setfield(self, "new_to_old", new_to_old)
+        setfield(self, "dropped", dropped)
 
     def unapply(self, f: Polynomial) -> Polynomial:
         return dp_substitute(f, self.new_to_old)

@@ -567,14 +567,15 @@ if sys.argv[1:]:
 else:
     apolarity.cli.build_parser()
 print(" ".join(sorted(name for name in sys.modules if name.startswith("apolarity")
-                     or (name == "json" and name not in before))))
+                     or (name in ("json", "dataclasses", "inspect") and name not in before))))
 sys.exit(status)
 """
 
 
 def loaded_modules(*argv) -> set:
     """The `apolarity` modules a fresh interpreter loads to run `argv`, and
-    `json` if it was not loaded before `apolarity.cli` was imported."""
+    those of `json`, `dataclasses` and `inspect` that were not loaded before
+    `apolarity.cli` was imported."""
     result = subprocess.run([sys.executable, "-c", LIST_MODULES, *argv],
                             capture_output=True, text=True, env=source_env())
     assert result.returncode == 0, result.stderr
@@ -605,6 +606,21 @@ class TestImportsPerCommand:
     def test_only_json_output_loads_json(self, argv):
         assert "json" not in loaded_modules(*argv)
         assert "json" in loaded_modules(*argv, "--json")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-theorem", "--n", "8", "--json"),
+        ("hilbert", "--f", "x1^150 + x2^150", "--nvars", "2"),
+        *(a for a in readme_cli_examples()
+          if a[0] in ("local-length", "diff", "annihilator", "enumerate", "bounds")),
+    ], ids=" ".join)
+    def test_value_classes_load_no_dataclasses(self, argv):
+        # `dataclasses` imports `inspect`, with `ast`, `dis` and `tokenize`
+        assert loaded_modules(*argv).isdisjoint({"dataclasses", "inspect"})
+
+    def test_a_witness_command_loads_dataclasses(self):
+        # witness.WitnessReport is a dataclass, and the guard above sees it
+        [argv] = [a for a in readme_cli_examples() if a[0] == "cusp-witness"]
+        assert {"dataclasses", "inspect"} <= loaded_modules(*argv)
 
 
 class TestInstalledEntryPoint:

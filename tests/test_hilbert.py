@@ -18,6 +18,7 @@ from apolarity.hilbert import (
 from apolarity.macaulay import is_o_sequence
 from apolarity.poly import (
     PRIMAL,
+    ChangeOfBasis,
     Polynomial,
     dehomogenize,
     homogenize,
@@ -182,6 +183,9 @@ class TestSymmetricDecomposition:
             SymmetricDecomposition(d=3, rows=((1, 2.9, 2, 1), (0, 0, 0, 0)))
         accepted = SymmetricDecomposition(d=3, rows=([1, 2.0, Fraction(2), 1], (0, 0, 0, 0)))
         assert accepted.rows == ((1, 2, 2, 1), (0, 0, 0, 0))
+        # checked first, so min() never sees the empty row
+        with pytest.raises(ValueError, match="socle degree -1 is negative"):
+            SymmetricDecomposition(d=-1, rows=((),))
 
     def test_validation_messages(self):
         row0 = (1, 1, 1, 1, 1)
@@ -296,6 +300,17 @@ class TestAdaptCoordinates:
     def test_a_constant_drops_every_variable(self):
         adapted, change = adapt_coordinates(parse("3", 2))
         assert change.dropped == 2 and adapted.nvars == 0
+
+    def test_no_variables(self):
+        f = parse("3", 0)
+        assert adapt_coordinates(f) == (f, ChangeOfBasis((), (), 0))
+
+    def test_unit_rows_complete_the_flag_in_variable_order(self):
+        # the flag row x2 + x4 has its pivot at x2, so unit rows follow for
+        # x1, x3 and x4 only, in that order
+        adapted, change = adapt_coordinates(parse("2*x2 + 2*x4", 4))
+        assert adapted == parse("2*x1", 1) and change.dropped == 3
+        assert change.new_to_old == ((0, 1, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
     def test_keeps_hidden_variables(self):
         # x3 enters only through a hidden-variable summand; no linear change

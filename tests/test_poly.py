@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -258,6 +260,20 @@ class TestPolynomialClass:
             2 + f
         with pytest.raises(TypeError):
             f + "x1"
+
+    @pytest.mark.parametrize("f", [
+        parse("x1^2 + 3*x2", 2),
+        parse("y1*y2 - 1/2*y1^3", 2, side=DUAL),
+        parse("x1^2 + 3*x2", 2, field=PrimeField(7)),
+        Polynomial.zero(3),
+    ], ids=("QQ", "dual", "GF(7)", "zero"))
+    def test_copy_and_pickle_round_trips(self, f):
+        # __slots__ state used to be restored through the refusing __setattr__
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and g is not f
+            assert [type(c) for c in g.terms.values()] == [type(c) for c in f.terms.values()]
+            with pytest.raises(AttributeError, match="immutable"):
+                g.nvars = 1
 
     def test_products_stay_on_their_side(self):
         assert parse("x1", 2) * parse("x1*x2", 2) == parse("2*x1^2*x2", 2)
