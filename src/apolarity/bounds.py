@@ -27,7 +27,7 @@ from math import ceil, comb
 
 from ._record import Record, setfield
 from .enumeration import admissible_decompositions
-from .hilbert import SymmetricDecomposition, embedding_dims
+from .hilbert import SymmetricDecomposition, _zero_row, embedding_dims
 
 
 def c_bound(n: int) -> int:
@@ -65,12 +65,15 @@ def d_infty(decomposition: SymmetricDecomposition, n: int) -> int:
 
 
 def _d_infty(decomposition: SymmetricDecomposition, n: int, dims: tuple) -> int:
+    # the sum over 1 <= i <= d-2 of (n - n_i) * sum_{a < i} Delta_a(d-i-1),
+    # taken row by row, so that the shared zero rows cost nothing
     d = decomposition.d
-    rows = decomposition.rows
-    total = 0
-    for i in range(1, d - 1):
-        total += (n - dims[i]) * sum(row[d - i - 1] for row in rows[:i])
-    return total + n - dims[d - 2]
+    zero = _zero_row(d)
+    total = n - dims[d - 2]
+    for a, row in enumerate(decomposition.rows):
+        if row is not zero:
+            total += sum((n - dims[i]) * row[d - i - 1] for i in range(a + 1, d - 1))
+    return total
 
 
 def d_flag(decomposition: SymmetricDecomposition, n: int) -> int:

@@ -22,6 +22,8 @@ done once per process:
   put on it, so most remainders with no chain are never stored.
 * Each H's validated candidates are built once, and `_CHAINS` keeps them
   under H, so clearing it clears them too.
+* A zero row Delta_a is handed over as the shared `hilbert._zero_row(d)`,
+  which `SymmetricDecomposition` and its readers skip.
 
 The nonsmoothable filter encodes three classification facts as
 predicates, each naming Hilbert functions whose local Gorenstein algebras
@@ -40,7 +42,7 @@ rows, rest on them (see `nonsmoothable_filter`).
 from __future__ import annotations
 
 from ._record import Record, setfield
-from .hilbert import HilbertFunction, SymmetricDecomposition
+from .hilbert import HilbertFunction, SymmetricDecomposition, _zero_row
 from .macaulay import _step, is_o_sequence, macaulay_bound
 
 
@@ -161,7 +163,7 @@ def _place(i: int, w: int, new: list, row: list, out: list) -> None:
         new[i], new[j] = ri - v, rj - v
         row[i] = row[j] = v
         if i == w // 2:
-            out.append((tuple(row), tuple(new)))
+            out.append((tuple(row) if any(row) else _zero_row(len(row) - 1), tuple(new)))
         else:
             _place(i + 1, w, new, row, out)
     new[i], new[j] = ri, rj  # for the caller's next v; `row` is rewritten before use
@@ -188,7 +190,9 @@ def _last_rows(remainder: tuple) -> tuple:
             return ()
         row[i] = run
         base[i] -= run
-    return ((tuple(base), tuple(row)),) if is_o_sequence(base) else ()
+    if not is_o_sequence(base):
+        return ()
+    return ((tuple(base), tuple(row) if any(row) else _zero_row(d)),)
 
 
 def _feasible(a: int, remainder: tuple) -> bool:

@@ -18,11 +18,19 @@ larger i as well.  The level-tagged basis of Diff(f) has M(i, j) rows of
 level >= j and pivot degree <= i, so the difference is the number of its
 rows of level exactly j and degree exactly i, and Delta is that count.
 Each row is symmetric about (d - a) / 2, and the rows sum to H.
+
+Most rows are zero once d is large: x1^200 + x2^200 has 1 nonzero row of
+199.  Every all-zero row of a `SymmetricDecomposition` is therefore one
+shared tuple per socle degree, `_zero_row(d)`, which the constructor
+accepts without re-checking its entries, the producers hand over instead
+of building zeros, and the readers skip; so a decomposition costs time
+linear in its nonzero rows, not (d - 1)(d + 1).  Identity is only a fast
+path: a row equal to zeros but not the shared tuple (one restored by
+`pickle`, say) gives the same answers, only more slowly.
 """
 
 from __future__ import annotations
 
-from operator import ne
 from typing import TYPE_CHECKING
 
 from ._record import Record, setfield
@@ -90,25 +98,51 @@ def hilbert_function(f: Polynomial) -> HilbertFunction:
     return HilbertFunction(diff_space(f).hilbert_values())
 
 
+_ZERO_ROWS: dict = {}  # d -> the shared all-zero row of socle degree d
+
+
+def _zero_row(d: int) -> tuple:
+    """The all-zero row of socle degree d, d + 1 zeros, built once per d."""
+    row = _ZERO_ROWS.get(d)
+    if row is None:
+        row = _ZERO_ROWS[d] = (0,) * (d + 1)
+    return row
+
+
 class SymmetricDecomposition(Record):
-    """Rows Delta_a, a = 0..max(d-2, 0), each of length d+1, summing to H."""
+    """Rows Delta_a, a = 0..max(d-2, 0), each of length d+1, summing to H.
+
+    Every all-zero row is the shared tuple `_zero_row(d)`: a zero row given
+    as any other object is checked like every row and then replaced by it.
+    No answer depends on that identity, which only lets the constructor and
+    the readers skip the zero rows.
+    """
 
     __match_args__ = ("d", "rows")
 
     def __init__(self, d: int, rows: tuple):
+        # an integral d is stored as an int, as the entries are
+        try:
+            socle = int(d)
+        except (TypeError, ValueError, OverflowError):
+            socle = None
+        if socle is None or socle != d:
+            raise ValueError(f"socle degree {d!r} is not an integer")
+        d = socle
         if d < 0:
             raise ValueError(f"socle degree {d} is negative")
+        zero = _zero_row(d)
         raw = rows
-        rows = tuple(tuple(map(int, row)) for row in raw)
+        rows = tuple(row if row is zero else tuple(map(int, row)) for row in raw)
         # row by row: a second copy of all the rows would raise the peak memory
-        if any(map(ne, rows, map(tuple, raw))):
+        if any(row is not zero and row != tuple(old) for row, old in zip(rows, raw)):
             raise ValueError("decomposition entries must be integers")
-        setfield(self, "d", d)
-        setfield(self, "rows", rows)
         expected = max(d - 1, 1)
         if len(rows) != expected:
             raise ValueError(f"expected {expected} rows for socle degree {d}")
         for a, row in enumerate(rows):
+            if row is zero:
+                continue  # it passes every check below
             w = d - a  # row a lives on 0..w, symmetric about w / 2
             if len(row) != d + 1:
                 raise ValueError("each row must have d+1 entries")
@@ -122,6 +156,8 @@ class SymmetricDecomposition(Record):
                 raise ValueError("rows a >= 1 must vanish at index 0")
         if rows[0][0] != 1 or rows[0][d] != 1:
             raise ValueError("row 0 must start and end with 1")
+        setfield(self, "d", d)
+        setfield(self, "rows", tuple(row if row is zero or any(row) else zero for row in rows))
 
     def entry(self, a: int, i: int) -> int:
         if 0 <= a < len(self.rows) and 0 <= i <= self.d:
@@ -129,7 +165,9 @@ class SymmetricDecomposition(Record):
         return 0
 
     def hilbert(self) -> HilbertFunction:
-        return HilbertFunction(tuple(sum(col) for col in zip(*self.rows)))
+        zero = _zero_row(self.d)
+        return HilbertFunction(tuple(map(sum, zip(*[row for row in self.rows
+                                                    if row is not zero]))))
 
     def trimmed_rows(self) -> list:
         """Rows cut to their support range 0..d-a."""
@@ -137,7 +175,9 @@ class SymmetricDecomposition(Record):
 
     def nonzero_rows(self) -> list:
         """(a, trimmed row) for the rows that are not identically zero."""
-        return [(a, row) for a, row in enumerate(self.trimmed_rows()) if any(row)]
+        d, zero = self.d, _zero_row(self.d)
+        return [(a, row[:d - a + 1]) for a, row in enumerate(self.rows)
+                if row is not zero and any(row)]
 
     def arrow_str(self) -> str:
         """Compact `H -> row, row` rendering, nonzero rows only."""
@@ -155,13 +195,18 @@ def symmetric_decomposition(f: Polynomial) -> SymmetricDecomposition:
         raise ValueError("decomposition of the zero polynomial is undefined")
     space = diff_space(f)
     d = space.socle_degree
-    rows = [[0] * (d + 1) for _ in range(max(d - 1, 1))]
+    filled: dict = {}  # a -> row a, for the rows that some bidegree fills
     for j, i in space.bidegrees():
         # the bracket difference counts the tagged rows of level exactly j and
         # degree exactly i; a = d - j - i lies in 0..max(d-2, 0) since order +
         # degree <= d, and the constant and f sit at levels d and 0
-        rows[d - j - i][i] += 1
-    decomposition = SymmetricDecomposition(d=d, rows=tuple(rows))
+        row = filled.get(d - j - i)
+        if row is None:
+            row = filled[d - j - i] = [0] * (d + 1)
+        row[i] += 1
+    zero = _zero_row(d)
+    decomposition = SymmetricDecomposition(
+        d=d, rows=tuple(filled.get(a, zero) for a in range(max(d - 1, 1))))
     if tuple(decomposition.hilbert()) != space.hilbert_values():
         raise AssertionError("decomposition rows do not sum to the Hilbert function")
     return decomposition

@@ -204,6 +204,21 @@ class TestSymmetricDecomposition:
         assert accepted.rows[1] == (0, 1, 1, 0, 0)
         assert all(type(v) is int for row in accepted.rows for v in row)
 
+    def test_socle_degree_is_an_integer(self):
+        # an integral d is stored as an int, as the entries are
+        for d, rows in ((3.0, ((1, 1, 1, 1), (0, 0, 0, 0))),
+                        (Fraction(3), ((1, 2, 2, 1), (0, 1, 0, 0))),
+                        (True, ((1, 1),))):
+            accepted = SymmetricDecomposition(d=d, rows=rows)
+            assert accepted.d == d and type(accepted.d) is int
+            assert accepted == SymmetricDecomposition(d=int(d), rows=rows)
+        # anything else names the socle degree, before any row is read
+        for d in (3.5, 2.9, "3", None, 3 + 0j, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"socle degree .* is not an integer"):
+                SymmetricDecomposition(d=d, rows=((1, 1, 1, 1), (0, 0, 0, 0)))
+        with pytest.raises(ValueError, match=r"socle degree 2\.9 is not an integer"):
+            SymmetricDecomposition(d=2.9, rows=())
+
     def test_rows_past_the_first_vanish_at_index_0(self):
         # (1, 0, 1) is symmetric about 1, so only the index-0 rule rejects it
         with pytest.raises(ValueError, match="vanish at index 0"):
