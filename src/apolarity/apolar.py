@@ -18,11 +18,12 @@ read of `rows` or `orders` back-substitutes the basis in place; each
 reduced row keeps its combination of the appended rows, whose tags give
 its order.
 
-Every span here is a `linalg.MonomialSpan` that eliminates one int
-contraction table: the table's monomials are ranked once, grlex ascending
-(`_ranked`), the span works on those int columns alone, and its caller
-keeps the list of them and maps pivots and rows back to monomials where it
-reads them.
+Every span here eliminates one `poly._contraction_table` on its int
+monomial keys (`poly._Keys`), which order as grlex and so are the span's
+columns as they are.  Tags, labels, pivots and degrees stay keys; a
+monomial is decoded only where it leaves (rows, generators, relations), and
+one from outside the table (a target, an operator term) is keyed only
+within the table's degree.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from .poly import (
     ChangeOfBasis,
     Polynomial,
     _apply,
-    _contractions,
+    _contraction_table,
     contract,  # noqa: F401  perfbench/test_perfbench.py checks that its tracer rebinds apolar.contract
     dehomogenize,
-    grlex_key,
     homogenize,
     monomials_up_to,
     poly_str,
@@ -66,21 +66,21 @@ class FilteredSpace:
         # action, y^beta(y^alpha f) = y^(alpha + beta) f, so no partial of a
         # partial is missing from the table.  They go in grlex-descending,
         # level |alpha| descending first, so the rows tagged >= j span O_j
-        columns, self._rank, table = _ranked(_contractions(_int_terms(f.terms, self._p)[0]))
-        self._columns = columns
+        self._keys, table = _contraction_table(f.nvars, _int_terms(f.terms, self._p)[0])
+        unit = self._keys.unit  # a key // unit is its monomial's degree
         span = self._span = MonomialSpan(self._p)
         self._bidegrees = []
         # (level, int row) of the appended rows of degree <= 1; back-
         # substitution replaces row dicts and never modifies them
         self._linear = []
-        for alpha in sorted(table, key=grlex_key, reverse=True):
+        for alpha in sorted(table, reverse=True):
             if (index := span.insert_tagged(table[alpha], alpha)) is not None:
-                degree = sum(columns[span.pivots[index]])
-                self._bidegrees.append((sum(alpha), degree))
+                degree = span.pivots[index] // unit
+                self._bidegrees.append((alpha // unit, degree))
                 if degree <= 1:
-                    self._linear.append((sum(alpha), span.int_row(index)))
-        self._pivots = sorted(span.pivots, reverse=True)  # columns, grlex descending
-        self.degrees = tuple(sum(columns[pivot]) for pivot in self._pivots)
+                    self._linear.append((alpha // unit, span.int_row(index)))
+        self._pivots = sorted(span.pivots, reverse=True)  # keys, grlex descending
+        self.degrees = tuple(pivot // unit for pivot in self._pivots)
         self.dim = len(self._pivots)
         self._reduced = False
         self._orders = None
@@ -98,16 +98,17 @@ class FilteredSpace:
     def rows(self) -> tuple:
         """Basis partials as polynomials, pivot-descending (RREF order)."""
         reduced = self._reduced_span()
-        rows, by_pivot, columns = reduced.rows, reduced.by_pivot, self._columns
-        return tuple(Polynomial(self.nvars, {columns[c]: v for c, v in rows[by_pivot[p]].items()},
+        rows, by_pivot, monomial = reduced.rows, reduced.by_pivot, self._keys.monomial
+        return tuple(Polynomial(self.nvars, {monomial(c): v for c, v in rows[by_pivot[p]].items()},
                                 PRIMAL) for p in self._pivots)
 
     def contains(self, g: Polynomial) -> bool:
         if g.nvars != self.nvars or g.side != PRIMAL:
             return False
-        # a monomial that no image has is on no row
-        w = _on_columns(_int_terms(g.terms, self._p)[0], self._rank)
-        return w is not None and self._span.contains(w)
+        ints = _int_terms(g.terms, self._p)[0]
+        # a term above deg f is on no row; it has no key
+        w = self._keys.keyed(ints)
+        return len(w) == len(ints) and self._span.contains(w)
 
     def hilbert_values(self) -> tuple:
         values = [0] * (self.socle_degree + 1)
@@ -132,7 +133,7 @@ class FilteredSpace:
         The reduced echelon basis of O_j ∩ Diff(f)_1 without the constant
         row, which full reduction keeps out of the degree-1 rows.
         """
-        columns = self._columns
+        unit, monomial = self._keys.unit, self._keys.monomial
         span = MonomialSpan(self._p)
         for level, row in self._linear:
             if level >= j:
@@ -140,10 +141,10 @@ class FilteredSpace:
         span.back_substitute()
         out = []
         for row, pivot in zip(span.rows, span.pivots):
-            if sum(columns[pivot]) == 1:
+            if pivot // unit == 1:
                 vec = [row[pivot] - row[pivot]] * self.nvars  # the field's zero
                 for m, c in row.items():
-                    vec[columns[m].index(1)] = c
+                    vec[monomial(m).index(1)] = c
                 out.append(vec)
         return out
 
@@ -158,7 +159,7 @@ class FilteredSpace:
                 # the tags name the rows as appended, not the reduced rows,
                 # whose own tags would give wrong orders
                 tags = span.labels(span.int_row(span.by_pivot[pivot]))
-                orders.append(min(sum(alpha) for alpha in tags))
+                orders.append(min(tags) // self._keys.unit)  # the least key has the least degree
             self._orders = tuple(orders)
         return self._orders
 
@@ -176,7 +177,7 @@ def apolar_length(f: Polynomial) -> int:
     if f.side != PRIMAL:
         raise ValueError("apolar_length expects a primal polynomial")
     p = characteristic(f.terms.values())
-    _, _, table = _ranked(_contractions(_int_terms(f.terms, p)[0]))
+    _, table = _contraction_table(f.nvars, _int_terms(f.terms, p)[0])
     span = MonomialSpan(p)
     for image in table.values():
         span.insert(image)
@@ -194,11 +195,11 @@ def annihilator_generators(f: Polynomial, max_degree: int) -> list:
 
 
 def _annihilator(f: Polynomial, max_degree: int) -> tuple:
-    """(kernel, span, columns): the kernel of `annihilator_generators(f,
-    max_degree)` as int relations (w, den), each generator being w / den in
-    f's field; the labelled span of the images y^alpha(f) with |alpha| <=
-    max_degree; and the monomials its columns stand for.  From max_degree =
-    deg f on the span is Diff(f), and its pivots are the columns of Diff(f)'s
+    """(kernel, span, keys): the kernel of `annihilator_generators(f,
+    max_degree)` as int relations (w, den) on monomials, each generator being
+    w / den in f's field; the span of the images y^alpha(f), |alpha| <=
+    max_degree, labelled by alpha's key; and the table's `_Keys`.  From
+    max_degree = deg f on the span is Diff(f), its pivots the keys of Diff(f)'s
     leading monomials, unique whatever the order the images went in."""
     if f.side != PRIMAL:
         raise ValueError("annihilator_generators expects a primal polynomial")
@@ -207,18 +208,21 @@ def _annihilator(f: Polynomial, max_degree: int) -> tuple:
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     p = characteristic(f.terms.values())
-    columns, _, table = _ranked(_contractions(_int_terms(f.terms, p)[0], max_degree))
+    keys, table = _contraction_table(f.nvars, _int_terms(f.terms, p)[0], max_degree)
+    # the table's top is max(deg f, max_degree): every label has a key
+    monomial = {keys.key(m): m for m in monomials_up_to(f.nvars, max_degree)}
     span = MonomialSpan(p)
     kernel = []
-    for alpha in monomials_up_to(f.nvars, max_degree):
+    for alpha, m in monomial.items():
         image = table.get(alpha)
         if image is None:
-            kernel.append(({alpha: 1}, 1))
+            kernel.append(({m: 1}, 1))
             continue
         _, relation = span.insert_relation(image, alpha)
         if relation is not None:
-            kernel.append(relation)
-    return kernel, span, columns
+            w, den = relation
+            kernel.append(({monomial[label]: c for label, c in w.items()}, den))
+    return kernel, span, keys
 
 
 def _kernel_and_length(f: Polynomial, max_degree: int) -> tuple:
@@ -274,19 +278,20 @@ def representative_operator(f: Polynomial, target: Polynomial, min_order: int = 
         raise ValueError("target must be a primal polynomial in the variables of f")
     p = characteristic(f.terms.values(), target.terms.values())
     ints, den = _int_terms(f.terms, p)
-    _, rank, table = _ranked(_contractions(ints))
+    keys, table = _contraction_table(f.nvars, ints)
     span = MonomialSpan(p)
-    for alpha in sorted(table, key=grlex_key):
-        if sum(alpha) >= min_order:
+    for alpha in sorted(table):
+        if alpha // keys.unit >= min_order:
             span.insert_relation(table[alpha], alpha)
     ints, target_den = _int_terms(target.terms, p)
-    # a target monomial that no image has is on no contraction of f
-    w = _on_columns(ints, rank)
-    combo = None if w is None else span.solve(w)
+    # a target term above deg f is on no contraction of f; it has no key
+    w = keys.keyed(ints)
+    combo = span.solve(w) if len(w) == len(ints) else None
     if combo is None:
         return None
     # the table contracts den * f, and combo reaches target_den * target
-    return Polynomial(f.nvars, {alpha: c * den / target_den for alpha, c in combo.items()}, DUAL)
+    return Polynomial(f.nvars, {keys.monomial(alpha): c * den / target_den
+                                for alpha, c in combo.items()}, DUAL)
 
 
 def is_apolar(generators, F: Polynomial) -> bool:
@@ -323,14 +328,11 @@ def _kills(form: dict, operators, p: int) -> bool:
     """Whether every operator, an int dual term dict in the field of
     characteristic p (a multiple of the operator does as well), contracts
     the term dict `form` to 0, each summed exactly from one int table of
-    the form.  An operator whose every term has degree above the form's
-    contracts it to 0 term by term and is not applied."""
-    table = _contractions(_int_terms(form, p)[0])
-    degree = max(map(sum, form), default=-1)
+    the form.  An operator term above the form's degree contracts it to 0
+    term by term: it has no key in the form's table and is dropped."""
+    keys, table = _contraction_table(len(next(iter(form), ())), _int_terms(form, p)[0])
     for terms in operators:
-        if min(map(sum, terms), default=0) > degree:
-            continue
-        image = _apply(terms, table).values()
+        image = _apply(keys.keyed(terms), table).values()
         if any(c % p for c in image) if p else any(image):
             return False
     return True
@@ -338,32 +340,11 @@ def _kills(form: dict, operators, p: int) -> bool:
 
 def _int_terms(terms: dict, p: int) -> tuple:
     """(w, den): the term dict is w / den in the field of characteristic p,
-    w an int dict without zeros, which `_ranked` keys by column for a
+    w an int dict without zeros, which a `_Keys` keys by column for a
     `MonomialSpan`.  The factor den moves no relation, tag set, kernel test or
     normalised row."""
     ints, den = to_integers(terms.values(), p)
     return {m: c for m, c in zip(terms, ints) if c}, den
-
-
-def _ranked(table: dict) -> tuple:
-    """(columns, rank, ranked): the monomials of the table's images sorted
-    grlex ascending, each one's index there, and the table with every image
-    keyed by those indices, its entries in the same order.  A larger column
-    is a grlex-greater monomial, as a `MonomialSpan` needs."""
-    support = set()
-    for image in table.values():
-        support.update(image)  # takes the hashes the image holds
-    columns = sorted(support, key=grlex_key)
-    rank = dict(zip(columns, range(len(columns))))
-    return columns, rank, {alpha: {rank[m]: c for m, c in image.items()}
-                           for alpha, image in table.items()}
-
-
-def _on_columns(w: dict, rank: dict):
-    """The dict w keyed by rank, or None if a key of w has no rank."""
-    if not rank.keys() >= w.keys():
-        return None
-    return {rank[m]: c for m, c in w.items()}
 
 
 class ApolarScheme(Record):
@@ -431,10 +412,10 @@ def _scheme(f: Polynomial, max_degree: int, form: Polynomial) -> tuple:
     kernel element, homogenized to its degree with a new first variable,
     kills the form.  An element above the form's degree kills it term by
     term, as in `_kills`, and is not homogenized."""
-    kernel, span, columns = _annihilator(f, max_degree)
+    kernel, span, keys = _annihilator(f, max_degree)
     hilbert = [0] * (f.degree() + 1)
     for pivot in span.pivots:
-        hilbert[sum(columns[pivot])] += 1
+        hilbert[pivot // keys.unit] += 1
     p = characteristic(form.terms.values(), f.terms.values())
     degree = max(map(sum, form.terms), default=-1)
     tops = ((max(map(sum, w)), w) for w, _ in kernel)  # w / den kills the form iff w does

@@ -7,11 +7,11 @@ vector itself, over GF(p) its residues in [0, p).  A caller holding field
 scalars writes them as ints with `scalars.to_integers`, whose common
 denominator moves no decision, remainder or normalised row.  A span copies
 a vector it is given and never modifies it.  A row's pivot is its greatest
-column.  Callers rank the monomials of a table grlex ascending, so a larger
-column is a grlex-greater monomial and a stored row's total degree can be
-read off its pivot; that property drives every degree-filtration
-computation.  The span itself reads no monomial, and a column hashes and
-compares as an int.
+column.  Callers key the monomials of a table by ints that order as the
+monomials do (`poly._Keys`), so a larger column is a grlex-greater monomial
+and a stored row's total degree can be read off its pivot; that property
+drives every degree-filtration computation.  The span itself reads no
+monomial, and a column hashes and compares as an int.
 
 The span is an echelon basis: an inserted row is fully reduced against the
 older rows and normalised, and it never changes afterwards.  Reducing a

@@ -20,9 +20,9 @@ order of a dual polynomial is its least term degree (+inf for zero).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb
-from operator import sub
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from ._record import Record, setfield
@@ -259,52 +259,70 @@ def _contract_terms(terms: Mapping[Exponents, object], alpha: Exponents) -> dict
     return out
 
 
-def _contractions(terms: Mapping[Exponents, object], max_degree: int | None = None) -> dict:
-    """Every nonzero contraction of a term dict by a dual monomial y^alpha
-    with |alpha| <= max_degree (no bound for None), keyed by alpha.
+class _Keys:
+    """The int keys K(m) = |m| B^n + sum m_i B^(n-1-i), base B = top + 1, of
+    the monomials of degree <= top in n variables.  No exponent of those
+    reaches B, so no digit carries: a larger key is a grlex-greater monomial
+    (keys are `linalg.MonomialSpan` columns as they are), K(beta) - K(alpha)
+    is the key of x^(beta - alpha) for alpha <= beta, and K // B^n is the
+    degree.  Above degree top a digit can carry and two monomials share a
+    key, so one from outside a table is keyed only after a degree check."""
+
+    __slots__ = ("top", "base", "unit", "weights")
+
+    def __init__(self, nvars: int, top: int):
+        self.top, self.base = top, top + 1
+        self.unit = self.base ** nvars  # K // unit is the degree
+        self.weights = [self.unit + self.base ** (nvars - 1 - i) for i in range(nvars)]  # K(x_i)
+
+    def key(self, m: Exponents) -> int:
+        """K(m) for a monomial of degree <= top."""
+        return sum(map(mul, m, self.weights))
+
+    def keyed(self, terms: Mapping) -> dict:
+        """The term dict keyed by K, without its terms above degree top,
+        which contract every monomial in range to 0."""
+        top, weights = self.top, self.weights
+        return {sum(map(mul, m, weights)): c for m, c in terms.items() if sum(m) <= top}
+
+    def monomial(self, key: int) -> Exponents:
+        """The exponent vector whose key is `key`: its last n digits."""
+        return tuple(key // (w - self.unit) % self.base for w in self.weights)
+
+
+def _contraction_table(nvars: int, terms: Mapping, max_degree: int | None = None) -> tuple:
+    """(keys, table): every nonzero contraction of a term dict in nvars
+    variables by a dual monomial y^alpha with |alpha| <= max_degree (None:
+    the degree of the terms), as {K(alpha): {K(beta - alpha): coefficient}},
+    keyed by the `_Keys` whose top is the larger of the two degrees.
 
     Each (term beta, divisor alpha <= beta) pair is visited once, so the
     table costs the number of such pairs, where scanning the terms once per
-    alpha costs #alphas * #terms.  An alpha missing from the table contracts
-    the terms to 0.  Each image lists its terms in the order of `terms`, as
-    `_contract_terms` does.
+    alpha costs #alphas * #terms.  A term's divisors are grown over its
+    support as key sums, with the degree left, so none above max_degree is
+    made.  An alpha missing from the table contracts the terms to 0.  Each
+    image lists its terms in the order of `terms`, as `_contract_terms` does.
     """
+    degree = max(map(sum, terms), default=0)
+    budget = degree if max_degree is None else max_degree
+    keys = _Keys(nvars, max(degree, budget))
+    unit = keys.unit
     table: dict = {}
-    if max_degree is not None and max_degree < 0:
-        return table
     for beta, coeff in terms.items():
-        for alpha, shift in _divisors(beta, max_degree):
+        divisors = [0] if budget >= 0 else []
+        for step, b in zip(keys.weights, beta):
+            if b:
+                steps = [a * step for a in range(1, b + 1)]
+                # slicing by the degree left keeps every divisor in the budget
+                divisors += [k + s for k in divisors for s in steps[:budget - k // unit]]
+        whole = keys.key(beta)
+        for alpha in divisors:
             image = table.get(alpha)
             if image is None:
-                table[alpha] = {shift: coeff}
+                table[alpha] = {whole - alpha: coeff}
             else:
-                image[shift] = coeff
-    return table
-
-
-def _divisors(beta: Exponents, left: int | None = None):
-    """Each divisor alpha of beta with |alpha| <= left (None: the degree of
-    beta), paired with its shift beta - alpha.
-
-    A term within the budget is the whole box of its divisors, stepped
-    through by two `itertools.product`s in lockstep.  Under a binding
-    budget the divisors are grown over the support of beta with the degree
-    left, so none above the budget is made.
-    """
-    if left is None or sum(beta) <= left:
-        return zip(product(*[range(b + 1) for b in beta]),
-                   product(*[range(b, -1, -1) for b in beta]))
-    divisors = [([0] * len(beta), left)]
-    for i, b in enumerate(beta):
-        if b:
-            grown = []
-            for alpha, room in divisors:
-                for a in range(1, min(b, room) + 1):
-                    longer = alpha.copy()
-                    longer[i] = a
-                    grown.append((longer, room - a))
-            divisors += grown
-    return [(tuple(alpha), tuple(map(sub, beta, alpha))) for alpha, _ in divisors]
+                image[whole - alpha] = coeff
+    return keys, table
 
 
 # -- homogenization ------------------------------------------------------

@@ -36,7 +36,7 @@ from .poly import (
     PRIMAL,
     Polynomial,
     _apply,
-    _contractions,
+    _contraction_table,
     _drop_first,
     contract,
     homogenize,
@@ -85,17 +85,18 @@ def exotic_extend(f: Polynomial, phis) -> Polynomial:
     total: dict = {}
     bound = d // 2
     one = one_like(next(iter(f.terms.values())))
-    table = _contractions(f.terms)
+    # an operator term above deg f has no key: it contracts f to 0
+    keys, table = _contraction_table(k, f.terms)
     for powers in product(range(bound + 1), repeat=m):
         operator = Polynomial.constant(k, one, DUAL)
         for phi, e in zip(phis, powers):
             for _ in range(e):
                 operator = operator * phi
         suffix = tuple(powers)
-        for exponents, coeff in _apply(operator.terms, table).items():
+        for key, coeff in _apply(keys.keyed(operator.terms), table).items():
             if coeff != 0:
-                key = exponents + suffix
-                total[key] = total.get(key, 0) + coeff
+                exponents = keys.monomial(key) + suffix
+                total[exponents] = total.get(exponents, 0) + coeff
     return Polynomial(nvars, total, PRIMAL)
 
 

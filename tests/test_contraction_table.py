@@ -1,8 +1,9 @@
 """The divisor-indexed contraction table and the paths that read it.
 
-`poly._contractions(terms, k)` tabulates every nonzero contraction of a term
-dict by a dual monomial of degree <= k.  It is checked against a scan of all
-terms per dual monomial, the way each alpha was contracted before the table.
+`poly._contraction_table(n, terms, k)` tabulates every nonzero contraction of
+a term dict by a dual monomial of degree <= k, keyed by the monomials' int
+keys.  Decoded, it is checked against a scan of all terms per dual monomial,
+the way each alpha was contracted before the table.
 `is_apolar` sums each generator's image from one table of F; it is checked
 against contracting F by every generator.  `contract`, which scans f once per
 term of its operator instead, is checked against the same scan.
@@ -20,7 +21,7 @@ from apolarity.apolar import annihilator_generators, is_apolar
 from apolarity.poly import (
     DUAL,
     Polynomial,
-    _contractions,
+    _contraction_table,
     contract,
     homogenize,
     monomials_up_to,
@@ -55,6 +56,13 @@ def random_terms(rng: random.Random, nvars: int, field) -> dict:
     return terms
 
 
+def decoded(nvars: int, terms: dict, k=None) -> dict:
+    """The contraction table of the terms up to k, keyed by exponent tuples."""
+    keys, table = _contraction_table(nvars, terms, k)
+    name = keys.monomial
+    return {name(alpha): {name(m): c for m, c in image.items()} for alpha, image in table.items()}
+
+
 def bounds_for(terms: dict, rng: random.Random):
     top = max((sum(beta) for beta in terms), default=0)
     return (None, 0, 1, rng.randint(0, top + 1), top)
@@ -68,7 +76,7 @@ class TestTableAgainstScan:
             terms = random_terms(rng, nvars, field)
             top = max((sum(beta) for beta in terms), default=0)
             for k in bounds_for(terms, rng):
-                table = _contractions(terms, k)
+                table = decoded(nvars, terms, k)
                 bound = top if k is None else k
                 assert all(sum(alpha) <= bound for alpha in table)
                 # one past the highest degree: every alpha there scans to 0
@@ -81,14 +89,14 @@ class TestTableAgainstScan:
                         assert expected == {}, (terms, k, alpha)
 
     def test_empty_terms_and_negative_bound(self):
-        assert _contractions({}) == {}
-        assert _contractions({(): Fraction(3)}) == {(): {(): Fraction(3)}}
-        assert _contractions({(): Fraction(3)}, -1) == {}
-        assert _contractions({(2, 1): Fraction(1)}, -1) == {}
+        assert decoded(2, {}) == {}
+        assert decoded(0, {(): Fraction(3)}) == {(): {(): Fraction(3)}}
+        assert decoded(0, {(): Fraction(3)}, -1) == {}
+        assert decoded(2, {(2, 1): Fraction(1)}, -1) == {}
 
     def test_worked_table(self):
         f = parse("x1^2*x2 + x2^2", 2)
-        assert _contractions(f.terms, 1) == {
+        assert decoded(2, f.terms, 1) == {
             (0, 0): f.terms,
             (1, 0): {(1, 1): 1},
             (0, 1): {(2, 0): 1, (0, 1): 1},
@@ -204,13 +212,13 @@ class TestOneTablePerCall:
     @staticmethod
     def counted(monkeypatch, module):
         built = []
-        original = module._contractions
+        original = module._contraction_table
 
-        def counting(terms, max_degree=None):
+        def counting(nvars, terms, max_degree=None):
             built.append(max_degree)
-            return original(terms, max_degree)
+            return original(nvars, terms, max_degree)
 
-        monkeypatch.setattr(module, "_contractions", counting)
+        monkeypatch.setattr(module, "_contraction_table", counting)
         return built
 
     def test_annihilator_generators(self, monkeypatch):

@@ -200,18 +200,19 @@ class TestOneEliminationPerSpace:
         from apolarity import apolar
 
         spaces, tables, inserts = [], [], [0]
-        build, contractions = apolar.FilteredSpace.__init__, apolar._contractions
+        build, contractions = apolar.FilteredSpace.__init__, apolar._contraction_table
 
         def counted_build(self, g):
             build(self, g)
             spaces.append(self)
 
         def counted_contractions(*args, **kwargs):
-            tables.append(contractions(*args, **kwargs))
-            return tables[-1]
+            keys, table = contractions(*args, **kwargs)
+            tables.append(table)
+            return keys, table
 
         monkeypatch.setattr(apolar.FilteredSpace, "__init__", counted_build)
-        monkeypatch.setattr(apolar, "_contractions", counted_contractions)
+        monkeypatch.setattr(apolar, "_contraction_table", counted_contractions)
         for name in ("insert", "insert_relation", "insert_tagged"):
 
             def counted_insert(self, *args, _method=getattr(MonomialSpan, name)):

@@ -1,7 +1,8 @@
 """Ints into the elimination layer.
 
 A `linalg.MonomialSpan` reads int vectors on int columns as they are: the
-contraction tables of `apolar`, ranked once, and stored `int_row`s, with no
+contraction tables of `apolar`, on their monomials' int keys, and stored
+`int_row`s, with no
 conversion.  It must give what `conftest.BackSubstitutingSpan`, an
 elimination that shares no code with it, gives for the same vectors as
 field scalars on monomials, over QQ and GF(32003).  The apolarity check
@@ -16,9 +17,9 @@ from fractions import Fraction
 import pytest
 
 from apolarity import apolar, linalg, poly
-from apolarity.apolar import _int_terms, _kills, _ranked, diff_space, is_apolar, local_scheme
+from apolarity.apolar import _int_terms, _kills, diff_space, is_apolar, local_scheme
 from apolarity.linalg import MonomialSpan
-from apolarity.poly import (DUAL, PRIMAL, Polynomial, _contractions, grlex_key,
+from apolarity.poly import (DUAL, PRIMAL, Polynomial, _contraction_table, grlex_key,
                             monomials_of_degree, parse)
 from apolarity.scalars import PrimeField, characteristic, from_integers
 
@@ -60,20 +61,24 @@ def in_field(vec, p: int) -> bool:
 
 
 class TestIntEntryOracle:
-    """Table images given to a span as ints on ranked columns and to the
+    """Table images given to a span as ints on key columns and to the
     oracle as field scalars on monomials give the same spans, and no dict
     given changes."""
 
     @pytest.mark.parametrize("f", [g for f in ORACLE_FORMS for g in on_fields(f)], ids=str)
     def test_same_spans_as_field_scalars(self, f):
         p = characteristic(f.terms.values())
-        table = _contractions(_int_terms(f.terms, p)[0])
-        columns, rank, ranked = _ranked(table)
-        # a monomial above deg f is on no image; grlex-greater than every
-        # column, it takes the next one
+        keys, keyed_table = _contraction_table(f.nvars, _int_terms(f.terms, p)[0])
+        # each key column of the table's images, and its monomial
+        columns = {k: keys.monomial(k) for image in keyed_table.values() for k in image}
+        ranked = {keys.monomial(alpha): image for alpha, image in keyed_table.items()}
+        table = {alpha: {columns[k]: c for k, c in image.items()}
+                 for alpha, image in ranked.items()}
+        # a monomial above deg f is on no image and has no key; grlex-greater
+        # than every monomial in range, it takes a column above every key
         outside = next(monomials_of_degree(f.nvars, 1 + int(f.degree())))
-        columns.append(outside)
-        rank[outside] = len(rank)
+        columns[(keys.top + 1) * keys.unit] = outside
+        rank = {m: k for k, m in columns.items()}
 
         def keyed(w):
             return {columns[column]: c for column, c in w.items()}
@@ -151,9 +156,9 @@ class TestIntEntryOracle:
     def test_the_tagged_basis_holds_no_given_dict(self):
         # the span copies what it is given; a table image stays the caller's
         f = ORACLE_FORMS[0]
-        _, _, table = _ranked(_contractions(_int_terms(f.terms, 0)[0]))
+        _, table = _contraction_table(f.nvars, _int_terms(f.terms, 0)[0])
         span = MonomialSpan(0)
-        for alpha in sorted(table, key=grlex_key, reverse=True):
+        for alpha in sorted(table, reverse=True):
             span.insert_tagged(table[alpha], alpha)
         held = {id(image) for image in table.values()}
         assert not any(id(span.int_row(i)) in held for i in range(span.dim))

@@ -15,7 +15,7 @@ import pytest
 
 from apolarity.apolar import _annihilator, _kills, annihilator_generators, apolar_length, diff_space
 from apolarity.linalg import MonomialSpan
-from apolarity.poly import PRIMAL, Polynomial, _contractions, grlex_key, monomials_up_to
+from apolarity.poly import PRIMAL, Polynomial, _contraction_table, grlex_key, monomials_up_to
 from apolarity.scalars import RATIONALS, PrimeField
 
 from conftest import BackSubstitutingSpan, Columns, field_relation
@@ -134,7 +134,9 @@ class TestBackSubstitute:
 
     def test_dense_closure_with_wide_entries_matches_gauss_jordan(self):
         f = dense_binary(16)
-        expected = gauss_jordan(list(_contractions(f.terms).values()))
+        keys, table = _contraction_table(f.nvars, f.terms)
+        expected = gauss_jordan([{keys.monomial(m): c for m, c in image.items()}
+                                 for image in table.values()])
         bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
                    for row in expected.values() for c in row.values())
         assert bits > 64  # past any machine word

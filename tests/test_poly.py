@@ -6,11 +6,11 @@ import copy
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from apolarity import poly
 from apolarity.poly import (
     DUAL,
     PRIMAL,
@@ -18,7 +18,7 @@ from apolarity.poly import (
     ParseError,
     Polynomial,
     _contract_terms,
-    _contractions,
+    _contraction_table,
     _drop_first,
     contract,
     dehomogenize,
@@ -152,9 +152,16 @@ class TestContract:
             contract(parse("y1", 2, side=DUAL), f)
 
 
+def decoded(nvars: int, terms: dict, k=None) -> dict:
+    """The contraction table of the terms up to k, keyed by exponent tuples."""
+    keys, table = _contraction_table(nvars, terms, k)
+    name = keys.monomial
+    return {name(alpha): {name(m): c for m, c in image.items()} for alpha, image in table.items()}
+
+
 class TestContractionsUnderABudget:
-    """`_contractions` with max_degree below a term's degree keeps only the
-    divisors within the budget, and makes no other."""
+    """`_contraction_table` with max_degree below a term's degree keeps only
+    the divisors within the budget, and makes no other."""
 
     @pytest.mark.parametrize("nvars,degree", [(1, 7), (2, 9), (3, 5), (4, 4), (6, 3)])
     def test_binding_budgets_against_contract_terms(self, nvars, degree):
@@ -163,7 +170,7 @@ class TestContractionsUnderABudget:
         terms = {m: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
                  for m in reversed(list(monomials_up_to(nvars, degree)))}
         for k in range(degree):
-            table = _contractions(terms, k)
+            table = decoded(nvars, terms, k)
             expected = {alpha: _contract_terms(terms, alpha)
                         for alpha in monomials_up_to(nvars, k)}
             assert list(table) != [] and set(table) == set(expected)
@@ -171,22 +178,19 @@ class TestContractionsUnderABudget:
                 # the same terms, in the order of `terms`
                 assert list(image.items()) == list(expected[alpha].items()), (k, alpha)
 
-    @pytest.mark.parametrize("nvars", [20, 25])
-    def test_wide_squarefree_term_makes_only_the_divisors_within(self, monkeypatch, nvars):
-        drawn = [0]
-
-        def counting_product(*ranges):
-            for item in itertools.product(*ranges):
-                drawn[0] += 1
-                yield item
-
-        monkeypatch.setattr(poly, "product", counting_product)
-        table = _contractions({(1,) * nvars: 7}, 2)
+    @pytest.mark.parametrize("nvars", [12, 16])
+    def test_wide_squarefree_term_makes_only_the_divisors_within(self, nvars):
+        tracemalloc.start()
+        try:
+            keys, table = _contraction_table(nvars, {(1,) * nvars: 7}, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(table) == 1 + nvars + nvars * (nvars - 1) // 2
-        assert all(sum(alpha) <= 2 for alpha in table)
-        # each divisor is drawn at most once as alpha and once as its shift,
-        # not 2^nvars times from the box of the term
-        assert drawn[0] <= 2 * len(table)
+        assert all(alpha // keys.unit <= 2 for alpha in table)
+        # a table of the 2^nvars divisors of the whole term, 4,096 and more,
+        # takes megabytes; the budget's hundred or so take tens of kilobytes
+        assert peak < 400_000, peak
 
 
 def monomials_by_brute_force(nvars: int, degree: int) -> list:
